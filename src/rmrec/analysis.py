@@ -21,10 +21,8 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
-from .core import LEFT_END, CodeParams, Path, classify_path, enumerate_paths
-
-ALG_PSI = "psi"
-ALG_PHI = "phi"
+from .core import FIRST_ORDER, LEFT_END, CodeParams, Path, classify_path, plotkin_tree
+from .decoder import ALG_PHI, ALG_PSI
 
 LN4 = math.log(4.0)
 
@@ -387,25 +385,6 @@ def _gaussian_tail(variance: float) -> float:
     return q_function(1.0 / math.sqrt(variance))
 
 
-def _phi_terminal(params: CodeParams, path: Path) -> tuple[str, tuple[int, ...], int]:
-    """Terminal node of a path under biorthogonal stopping.
-
-    Returns ("bio", node prefix, g) or ("full", descent prefix, h): the
-    first point of the descent where the order drops to one, or a full
-    space met before that.
-    """
-    remaining, order = params.m, params.r
-    for i, b in enumerate(path.bits):
-        if order == 1 and remaining >= 2:
-            return "bio", path.bits[:i], remaining - 1
-        if order == remaining:
-            return "full", path.bits[:i], remaining
-        remaining -= 1
-        if b == 0:
-            order -= 1
-    raise AssertionError("descent must terminate")
-
-
 def predict_errors(params: CodeParams, epsilon: float, algorithm: str = ALG_PSI,
                    ) -> tuple[dict[Path, PathPrediction], float, float]:
     """Per-path error predictions and block error bounds at one residual.
@@ -423,26 +402,27 @@ def predict_errors(params: CodeParams, epsilon: float, algorithm: str = ALG_PSI,
     if algorithm == ALG_PHI and params.r < 1:
         raise ValueError("biorthogonal stopping requires r >= 1")
     gate = gaussian_gate(params.m)
+    tree = plotkin_tree(params.m, params.r, algorithm == ALG_PHI)
     predictions: dict[Path, PathPrediction] = {}
-    for path in enumerate_paths(params):
-        if algorithm == ALG_PSI:
+    if algorithm == ALG_PSI:
+        for path in tree.paths:
             mu = moments_for_path(params, path, epsilon).variance
             gated = path.kind == LEFT_END and path.end_size >= gate
             p = _gaussian_tail(mu) if gated else min(mu, 1.0)
             predictions[path] = PathPrediction(mu, p, p, gated)
-        else:
-            kind, prefix, size = _phi_terminal(params, path)
-            if kind == "full":
-                mu = path_variance(prefix, epsilon)
-                p = min(mu, 1.0)
-                predictions[path] = PathPrediction(mu, 0.0, p, False)
-            else:
-                g = size
-                mu = path_variance(prefix, epsilon) * 2.0 ** -g
+    else:
+        for node in tree.leaves:
+            mu = path_variance(node.prefix, epsilon)
+            if node.kind == FIRST_ORDER:
+                g = node.length_log - 1
+                mu *= 2.0 ** -g
                 gated = g >= gate
                 single = _gaussian_tail(mu) if gated else min(mu, 1.0)
                 upper = min(1.0, (2.0 ** (g + 2) - 1.0) * single)
-                predictions[path] = PathPrediction(mu, _gaussian_tail(mu), upper, gated)
+                prediction = PathPrediction(mu, _gaussian_tail(mu), upper, gated)
+            else:  # a full space met before any first-order node
+                prediction = PathPrediction(mu, 0.0, min(mu, 1.0), False)
+            predictions.update(dict.fromkeys(node.paths, prediction))
     first = min(predictions)  # lexicographically first = weakest path
     block_lower = predictions[first].p_low
     block_upper = min(1.0, sum(p.p_high for p in predictions.values()))

@@ -33,6 +33,7 @@ from .decoder import (
     TIE_RANDOM,
     UNSCALED,
     DecoderOptions,
+    decode_batch,
     decode_op_bound,
     decode_phi,
     decode_psi,
@@ -269,13 +270,11 @@ def cmd_opcount(args: argparse.Namespace) -> int:
         bound = params.n * min(params.r, params.m - params.r)
         label = "encoder"
     else:
+        if args.trials < 1:
+            raise ValueError("trials must be >= 1")
         options = DecoderOptions(u_rule=args.u_rule, tie_seed=seed)
-        decode = decode_phi if args.algo == ALG_PHI else decode_psi
-        rng = np.random.default_rng(seed)
-        measured = 0
-        for trial in range(args.trials):
-            y = rng.uniform(-1.0, 1.0, params.n)
-            measured = max(measured, decode(y, params, options, trial).op_count)
+        y = np.random.default_rng(seed).uniform(-1.0, 1.0, (args.trials, params.n))
+        _, _, measured = decode_batch(y, params, args.algo, options)
         bound = decode_op_bound(params, args.algo, args.u_rule)
         label = f"{args.algo} ({args.u_rule})"
     print(f"{label} measured={measured} bound={bound}")

@@ -15,24 +15,40 @@ of the node's 2^h bits.  The complete path set is exactly the m-bit
 strings of Hamming weight >= m-r, ordered as binary numbers with the
 first bit most significant.  Codeword positions are indexed the same way:
 position p has coordinates x_1..x_m with x_1 the most significant bit.
+
+The tree is built once per code by :func:`plotkin_tree` and shared by
+every walk in the package: the encoder and the info extraction here, both
+decoders and the genie-aided recursion in :mod:`rmrec.decoder`, and the
+error predictions in :mod:`rmrec.analysis`.  It fixes the shape of the
+descent, the info columns each node owns and the decoder's tie sites.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cache
+from itertools import product
 from math import comb
+from types import MappingProxyType
 
 import numpy as np
 
 LEFT_END = "left"  # repetition end node {g, 0}
 RIGHT_END = "right"  # full-space end node {h, h}
+FIRST_ORDER = "first-order"  # biorthogonal end node {g+1, 1}, g >= 1
+SPLIT = "split"  # internal node: the v child, then the u child
 
 __all__ = [
     "LEFT_END",
     "RIGHT_END",
+    "FIRST_ORDER",
+    "SPLIT",
     "CodeParams",
     "Path",
+    "PlotkinNode",
+    "PlotkinTree",
+    "plotkin_tree",
     "classify_path",
     "dimension",
     "enumerate_paths",
@@ -125,45 +141,119 @@ class Path:
         return "".join(str(b) for b in self.bits)
 
 
-def classify_path(params: CodeParams, bits: tuple[int, ...]) -> Path:
-    """Classify an m-bit string by simulating its descent through the tree.
+@dataclass(frozen=True)
+class PlotkinNode:
+    """One node {length_log, order} of a Plotkin tree.
 
-    A 0 step lowers both the remaining length and the order, a 1 step only
-    the length.  The descent stops at order zero (repetition node, the
-    remaining bits must all equal one) or when the order meets the
-    remaining length (full space, remaining bits free).
+    kind is LEFT_END, RIGHT_END, FIRST_ORDER or SPLIT; prefix holds the
+    descent bits from the root.  The node owns the info columns in `info`,
+    which hold the bits of `paths`, and its end nodes resolve sign ties at
+    consecutive sites starting at `site`: one site per symbol at a full
+    space, one at a repetition or first-order node.  A split node has the
+    children (v, u).
     """
-    m, r = params.m, params.r
-    if len(bits) != m or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"path must be a {m}-tuple of bits, got {bits!r}")
-    remaining, order = m, r
-    for i, b in enumerate(bits):
-        if order == 0:
-            if any(x != 1 for x in bits[i:]):
-                raise ValueError(f"path {bits!r} is invalid for {params}: "
-                                 "bits after a repetition node must be ones")
-            return Path(tuple(bits), LEFT_END, remaining)
-        if order == remaining:
-            return Path(tuple(bits), RIGHT_END, remaining)
-        remaining -= 1
-        if b == 0:
-            order -= 1
-    # Unreachable: 0 <= order <= remaining forces an end node within m steps.
-    raise ValueError(f"path {bits!r} does not reach an end node of {params}")
+
+    kind: str
+    prefix: tuple[int, ...]
+    length_log: int
+    order: int
+    info: slice
+    site: int
+    paths: tuple[Path, ...]
+    children: tuple[PlotkinNode, ...] = ()
 
 
-def enumerate_paths(params: CodeParams) -> list[Path]:
+@dataclass(frozen=True)
+class PlotkinTree:
+    """The Plotkin tree of one code under one stopping rule.
+
+    `nodes` lists every node before its children and each v child before
+    its u sibling, which is both the lexicographic path order and the order
+    in which the recursive decoders reach the nodes; `leaves` holds its end
+    nodes, whose info slices tile [0, k).  `by_bits` maps the bits of each
+    path to the path, read-only.
+    """
+
+    root: PlotkinNode
+    nodes: tuple[PlotkinNode, ...]
+    leaves: tuple[PlotkinNode, ...]
+    by_bits: Mapping[tuple[int, ...], Path]
+
+    @property
+    def paths(self) -> tuple[Path, ...]:
+        """All k paths in lexicographic order."""
+        return self.root.paths
+
+
+def plotkin_tree(m: int, r: int, first_order_ends: bool = False) -> PlotkinTree:
+    """The cached Plotkin tree of {m, r}.
+
+    A 0 (v) step lowers both the remaining length and the order, a 1 (u)
+    step only the length.  The descent stops at order zero (repetition
+    node, the remaining path bits are forced ones) or when the order meets
+    the remaining length (full space, remaining bits free).  With
+    first_order_ends it also stops at the first-order nodes {g+1, 1},
+    g >= 1, which the phi decoder decodes whole; the kinds and end sizes of
+    the paths always follow the first two rules.
+    """
+    return _plotkin_tree(m, r, bool(first_order_ends))
+
+
+@cache
+def _plotkin_tree(m: int, r: int, first_order_ends: bool) -> PlotkinTree:
+    CodeParams(m, r)  # validates the order
+    root, _ = _build((), m, r, first_order_ends, 0, 0)
+    nodes = tuple(_preorder(root))
+    return PlotkinTree(root, nodes, tuple(node for node in nodes if node.kind != SPLIT),
+                       MappingProxyType({path.bits: path for path in root.paths}))
+
+
+def _build(prefix: tuple[int, ...], length_log: int, order: int, first_order_ends: bool,
+           start: int, site: int) -> tuple[PlotkinNode, int]:
+    """The subtree at prefix with its first info column and tie site;
+    returns it with the next free tie site."""
+
+    def end(kind: str, paths: tuple[Path, ...], sites: int) -> tuple[PlotkinNode, int]:
+        info = slice(start, start + len(paths))
+        return PlotkinNode(kind, prefix, length_log, order, info, site, paths), site + sites
+
+    if order == 0:
+        return end(LEFT_END, (Path(prefix + (1,) * length_log, LEFT_END, length_log),), 1)
+    if order == length_log:
+        return end(RIGHT_END, tuple(Path(prefix + suffix, RIGHT_END, length_log)
+                                    for suffix in product((0, 1), repeat=length_log)),
+                   1 << length_log)
+    if first_order_ends and order == 1:
+        return end(FIRST_ORDER, _build(prefix, length_log, 1, False, start, site)[0].paths, 1)
+    v, site_u = _build(prefix + (0,), length_log - 1, order - 1, first_order_ends, start, site)
+    u, site_end = _build(prefix + (1,), length_log - 1, order, first_order_ends,
+                         v.info.stop, site_u)
+    return PlotkinNode(SPLIT, prefix, length_log, order, slice(start, u.info.stop), site,
+                       v.paths + u.paths, (v, u)), site_end
+
+
+def _preorder(node: PlotkinNode):
+    yield node
+    for child in node.children:
+        yield from _preorder(child)
+
+
+def classify_path(params: CodeParams, bits: tuple[int, ...]) -> Path:
+    """The path of the code with the given m bits.
+
+    Raises ValueError for any other input: the paths are exactly the
+    m-bit strings of weight >= m-r.
+    """
+    try:
+        return plotkin_tree(params.m, params.r).by_bits[tuple(bits)]
+    except (KeyError, TypeError):
+        raise ValueError(f"{bits!r} is not a path of {params}: paths are the "
+                         f"{params.m}-bit strings of weight >= {params.m - params.r}") from None
+
+
+def enumerate_paths(params: CodeParams) -> tuple[Path, ...]:
     """All k information paths of the code, lexicographically sorted."""
-    m, r = params.m, params.r
-    paths = []
-    for zeros in range(r + 1):
-        for zpos in combinations(range(m), zeros):
-            bits = [1] * m
-            for i in zpos:
-                bits[i] = 0
-            paths.append(classify_path(params, tuple(bits)))
-    paths.sort()
-    return paths
+    return plotkin_tree(params.m, params.r).paths
 
 
 def bits_to_symbols(bits: np.ndarray) -> np.ndarray:
@@ -179,18 +269,16 @@ def symbols_to_bits(symbols: np.ndarray) -> np.ndarray:
     return (sym < 0).astype(np.uint8)
 
 
-def _encode_rec(bits: np.ndarray, length_log: int, order: int) -> np.ndarray:
-    # bits: (B, k_node) in {0,1}; returns (B, 2^length_log) in {+1.0, -1.0}
-    width = 1 << length_log
-    if order == 0:
-        sym = 1.0 - 2.0 * bits[:, :1].astype(np.float64)
-        return np.repeat(sym, width, axis=1)
-    if order == length_log:
-        return 1.0 - 2.0 * bits.astype(np.float64)
-    kv = dimension(length_log - 1, order - 1)
-    v = _encode_rec(bits[:, :kv], length_log - 1, order - 1)
-    u = _encode_rec(bits[:, kv:], length_log - 1, order)
-    return np.concatenate([u, u * v], axis=1)
+def _encode(node: PlotkinNode, info: np.ndarray, out: np.ndarray) -> None:
+    # writes the +/-1 codeword of the node's info columns into out, (B, 2^length_log)
+    if node.kind == SPLIT:
+        v, u = node.children
+        half = out.shape[1] // 2
+        _encode(v, info, out[:, half:])
+        _encode(u, info, out[:, :half])
+        out[:, half:] *= out[:, :half]  # (u, u*v)
+    else:  # a repetition node broadcasts its single bit
+        out[:] = 1.0 - 2.0 * info[:, node.info]
 
 
 def encode_batch(info: np.ndarray, params: CodeParams) -> np.ndarray:
@@ -201,7 +289,9 @@ def encode_batch(info: np.ndarray, params: CodeParams) -> np.ndarray:
                          f"got {info.shape[1]}")
     if info.size and not np.all((info == 0) | (info == 1)):
         raise ValueError("info bits must be 0 or 1")
-    return _encode_rec(info, params.m, params.r)
+    out = np.empty((info.shape[0], params.n))
+    _encode(plotkin_tree(params.m, params.r).root, info, out)
+    return out
 
 
 def encode(info: np.ndarray, params: CodeParams) -> np.ndarray:
@@ -214,27 +304,19 @@ def encode(info: np.ndarray, params: CodeParams) -> np.ndarray:
 
 def encode_op_count(params: CodeParams) -> int:
     """Symbol multiplications performed by the encoder: one length-n/2
-    product u*v per internal node.  End nodes need no arithmetic."""
-
-    def count(length_log: int, order: int) -> int:
-        if order == 0 or order == length_log:
-            return 0
-        half = 1 << (length_log - 1)
-        return count(length_log - 1, order - 1) + count(length_log - 1, order) + half
-
-    return count(params.m, params.r)
+    product u*v per split node.  End nodes need no arithmetic."""
+    return sum(1 << (node.length_log - 1)
+               for node in plotkin_tree(params.m, params.r).nodes if node.kind == SPLIT)
 
 
-def _extract_rec(cw: np.ndarray, length_log: int, order: int) -> np.ndarray:
-    if order == 0:
-        return (cw[:, :1] < 0).astype(np.uint8)
-    if order == length_log:
-        return (cw < 0).astype(np.uint8)
-    half = 1 << (length_log - 1)
-    first, second = cw[:, :half], cw[:, half:]
-    info_v = _extract_rec(first * second, length_log - 1, order - 1)
-    info_u = _extract_rec(first, length_log - 1, order)
-    return np.concatenate([info_v, info_u], axis=1)
+def _extract(node: PlotkinNode, cw: np.ndarray, info: np.ndarray) -> None:
+    if node.kind == SPLIT:
+        v, u = node.children
+        half = cw.shape[1] // 2
+        _extract(v, cw[:, :half] * cw[:, half:], info)
+        _extract(u, cw[:, :half], info)
+    else:  # a repetition node's bit is its first symbol
+        info[:, node.info] = cw[:, :len(node.paths)] < 0
 
 
 def extract_info_batch(codewords: np.ndarray, length_log: int, order: int) -> np.ndarray:
@@ -244,8 +326,11 @@ def extract_info_batch(codewords: np.ndarray, length_log: int, order: int) -> np
     componentwise product of the two halves, so the input must be a valid
     codeword with symbols exactly +/-1.
     """
-    return _extract_rec(np.atleast_2d(np.asarray(codewords, dtype=np.float64)),
-                        length_log, order)
+    cw = np.atleast_2d(np.asarray(codewords, dtype=np.float64))
+    tree = plotkin_tree(length_log, order)
+    info = np.empty((cw.shape[0], len(tree.paths)), dtype=np.uint8)
+    _extract(tree.root, cw, info)
+    return info
 
 
 def codeword_to_info(codeword: np.ndarray, params: CodeParams) -> np.ndarray:

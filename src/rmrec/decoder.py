@@ -11,31 +11,45 @@ it applies exact minimum-distance decisions; the phi variant stops one
 level earlier, decoding each first-order (biorthogonal) node {g+1,1} as a
 whole with a fast Hadamard transform.
 
+Both decoders walk the code's :func:`~rmrec.core.plotkin_tree` (phi's
+stops at the first-order nodes).  The walks, the genie-aided recursion and
+the public end-node helpers run the same kernels: the v step, the u step,
+the sign with tie resolution, and the repetition and first-order
+decisions.
+
 Operation counting: every real addition, multiplication, comparison and
 sign evaluation costs one unit.  A Hadamard butterfly stage costs two per
 element pair.  Re-assembly of +/-1 code symbols (u*v products, info-bit
 bookkeeping) is symbol manipulation, not channel arithmetic, and is not
-counted.  Under this convention the counts never exceed the closed-form
-bounds in :func:`decode_op_bound`.
+counted.  The tree and the two rules fix every counted operation, so the
+count is a static sum over the tree's nodes, the same for every block.
+Under this convention the counts never exceed the closed-form bounds in
+:func:`decode_op_bound`.
 
 Ties: sign(0) is resolved either by a seeded +/-1 coin or deterministically
-as +1.  Every potential sign evaluation has a fixed site index (the
-recursion is data independent), and the random coin is a pure hash of
-(seed, trial, site), so results are reproducible under any batching.
+as +1.  Every potential sign evaluation has a fixed site: each end node of
+the tree owns consecutive sites from its node's first site.  The random
+coin is a pure hash of (seed, trial, site), so results are reproducible
+under any batching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .core import (
+    FIRST_ORDER,
+    LEFT_END,
+    RIGHT_END,
+    SPLIT,
     CodeParams,
     Path,
-    classify_path,
     enumerate_paths,
     extract_info_batch,
+    plotkin_tree,
 )
 
 ALG_PSI = "psi"
@@ -164,49 +178,39 @@ def _tie_signs(seed: int, trials: np.ndarray, sites: np.ndarray) -> np.ndarray:
     return np.where((h >> np.uint64(63)).astype(bool), -1.0, 1.0)
 
 
-class _Context:
-    """Mutable per-decode state: op/site counters, tie source, trace."""
-
-    __slots__ = ("options", "phi", "trials", "ops", "site", "order",
-                 "trace", "params")
-
-    def __init__(self, options: DecoderOptions, phi: bool,
-                 trials: np.ndarray, params: CodeParams,
-                 trace: bool) -> None:
-        self.options = options
-        self.phi = phi
-        self.trials = trials
-        self.params = params
-        self.ops = 0
-        self.site = 0
-        self.order = 0
-        self.trace: dict[Path, PathTrace] | None = {} if trace else None
-
-    def signs(self, values: np.ndarray) -> np.ndarray:
-        """Componentwise sign with tie resolution; consumes one site per
-        column so site indices stay aligned whether or not ties occur."""
-        out = np.sign(values)
-        width = values.shape[1]
-        zero = out == 0.0
-        if zero.any():
-            if self.options.tie_rule == TIE_POSITIVE:
-                out[zero] = 1.0
-            else:
-                rows, cols = np.nonzero(zero)
-                out[rows, cols] = _tie_signs(self.options.tie_seed,
-                                             self.trials[rows],
-                                             np.uint64(self.site) + cols.astype(np.uint64))
-        self.site += width
-        return out
-
-    def record(self, bits: tuple[int, ...], value: float, decision: int) -> None:
-        path = classify_path(self.params, bits)
-        assert self.trace is not None
-        self.trace[path] = PathTrace(value, decision, self.order)
-        self.order += 1
+def _signs(values: np.ndarray, options: DecoderOptions, trials: np.ndarray,
+           site: int) -> np.ndarray:
+    """Componentwise sign with tie resolution; column j resolves its ties at
+    site + j, so site indices stay aligned whether or not ties occur."""
+    out = np.sign(values)
+    zero = out == 0.0
+    if zero.any():
+        if options.tie_rule == TIE_POSITIVE:
+            out[zero] = 1.0
+        else:
+            rows, cols = np.nonzero(zero)
+            out[rows, cols] = _tie_signs(options.tie_seed, trials[rows],
+                                         np.uint64(site) + cols.astype(np.uint64))
+    return out
 
 
 # --- recalculation rules ----------------------------------------------------
+
+_V_OPS = {PRODUCT: 1, MIN_SUM: 3}  # counted operations per symbol pair
+_U_OPS = {SCALED: 3, UNSCALED: 2}
+
+
+def _v_step(y1: np.ndarray, y2: np.ndarray, v_rule: str) -> np.ndarray:
+    if v_rule == PRODUCT:
+        return y1 * y2
+    return np.sign(y1) * np.sign(y2) * np.minimum(np.abs(y1), np.abs(y2))
+
+
+def _u_step(y1: np.ndarray, y2: np.ndarray, v_hat: np.ndarray, u_rule: str) -> np.ndarray:
+    if u_rule == SCALED:
+        return (y1 + y2 * v_hat) * 0.5
+    return y1 + y2 * v_hat
+
 
 def recalc_v(y1: np.ndarray, y2: np.ndarray, v_rule: str = PRODUCT) -> np.ndarray:
     """Channel estimate of the v constituent from the two halves.
@@ -217,11 +221,9 @@ def recalc_v(y1: np.ndarray, y2: np.ndarray, v_rule: str = PRODUCT) -> np.ndarra
     y1, y2 = np.asarray(y1, dtype=np.float64), np.asarray(y2, dtype=np.float64)
     if y1.shape != y2.shape:
         raise ValueError(f"length mismatch: {y1.shape} vs {y2.shape}")
-    if v_rule == PRODUCT:
-        return y1 * y2
-    if v_rule == MIN_SUM:
-        return np.sign(y1) * np.sign(y2) * np.minimum(np.abs(y1), np.abs(y2))
-    raise ValueError(f"unknown v_rule {v_rule!r}")
+    if v_rule not in _V_OPS:
+        raise ValueError(f"unknown v_rule {v_rule!r}")
+    return _v_step(y1, y2, v_rule)
 
 
 def recalc_u(y1: np.ndarray, y2: np.ndarray, v_hat: np.ndarray,
@@ -238,11 +240,9 @@ def recalc_u(y1: np.ndarray, y2: np.ndarray, v_hat: np.ndarray,
         raise ValueError("recalc_u requires equal-length blocks")
     if not np.all(np.abs(v_hat) == 1):
         raise ValueError("v_hat entries must be +1 or -1")
-    if u_rule == SCALED:
-        return (y1 + y2 * v_hat) * 0.5
-    if u_rule == UNSCALED:
-        return y1 + y2 * v_hat
-    raise ValueError(f"unknown u_rule {u_rule!r}")
+    if u_rule not in _U_OPS:
+        raise ValueError(f"unknown u_rule {u_rule!r}")
+    return _u_step(y1, y2, v_hat, u_rule)
 
 
 # --- fast Hadamard transform ------------------------------------------------
@@ -305,10 +305,27 @@ def biorthogonal_codebook(g: int) -> np.ndarray:
 
 # --- end-node decisions -----------------------------------------------------
 
-def _single_context(params: CodeParams, options: DecoderOptions, trial: int,
-                    phi: bool = False, trace: bool = False) -> _Context:
-    trials = np.asarray([trial], dtype=np.uint64)
-    return _Context(options, phi, trials, params, trace)
+def _repetition(y: np.ndarray, options: DecoderOptions, trials: np.ndarray,
+                site: int) -> tuple[np.ndarray, np.ndarray]:
+    """MD decisions of repetition blocks: (+/-1 decisions, block means), (B, 1) each."""
+    total = y.sum(axis=1, keepdims=True)
+    return _signs(total, options, trials, site), total / y.shape[1]
+
+
+def _first_order(y: np.ndarray, length_log: int, options: DecoderOptions,
+                 trials: np.ndarray, site: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """MD decisions of first-order blocks via the FHT.
+
+    Returns (info bits, codewords, end values); the end value is the
+    winning correlation over the block length, (B, 1).
+    """
+    width = 1 << length_log
+    corr = hadamard_transform(y)
+    best = np.argmax(np.abs(corr), axis=1)  # first (lowest-index) maximum wins
+    winning = np.take_along_axis(corr, best[:, None], axis=1)
+    sign = _signs(winning, options, trials, site)
+    cw = sign * biorthogonal_codeword(best, width)
+    return extract_info_batch(cw, length_log, 1), cw, winning * sign / width
 
 
 def md_repetition(z: np.ndarray, options: DecoderOptions | None = None,
@@ -320,11 +337,9 @@ def md_repetition(z: np.ndarray, options: DecoderOptions | None = None,
     z = np.asarray(z, dtype=np.float64).reshape(1, -1)
     if z.shape[1] == 0:
         raise ValueError("empty block")
-    options = options or DecoderOptions()
-    ctx = _single_context(CodeParams(1, 0), options, trial)
-    total = z.sum(axis=1, keepdims=True)
-    decision = ctx.signs(total)[0, 0]
-    return int(decision), float(total[0, 0] / z.shape[1])
+    decision, mean = _repetition(z, options or DecoderOptions(),
+                                 np.array([trial], dtype=np.uint64), 0)
+    return int(decision[0, 0]), float(mean[0, 0])
 
 
 def md_full_space(z: np.ndarray, options: DecoderOptions | None = None,
@@ -333,9 +348,8 @@ def md_full_space(z: np.ndarray, options: DecoderOptions | None = None,
     z = np.asarray(z, dtype=np.float64).reshape(1, -1)
     if z.shape[1] == 0:
         raise ValueError("empty block")
-    options = options or DecoderOptions()
-    ctx = _single_context(CodeParams(1, 1), options, trial)
-    return ctx.signs(z)[0].astype(np.int8)
+    signs = _signs(z, options or DecoderOptions(), np.array([trial], dtype=np.uint64), 0)
+    return signs[0].astype(np.int8)
 
 
 def md_biorthogonal(z: np.ndarray, g: int, options: DecoderOptions | None = None,
@@ -350,89 +364,37 @@ def md_biorthogonal(z: np.ndarray, g: int, options: DecoderOptions | None = None
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (1 << (g + 1),):
         raise ValueError(f"block length must be 2^(g+1)={1 << (g + 1)}")
-    options = options or DecoderOptions()
-    ctx = _single_context(CodeParams(g + 1, 1), options, trial, phi=True)
-    info, cw = _decode_biorthogonal(z.reshape(1, -1), g + 1, ctx, ())
+    info, cw, _ = _first_order(z[None, :], g + 1, options or DecoderOptions(),
+                               np.array([trial], dtype=np.uint64), 0)
     return cw[0].astype(np.int8), info[0]
 
 
-def _decode_biorthogonal(y: np.ndarray, length_log: int, ctx: _Context,
-                         prefix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    width = 1 << length_log
-    corr = hadamard_transform(y)
-    ctx.ops += width * length_log  # two ops per butterfly pair, width/2 pairs a stage
-    magnitude = np.abs(corr)
-    best = np.argmax(magnitude, axis=1)  # first (lowest-index) maximum wins
-    winning = np.take_along_axis(corr, best[:, None], axis=1)
-    sign = ctx.signs(winning)
-    ctx.ops += 2 * width  # width magnitudes, width-1 comparisons, one sign
-    cw = sign * biorthogonal_codeword(best, width)
-    info = extract_info_batch(cw, length_log, 1)
-    if ctx.trace is not None:
-        sub_params = CodeParams(length_log, 1)
-        score = float(winning[0, 0] * sign[0, 0] / width)
-        for j, sub in enumerate(enumerate_paths(sub_params)):
-            bits = prefix + sub.bits
-            ctx.record(bits, score, int(1 - 2 * info[0, j]))
-    return info, cw
+# --- the decoders' walk -------------------------------------------------------
+
+@cache
+def _op_count(m: int, r: int, first_order_ends: bool, u_rule: str, v_rule: str) -> int:
+    """Counted operations of one decoded block: a static sum over the tree."""
+    total = 0
+    for node in plotkin_tree(m, r, first_order_ends).nodes:
+        width = 1 << node.length_log
+        if node.kind == SPLIT:
+            total += (_V_OPS[v_rule] + _U_OPS[u_rule]) * (width // 2)
+        elif node.kind == FIRST_ORDER:
+            # two ops per butterfly pair, width/2 pairs a stage; then width
+            # magnitudes, width-1 comparisons and one sign
+            total += width * node.length_log + 2 * width
+        else:  # width signs, or width-1 additions plus the sign
+            total += width
+    return total
 
 
-# --- the shared recursion ---------------------------------------------------
+def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
+            options: DecoderOptions | None, trials: np.ndarray | None,
+            trace: bool = False) -> tuple[np.ndarray, np.ndarray, int, tuple | None]:
+    """Validate, then walk the tree: (info, codewords, op count, trace).
 
-def _decode_rec(y: np.ndarray, length_log: int, order: int, ctx: _Context,
-                prefix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    width = 1 << length_log
-    if order == length_log:
-        cw = ctx.signs(y)
-        ctx.ops += width
-        info = (cw < 0).astype(np.uint8)
-        if ctx.trace is not None:
-            for j in range(width):
-                suffix = tuple((j >> (length_log - 1 - t)) & 1 for t in range(length_log))
-                ctx.record(prefix + suffix, float(y[0, j]), int(cw[0, j]))
-        return info, cw
-    if order == 0:
-        total = y.sum(axis=1, keepdims=True)
-        ctx.ops += width  # width-1 additions plus the sign evaluation
-        decision = ctx.signs(total)
-        info = (decision < 0).astype(np.uint8)
-        cw = np.repeat(decision, width, axis=1)
-        if ctx.trace is not None:
-            ctx.record(prefix + (1,) * length_log,
-                       float(total[0, 0] / width), int(decision[0, 0]))
-        return info, cw
-    if ctx.phi and order == 1:
-        return _decode_biorthogonal(y, length_log, ctx, prefix)
-
-    half = width // 2
-    y1, y2 = y[:, :half], y[:, half:]
-    if ctx.options.v_rule == PRODUCT:
-        yv = y1 * y2
-        ctx.ops += half
-    else:
-        yv = np.sign(y1) * np.sign(y2) * np.minimum(np.abs(y1), np.abs(y2))
-        ctx.ops += 3 * half
-    info_v, cw_v = _decode_rec(yv, length_log - 1, order - 1, ctx, prefix + (0,))
-    if ctx.options.u_rule == SCALED:
-        yu = (y1 + y2 * cw_v) * 0.5
-        ctx.ops += 3 * half
-    else:
-        yu = y1 + y2 * cw_v
-        ctx.ops += 2 * half
-    info_u, cw_u = _decode_rec(yu, length_log - 1, order, ctx, prefix + (1,))
-    info = np.concatenate([info_v, info_u], axis=1)
-    cw = np.concatenate([cw_u, cw_u * cw_v], axis=1)  # symbol re-assembly, uncounted
-    return info, cw
-
-
-def decode_batch(y: np.ndarray, params: CodeParams, algorithm: str = ALG_PSI,
-                 options: DecoderOptions | None = None,
-                 trials: np.ndarray | None = None,
-                 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Decode a (B, n) batch of real blocks; rows are independent trials.
-
-    Returns (info bits (B, k), codewords (B, n), op count per block).
-    `trials` supplies the per-row trial indices for the tie coin.
+    The trace, when asked for, holds the (B, k) end values and decisions
+    per info column.
     """
     options = options or DecoderOptions()
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
@@ -448,10 +410,55 @@ def decode_batch(y: np.ndarray, params: CodeParams, algorithm: str = ALG_PSI,
         trials = np.asarray(trials, dtype=np.uint64)
         if trials.shape != (y.shape[0],):
             raise ValueError("trials must hold one index per row")
-    ctx = _Context(options, algorithm == ALG_PHI, trials, params, trace=False)
+    phi = algorithm == ALG_PHI
+    info = np.empty((y.shape[0], params.k), dtype=np.uint8)
+    if trace:
+        values = np.empty((y.shape[0], params.k))
+        decisions = np.empty((y.shape[0], params.k), dtype=np.int64)
+
+    def walk(node, y: np.ndarray, cw: np.ndarray) -> None:
+        # decodes y into cw, (B, 2^length_log), and the node's info columns
+        if node.kind == SPLIT:
+            v, u = node.children
+            half = y.shape[1] // 2
+            y1, y2 = y[:, :half], y[:, half:]
+            walk(v, _v_step(y1, y2, options.v_rule), cw[:, half:])
+            walk(u, _u_step(y1, y2, cw[:, half:], options.u_rule), cw[:, :half])
+            cw[:, half:] *= cw[:, :half]  # symbol re-assembly (u, u*v), uncounted
+            return
+        if node.kind == FIRST_ORDER:
+            bits, cw[:], value = _first_order(y, node.length_log, options, trials, node.site)
+        else:
+            if node.kind == RIGHT_END:
+                cw[:], value = _signs(y, options, trials, node.site), y
+            else:
+                cw[:], value = _repetition(y, options, trials, node.site)
+            bits = cw[:, :len(node.paths)] < 0
+        info[:, node.info] = bits
+        if trace:
+            values[:, node.info] = value
+            # a first-order node's bits are uint8, where 1 - 2*1 wraps to
+            # 255: the recorded traces hold 255 for its -1 decisions
+            decisions[:, node.info] = 1 - 2 * bits
+
+    cw = np.empty_like(y)
     with np.errstate(over="ignore"):  # unscaled intermediates may reach inf
-        info, cw = _decode_rec(y, params.m, params.r, ctx, ())
-    return info, cw, ctx.ops
+        walk(plotkin_tree(params.m, params.r, phi).root, y, cw)
+    ops = _op_count(params.m, params.r, phi, options.u_rule, options.v_rule)
+    return info, cw, ops, (values, decisions) if trace else None
+
+
+def decode_batch(y: np.ndarray, params: CodeParams, algorithm: str = ALG_PSI,
+                 options: DecoderOptions | None = None,
+                 trials: np.ndarray | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Decode a (B, n) batch of real blocks; rows are independent trials.
+
+    Returns (info bits (B, k), codewords (B, n), op count per block).
+    `trials` supplies the per-row trial indices for the tie coin.
+    """
+    info, cw, ops, _ = _decode(y, params, algorithm, options, trials)
+    return info, cw, ops
 
 
 def _decode_single(y: np.ndarray, params: CodeParams, algorithm: str,
@@ -460,14 +467,13 @@ def _decode_single(y: np.ndarray, params: CodeParams, algorithm: str,
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (params.n,):
         raise ValueError(f"received block must have length n={params.n}")
-    if algorithm == ALG_PHI and params.r == 0:
-        raise ValueError("phi requires r >= 1; use psi for repetition codes")
-    ctx = _Context(options, algorithm == ALG_PHI,
-                   np.asarray([trial], dtype=np.uint64), params,
-                   trace=options.trace)
-    with np.errstate(over="ignore"):  # unscaled intermediates may reach inf
-        info, cw = _decode_rec(y[None, :], params.m, params.r, ctx, ())
-    return DecodeResult(info[0], cw[0].astype(np.int8), ctx.ops, ctx.trace)
+    info, cw, ops, trace = _decode(y[None, :], params, algorithm, options,
+                                   np.array([trial], dtype=np.uint64), options.trace)
+    if trace is not None:  # decode order is the lexicographic path order
+        values, decisions = trace
+        trace = {path: PathTrace(float(values[0, j]), int(decisions[0, j]), j)
+                 for j, path in enumerate(enumerate_paths(params))}
+    return DecodeResult(info[0], cw[0].astype(np.int8), ops, trace)
 
 
 def decode_psi(y: np.ndarray, params: CodeParams,
@@ -496,54 +502,8 @@ def decode_op_bound(params: CodeParams, algorithm: str = ALG_PSI,
 
 # --- genie-aided recursion ---------------------------------------------------
 
-class _GenieSink:
-    """Collects per-path end values and per-node half-block support sums."""
-
-    __slots__ = ("columns", "paths", "supports", "params")
-
-    def __init__(self, params: CodeParams) -> None:
-        self.params = params
-        self.columns: list[np.ndarray] = []
-        self.paths: list[tuple[int, ...]] = []
-        self.supports: dict[tuple[int, ...], np.ndarray] = {}
-
-    def left_end(self, prefix: tuple[int, ...], length_log: int,
-                 values: np.ndarray) -> None:
-        self.paths.append(prefix + (1,) * length_log)
-        self.columns.append(values)
-
-    def right_end(self, prefix: tuple[int, ...], length_log: int,
-                  y: np.ndarray) -> None:
-        for j in range(1 << length_log):
-            suffix = tuple((j >> (length_log - 1 - t)) & 1 for t in range(length_log))
-            self.paths.append(prefix + suffix)
-            self.columns.append(y[:, j].copy())
-
-    def biorthogonal(self, prefix: tuple[int, ...], values: np.ndarray) -> None:
-        self.supports[prefix] = values
-
-
-def _genie_rec(y: np.ndarray, length_log: int, order: int,
-               prefix: tuple[int, ...], sink: _GenieSink) -> None:
-    width = 1 << length_log
-    if order == 0:
-        sink.left_end(prefix, length_log, y.sum(axis=1) / width)
-        return
-    if order == length_log:
-        sink.right_end(prefix, length_log, y)
-        return
-    if order == 1 and length_log >= 2:
-        # Support sum of the codeword flipping the second half: same law
-        # as any other balanced support of this first-order node.
-        sink.biorthogonal(prefix, y[:, width // 2:].sum(axis=1))
-    half = width // 2
-    y1, y2 = y[:, :half], y[:, half:]
-    _genie_rec(y1 * y2, length_log - 1, order - 1, prefix + (0,), sink)
-    _genie_rec((y1 + y2) * 0.5, length_log - 1, order, prefix + (1,), sink)
-
-
 def genie_batch(y: np.ndarray, params: CodeParams,
-                ) -> tuple[list[Path], np.ndarray, dict[tuple[int, ...], np.ndarray]]:
+                ) -> tuple[tuple[Path, ...], np.ndarray, dict[tuple[int, ...], np.ndarray]]:
     """Genie-aided recursion over a (B, n) batch, all-ones transmission.
 
     Every decoded constituent is replaced by its true (all-ones) value, so
@@ -556,10 +516,28 @@ def genie_batch(y: np.ndarray, params: CodeParams,
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if y.shape[1] != params.n:
         raise ValueError(f"blocks must have length n={params.n}")
-    sink = _GenieSink(params)
-    _genie_rec(y, params.m, params.r, (), sink)
-    paths = [classify_path(params, bits) for bits in sink.paths]
-    return paths, np.column_stack(sink.columns), sink.supports
+    tree = plotkin_tree(params.m, params.r)
+    values = np.empty((y.shape[0], params.k))
+    supports: dict[tuple[int, ...], np.ndarray] = {}
+
+    def walk(node, y: np.ndarray) -> None:
+        if node.kind == LEFT_END:
+            values[:, node.info] = y.sum(axis=1, keepdims=True) / y.shape[1]
+        elif node.kind == RIGHT_END:
+            values[:, node.info] = y
+        else:
+            half = y.shape[1] // 2
+            y1, y2 = y[:, :half], y[:, half:]
+            if node.order == 1:
+                # Support sum of the codeword flipping the second half: same
+                # law as any other balanced support of this first-order node.
+                supports[node.prefix] = y2.sum(axis=1)
+            v, u = node.children
+            walk(v, y1 * y2)
+            walk(u, (y1 + y2) * 0.5)
+
+    walk(tree.root, y)
+    return tree.paths, values, supports
 
 
 def genie_decode(y: np.ndarray, params: CodeParams,

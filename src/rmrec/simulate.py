@@ -72,8 +72,8 @@ class Channel:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         if self.kind == BSC and not 0.0 <= self.param < 0.5:
             raise ValueError(f"crossover probability must lie in [0, 0.5), got {self.param}")
-        if self.kind == AWGN_HARD and self.param <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.param}")
+        if self.kind == AWGN_HARD and not (math.isfinite(self.param) and self.param > 0.0):
+            raise ValueError(f"sigma must be finite and positive, got {self.param}")
 
     @classmethod
     def bsc(cls, p: float) -> "Channel":
@@ -167,7 +167,6 @@ class SimReport:
     ber: float
     ber_half_width: float
     ops_max: int
-    ops_mean: float
     path_error_rates: dict[Path, tuple[float, float]] | None = None
     path_stats: dict[Path, PathStats] | None = None
     node_stats: dict[tuple[int, ...], PathStats] | None = None
@@ -251,7 +250,7 @@ def run_wer(config: SimConfig, per_path: bool = False) -> SimReport:
     wer, wer_half = binomial_ci(word_errors, config.trials)
     ber, ber_half = binomial_ci(bit_errors, config.trials * k)
     report = SimReport(config, config.trials, word_errors, bit_errors,
-                       wer, wer_half, ber, ber_half, ops, float(ops))
+                       wer, wer_half, ber, ber_half, ops)
     if per_path_errors is not None:
         report.path_error_rates = {
             path: binomial_ci(int(per_path_errors[j]), config.trials)
@@ -309,7 +308,7 @@ def path_statistics(config: SimConfig) -> SimReport:
         raise ValueError("genie statistics require all-ones transmission")
     params = config.params
     epsilon = config.channel.residual
-    paths: list[Path] | None = None
+    paths: tuple[Path, ...] | None = None
     prefixes: list[tuple[int, ...]] = []
     path_acc: _MomentAccumulator | None = None
     node_acc: _MomentAccumulator | None = None
@@ -338,7 +337,7 @@ def path_statistics(config: SimConfig) -> SimReport:
         path_acc.add(values / path_norm)
         if prefixes:
             node_acc.add(np.column_stack([supports[pre] for pre in prefixes]) / node_norm)
-    report = SimReport(config, config.trials, 0, 0, 0.0, 0.0, 0.0, 0.0, 0, 0.0)
+    report = SimReport(config, config.trials, 0, 0, 0.0, 0.0, 0.0, 0.0, 0)
     report.path_stats = {p: path_acc.stats(j) for j, p in enumerate(paths)}
     report.node_stats = {pre: node_acc.stats(j) for j, pre in enumerate(prefixes)}
     return report

@@ -154,6 +154,12 @@ def test_simulate_json(capsys):
     assert set(rows[0]) == set(OUTPUT_KEYS)
 
 
+def test_simulate_rejects_non_finite_sigma(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--m", "6", "--r", "2",
+                           "--channel", "awgn:nan", "--trials", "10")
+    assert code == 2 and "sigma" in err
+
+
 def test_simulate_range_grid(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--m", "4", "--r", "1",
                            "--channel", "bsc:0.1", "--grid", "0.05:0.15:3",
@@ -216,6 +222,12 @@ def test_opcount_within_bounds(capsys):
                            "--algo", "encode")
     assert code == 0
     assert "bound=768" in out
+
+
+def test_opcount_rejects_empty_trial_count(capsys):
+    code, _, err = run_cli(capsys, "opcount", "--m", "4", "--r", "1",
+                           "--trials", "0")
+    assert code == 2 and "trials" in err
 
 
 def test_opcount_violation_exit_code(capsys, monkeypatch):

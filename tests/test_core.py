@@ -13,7 +13,7 @@ from rmrec import (
     encode_op_count,
     enumerate_paths,
 )
-from rmrec.core import symbols_to_bits
+from rmrec.core import plotkin_tree, symbols_to_bits
 
 from oracles import encode_oracle, generator_rows, pack_rows, packed_codebook, popcount
 
@@ -58,15 +58,46 @@ def test_enumerate_paths_repetition_code():
     assert only.kind == LEFT_END and only.end_size == 6
 
 
-@pytest.mark.parametrize("m", range(2, 9))
+def _end_by_rule(bits: tuple[int, ...], r: int) -> tuple[str, int]:
+    # first point of the descent with r zeros (left) or with the remaining
+    # length equal to the remaining order (right)
+    m = len(bits)
+    for i in range(m + 1):
+        zeros = i - sum(bits[:i])
+        if zeros == r:
+            return LEFT_END, m - i
+        if m - i == r - zeros:
+            return RIGHT_END, m - i
+    raise AssertionError("the descent must stop")
+
+
+@pytest.mark.parametrize("m", range(1, 11))
 def test_path_count_and_order(m):
+    strings = [tuple((v >> (m - 1 - i)) & 1 for i in range(m)) for v in range(1 << m)]
     for r in range(m + 1):
         params = CodeParams(m, r)
         paths = enumerate_paths(params)
         assert len(paths) == params.k
-        bits = [p.bits for p in paths]
-        assert bits == sorted(bits)
-        assert all(p.weight >= m - r for p in paths)
+        heavy = [bits for bits in strings if sum(bits) >= m - r]
+        assert [p.bits for p in paths] == heavy  # lexicographic order
+        for p in paths:
+            assert (p.kind, p.end_size) == _end_by_rule(p.bits, r)
+        for first_order_ends in (False, True):
+            tree = plotkin_tree(m, r, first_order_ends)
+            assert tree is plotkin_tree(m, r, first_order_ends) and tree.paths == paths
+            leaves = tree.leaves
+            assert sum((leaf.paths for leaf in leaves), ()) == paths
+            assert [leaf.info.start for leaf in leaves] == [0] + [leaf.info.stop
+                                                                 for leaf in leaves[:-1]]
+            assert leaves[-1].info.stop == params.k
+            sites = [1 << leaf.length_log if leaf.kind == RIGHT_END else 1 for leaf in leaves]
+            assert [leaf.site for leaf in leaves] == [sum(sites[:i]) for i in range(len(leaves))]
+        with pytest.raises(TypeError):
+            tree.by_bits[paths[0].bits] = paths[0]  # cached trees are read-only
+        if m <= 6:
+            for bits in set(strings) - set(heavy):
+                with pytest.raises(ValueError):
+                    classify_path(params, bits)
 
 
 def test_classify_path_rejects_invalid():

@@ -9,6 +9,7 @@ from rmrec import (
     DecoderOptions,
     SimConfig,
     apply_channel,
+    decode_batch,
     path_statistics,
     run_wer,
     sweep,
@@ -29,8 +30,9 @@ def test_channel_validation():
         Channel.bsc(0.5)
     with pytest.raises(ValueError):
         Channel.bsc(-0.01)
-    with pytest.raises(ValueError):
-        Channel.awgn_hard(0.0)
+    for sigma in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Channel.awgn_hard(sigma)
     with pytest.raises(ValueError):
         Channel("fading", 0.1)
 
@@ -96,8 +98,11 @@ def test_run_wer_per_path_errors():
 
 
 def test_ops_constant_across_trials():
-    report = run_wer(_config(trials=100))
-    assert report.ops_max == report.ops_mean
+    config = _config(trials=100)
+    report = run_wer(config)
+    unrelated = np.random.default_rng(19).uniform(-1, 1, (3, config.params.n))
+    _, _, ops = decode_batch(unrelated, config.params, config.algorithm, config.options)
+    assert report.ops_max == ops
 
 
 def test_genie_requires_all_ones():
