@@ -374,18 +374,18 @@ def md_biorthogonal(z: np.ndarray, g: int, options: DecoderOptions | None = None
 @cache
 def _op_count(m: int, r: int, first_order_ends: bool, u_rule: str, v_rule: str) -> int:
     """Counted operations of one decoded block: a static sum over the tree."""
-    total = 0
-    for node in plotkin_tree(m, r, first_order_ends).nodes:
+
+    def node_ops(node) -> int:
         width = 1 << node.length_log
         if node.kind == SPLIT:
-            total += (_V_OPS[v_rule] + _U_OPS[u_rule]) * (width // 2)
-        elif node.kind == FIRST_ORDER:
+            return (_V_OPS[v_rule] + _U_OPS[u_rule]) * (width // 2)
+        if node.kind == FIRST_ORDER:
             # two ops per butterfly pair, width/2 pairs a stage; then width
             # magnitudes, width-1 comparisons and one sign
-            total += width * node.length_log + 2 * width
-        else:  # width signs, or width-1 additions plus the sign
-            total += width
-    return total
+            return width * node.length_log + 2 * width
+        return width  # width signs, or width-1 additions plus the sign
+
+    return sum(node_ops(node) for node in plotkin_tree(m, r, first_order_ends).nodes)
 
 
 def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
