@@ -1,4 +1,4 @@
-"""Code parameters, information paths, and the recursive Plotkin encoder.
+"""Code parameters, the Plotkin tree and its information paths, and the encoder.
 
 A codeword of the length-2^m, order-r binary Reed-Muller code is built by
 repeatedly combining two shorter codewords u and v as (u, u+v).  In the
