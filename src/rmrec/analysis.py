@@ -251,11 +251,7 @@ def weakest_variance(params: CodeParams, epsilon: float) -> float:
     Evaluated in the log domain when the inner power would overflow.
     """
     _check_epsilon(epsilon)
-    m, r = params.m, params.r
-    exponent = float(2 ** (r + 1)) * -math.log(epsilon)
-    if exponent < 700.0:
-        return _expm1_safe(exponent) * 2.0 ** (r - m)
-    return _pow2(exponent / math.log(2.0) + (r - m))
+    return _scaled_power(epsilon, params.r + 1, params.r - params.m)
 
 
 def node_weakest_variance(params: CodeParams, epsilon: float, g: int) -> float:
@@ -264,8 +260,7 @@ def node_weakest_variance(params: CodeParams, epsilon: float, g: int) -> float:
     m, r = params.m, params.r
     if not 1 <= g <= m - r:
         raise ValueError(f"g must lie in [1, {m - r}], got {g}")
-    x = _scaled_power(epsilon, r, r + g - m)
-    return (x * x + 2.0 * x) * 2.0 ** -g
+    return _node_form(params, epsilon, r, g)
 
 
 def _scaled_power(epsilon: float, level: int, shift: int) -> float:
@@ -274,6 +269,12 @@ def _scaled_power(epsilon: float, level: int, shift: int) -> float:
     if exponent < 700.0:
         return _expm1_safe(exponent) * 2.0 ** shift
     return _pow2(exponent / math.log(2.0) + shift)
+
+
+def _node_form(params: CodeParams, epsilon: float, level: int, g: int) -> float:
+    # 2^-g ((x + 1)^2 - 1) with x = (eps^-2^level - 1) 2^(r+g-m)
+    x = _scaled_power(epsilon, level, params.r + g - params.m)
+    return (x * x + 2.0 * x) * 2.0 ** -g
 
 
 def phi_weakest_variance(params: CodeParams, epsilon: float) -> float:
@@ -292,8 +293,7 @@ def phi_node_weakest_variance(params: CodeParams, epsilon: float, g: int) -> flo
         raise ValueError("per-node biorthogonal variances require r >= 2")
     if not 1 <= g <= m - r:
         raise ValueError(f"g must lie in [1, {m - r}], got {g}")
-    x = _scaled_power(epsilon, r - 1, r + g - m)
-    return (x * x + 2.0 * x) * 2.0 ** -g
+    return _node_form(params, epsilon, r - 1, g)
 
 
 def node_variance_asymptote(params: CodeParams, g: int) -> float | None:

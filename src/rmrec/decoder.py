@@ -17,6 +17,14 @@ the public end-node helpers run the same kernels: the v step, the u step,
 the sign with tie resolution, and the repetition and first-order
 decisions.
 
+First-order map: the FHT winner of a node {L, 1} is a pattern index
+`best` in [0, 2^L) and a sign.  Its L+1 info bits, in the node's path
+order, are the pattern bits (best >> (L-1)) & 1, ..., (best >> 1) & 1, one
+per v step from the top, then the two symbols s and s ^ (best & 1) of the
+closing {1, 1} node, where s is 1 when the sign is negative.  The node's
+codeword is those bits encoded through the {L, 1} Plotkin tree, which is
+the sign times row `best` of the Hadamard matrix.
+
 Operation counting: every real addition, multiplication, comparison and
 sign evaluation costs one unit.  A Hadamard butterfly stage costs two per
 element pair.  Re-assembly of +/-1 code symbols (u*v products, info-bit
@@ -47,8 +55,9 @@ from .core import (
     SPLIT,
     CodeParams,
     Path,
+    _encode,
     enumerate_paths,
-    extract_info_batch,
+    extract_info_batch,  # not called here; benchmarks/tracer.py wraps this binding
     plotkin_tree,
 )
 
@@ -271,18 +280,9 @@ def hadamard_transform(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _parity(values: np.ndarray) -> np.ndarray:
-    v = values.astype(np.uint64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> np.uint64(shift)
-    return (v & np.uint64(1)).astype(np.int8)
-
-
 def biorthogonal_codeword(pattern: np.ndarray | int, width: int) -> np.ndarray:
     """+/-1 rows of the width x width Hadamard matrix, one per pattern index."""
-    pattern = np.atleast_1d(np.asarray(pattern, dtype=np.int64))
-    positions = np.arange(width, dtype=np.int64)
-    return 1.0 - 2.0 * _parity(pattern[:, None] & positions[None, :])
+    return hadamard_transform(np.eye(width)[np.atleast_1d(pattern)])
 
 
 def biorthogonal_codebook(g: int) -> np.ndarray:
@@ -313,19 +313,24 @@ def _repetition(y: np.ndarray, options: DecoderOptions, trials: np.ndarray,
 
 
 def _first_order(y: np.ndarray, length_log: int, options: DecoderOptions,
-                 trials: np.ndarray, site: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 trials: np.ndarray, site: int, cw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """MD decisions of first-order blocks via the FHT.
 
-    Returns (info bits, codewords, end values); the end value is the
-    winning correlation over the block length, (B, 1).
+    Writes the +/-1 codewords into cw and returns (info bits, end values);
+    the end value is the winning correlation over the block length, (B, 1).
+    The info bits are read off the winner (see the module docstring) and
+    re-encoded through the node's Plotkin tree.
     """
-    width = 1 << length_log
     corr = hadamard_transform(y)
     best = np.argmax(np.abs(corr), axis=1)  # first (lowest-index) maximum wins
     winning = np.take_along_axis(corr, best[:, None], axis=1)
     sign = _signs(winning, options, trials, site)
-    cw = sign * biorthogonal_codeword(best, width)
-    return extract_info_batch(cw, length_log, 1), cw, winning * sign / width
+    bits = np.empty((y.shape[0], length_log + 1), dtype=np.uint8)
+    bits[:, :-2] = (best[:, None] >> np.arange(length_log - 1, 0, -1)) & 1
+    bits[:, -2] = sign[:, 0] < 0
+    bits[:, -1] = bits[:, -2] ^ (best & 1)
+    _encode(plotkin_tree(length_log, 1).root, bits, cw)
+    return bits, winning * sign / y.shape[1]
 
 
 def md_repetition(z: np.ndarray, options: DecoderOptions | None = None,
@@ -364,8 +369,9 @@ def md_biorthogonal(z: np.ndarray, g: int, options: DecoderOptions | None = None
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (1 << (g + 1),):
         raise ValueError(f"block length must be 2^(g+1)={1 << (g + 1)}")
-    info, cw, _ = _first_order(z[None, :], g + 1, options or DecoderOptions(),
-                               np.array([trial], dtype=np.uint64), 0)
+    cw = np.empty((1, z.shape[0]))
+    info, _ = _first_order(z[None, :], g + 1, options or DecoderOptions(),
+                           np.array([trial], dtype=np.uint64), 0, cw)
     return cw[0].astype(np.int8), info[0]
 
 
@@ -427,7 +433,7 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             cw[:, half:] *= cw[:, :half]  # symbol re-assembly (u, u*v), uncounted
             return
         if node.kind == FIRST_ORDER:
-            bits, cw[:], value = _first_order(y, node.length_log, options, trials, node.site)
+            bits, value = _first_order(y, node.length_log, options, trials, node.site, cw)
         else:
             if node.kind == RIGHT_END:
                 cw[:], value = _signs(y, options, trials, node.site), y
@@ -437,9 +443,7 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
         info[:, node.info] = bits
         if trace:
             values[:, node.info] = value
-            # a first-order node's bits are uint8, where 1 - 2*1 wraps to
-            # 255: the recorded traces hold 255 for its -1 decisions
-            decisions[:, node.info] = 1 - 2 * bits
+            decisions[:, node.info] = np.where(bits, -1, 1)
 
     cw = np.empty_like(y)
     with np.errstate(over="ignore"):  # unscaled intermediates may reach inf

@@ -198,7 +198,7 @@ def apply_channel(codeword: np.ndarray, channel: Channel,
     """Flip each +/-1 symbol independently with the channel's crossover."""
     codeword = np.asarray(codeword, dtype=np.float64)
     flips = _channel_flips(channel, master_seed, trial, 1, codeword.shape[-1])
-    return codeword * (1.0 - 2.0 * flips[0])
+    return codeword * np.where(flips[0], -1.0, 1.0)
 
 
 def binomial_ci(errors: float, trials: int) -> tuple[float, float]:
@@ -230,15 +230,14 @@ def run_wer(config: SimConfig, per_path: bool = False) -> SimReport:
     per_path_errors = np.zeros(k, dtype=np.int64) if per_path else None
     for start, stop in _batches(config.trials, config.effective_batch()):
         count = stop - start
+        flips = _channel_flips(config.channel, config.master_seed, start, count, n)
+        received = np.where(flips, -1.0, 1.0)  # the all-ones word through the channel
         if config.transmitted == ALL_ONES:
             info_true = np.zeros((count, k), dtype=np.uint8)
-            sent = np.ones((count, n))
         else:
             u = stream_uniforms(config.master_seed, PURPOSE_INFO, start, count, k)
             info_true = (u < 0.5).astype(np.uint8)
-            sent = encode_batch(info_true, params)
-        flips = _channel_flips(config.channel, config.master_seed, start, count, n)
-        received = sent * (1.0 - 2.0 * flips)
+            received *= encode_batch(info_true, params)
         trials_idx = np.arange(start, stop, dtype=np.uint64)
         info_hat, _, ops = decode_batch(received, params, config.algorithm,
                                         config.options, trials_idx)
@@ -313,13 +312,10 @@ def path_statistics(config: SimConfig) -> SimReport:
     path_acc: _MomentAccumulator | None = None
     node_acc: _MomentAccumulator | None = None
     path_norm = node_norm = None
-    ones = None
     for start, stop in _batches(config.trials, config.effective_batch()):
         count = stop - start
-        if ones is None or ones.shape[0] != count:
-            ones = np.ones((count, params.n))
         flips = _channel_flips(config.channel, config.master_seed, start, count, params.n)
-        received = ones * (1.0 - 2.0 * flips)
+        received = np.where(flips, -1.0, 1.0)
         batch_paths, values, supports = genie_batch(received, params)
         if paths is None:
             paths = batch_paths

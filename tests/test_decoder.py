@@ -19,6 +19,7 @@ from rmrec import (
     recalc_u,
     recalc_v,
 )
+from rmrec.core import extract_info_batch
 from rmrec.decoder import MIN_SUM, TIE_POSITIVE, UNSCALED, genie_batch
 
 from oracles import brute_codebook, md_oracle
@@ -116,7 +117,7 @@ def test_md_biorthogonal_matches_brute_force(g):
         assert np.array_equal(encode(info, CodeParams(g + 1, 1)), cw)
 
 
-@pytest.mark.parametrize("g", [0, 1, 2, 4])
+@pytest.mark.parametrize("g", range(10))
 def test_biorthogonal_codebook_structure(g):
     from rmrec import biorthogonal_codebook
 
@@ -130,6 +131,10 @@ def test_biorthogonal_codebook_structure(g):
     off = gram[~np.eye(2 * width, dtype=bool)]
     assert set(np.unique(off)) <= {0.0, -float(width)}
     assert np.array_equal(book, brute_codebook(g))
+    if g >= 1:  # every row is its own unique FHT winner, with no tie
+        info, cw, _ = decode_batch(book, CodeParams(g + 1, 1), "phi")
+        assert np.array_equal(cw, book)
+        assert np.array_equal(info, extract_info_batch(book, g + 1, 1))
 
 
 def test_hadamard_transform_matches_direct():
@@ -235,11 +240,13 @@ def test_decode_order_lemma():
 
 def test_trace_decisions_match_info():
     rng = np.random.default_rng(9)
-    params = CodeParams(6, 3)
-    y = rng.uniform(-1, 1, params.n)
-    result = decode_psi(y, params, DecoderOptions(trace=True))
-    for j, path in enumerate(enumerate_paths(params)):
-        assert result.trace[path].decision == 1 - 2 * int(result.info[j])
+    for (m, r), decode in [((6, 3), decode_psi), ((6, 2), decode_phi), ((7, 3), decode_phi)]:
+        params = CodeParams(m, r)
+        y = rng.uniform(-1, 1, params.n)
+        result = decode(y, params, DecoderOptions(trace=True))
+        assert set(result.info) == {0, 1}
+        for j, path in enumerate(enumerate_paths(params)):
+            assert result.trace[path].decision == 1 - 2 * int(result.info[j])
 
 
 def test_codeword_is_reencoded_info():
