@@ -83,6 +83,8 @@ def parse_word(text: str, n: int) -> np.ndarray:
         values = np.array([float(tok) for tok in text.split()])
         if values.shape != (n,):
             raise ValueError(f"word must have n={n} values, got {values.shape[0]}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("word values must be finite reals")
         return values
     bits = hex_to_info(text, n)
     return 1.0 - 2.0 * bits

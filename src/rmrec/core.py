@@ -57,7 +57,6 @@ __all__ = [
     "encode_op_count",
     "codeword_to_info",
     "extract_info_batch",
-    "bits_to_symbols",
     "symbols_to_bits",
 ]
 
@@ -256,13 +255,8 @@ def enumerate_paths(params: CodeParams) -> tuple[Path, ...]:
     return plotkin_tree(params.m, params.r).paths
 
 
-def bits_to_symbols(bits: np.ndarray) -> np.ndarray:
-    """Map binary {0,1} to the multiplicative domain: a -> (-1)^a."""
-    return 1 - 2 * np.asarray(bits, dtype=np.int8)
-
-
 def symbols_to_bits(symbols: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`bits_to_symbols`; +1 -> 0, -1 -> 1."""
+    """Map the multiplicative domain back to binary: +1 -> 0, -1 -> 1."""
     sym = np.asarray(symbols)
     if not np.all(np.abs(sym) == 1):
         raise ValueError("symbols must be +1 or -1")

@@ -55,6 +55,7 @@ from .core import (
     SPLIT,
     CodeParams,
     Path,
+    PlotkinNode,
     _encode,
     enumerate_paths,
     extract_info_batch,  # not called here; benchmarks/tracer.py wraps this binding
@@ -157,10 +158,10 @@ class DecodeResult:
 class GenieTrace:
     """Per-path end values of the genie-aided recursion (all-ones truth).
 
-    support_sums holds, for every first-order node reached by the given
-    descent prefix, the sum of the node's values over the canonical
-    half-block support (the support of the codeword that flips exactly
-    the second half).
+    support_sums holds, for every order-1 split node keyed by its descent
+    prefix in sorted order, the sum of the node's values over the
+    canonical half-block support (the support of the codeword that flips
+    exactly the second half).
     """
 
     end_values: dict[Path, float]
@@ -506,23 +507,28 @@ def decode_op_bound(params: CodeParams, algorithm: str = ALG_PSI,
 
 # --- genie-aided recursion ---------------------------------------------------
 
-def genie_batch(y: np.ndarray, params: CodeParams,
-                ) -> tuple[tuple[Path, ...], np.ndarray, dict[tuple[int, ...], np.ndarray]]:
+@cache
+def _support_nodes(m: int, r: int) -> tuple[PlotkinNode, ...]:
+    """The order-1 split nodes of the {m, r} tree, one genie support column
+    each.  They come in pre-order, which is also sorted prefix order."""
+    return tuple(node for node in plotkin_tree(m, r).nodes
+                 if node.kind == SPLIT and node.order == 1)
+
+
+def genie_batch(y: np.ndarray, params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
     """Genie-aided recursion over a (B, n) batch, all-ones transmission.
 
     Every decoded constituent is replaced by its true (all-ones) value, so
     the recursion degenerates to pure dataflow: products on v steps and
-    midpoints on u steps.  Returns the paths in decode (lexicographic)
-    order, the (B, k) matrix of end values y(path), and the per-node
-    half-block support sums keyed by the descent prefix of each
-    first-order node.
+    midpoints on u steps.  Returns the (B, k) end values y(path) in path
+    (lexicographic) order and the (B, s) half-block support sums, one
+    column per order-1 split node in pre-order (see :func:`_support_nodes`).
     """
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if y.shape[1] != params.n:
         raise ValueError(f"blocks must have length n={params.n}")
-    tree = plotkin_tree(params.m, params.r)
     values = np.empty((y.shape[0], params.k))
-    supports: dict[tuple[int, ...], np.ndarray] = {}
+    sums = []  # the walk reaches the support nodes in pre-order
 
     def walk(node, y: np.ndarray) -> None:
         if node.kind == LEFT_END:
@@ -535,32 +541,33 @@ def genie_batch(y: np.ndarray, params: CodeParams,
             if node.order == 1:
                 # Support sum of the codeword flipping the second half: same
                 # law as any other balanced support of this first-order node.
-                supports[node.prefix] = y2.sum(axis=1)
+                sums.append(y2.sum(axis=1))
             v, u = node.children
             walk(v, y1 * y2)
             walk(u, (y1 + y2) * 0.5)
 
-    walk(tree.root, y)
-    return tree.paths, values, supports
+    walk(plotkin_tree(params.m, params.r).root, y)
+    # Allocated after the walk: allocated before it, this array made the
+    # walk's large temporaries fault in afresh on every call, which more than
+    # doubled the page faults of a path_statistics run on {12,1}.
+    supports = np.empty((y.shape[0], len(_support_nodes(params.m, params.r))))
+    for j, column in enumerate(sums):
+        supports[:, j] = column
+    return values, supports
 
 
-def genie_decode(y: np.ndarray, params: CodeParams,
-                 genie: np.ndarray | None = None) -> GenieTrace:
+def genie_decode(y: np.ndarray, params: CodeParams) -> GenieTrace:
     """Genie-aided end values for a single received block.
 
-    The genie codeword must be the all-ones word (channel symmetry makes
-    it the canonical choice); anything else is rejected rather than
-    renormalized.
+    The genie codeword is the all-ones word; channel symmetry makes it the
+    canonical choice.
     """
-    if genie is not None:
-        genie = np.asarray(genie)
-        if genie.shape != (params.n,) or not np.all(genie == 1):
-            raise ValueError("genie decoding assumes the all-ones codeword")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (params.n,):
         raise ValueError(f"received block must have length n={params.n}")
-    paths, values, supports = genie_batch(y[None, :], params)
+    values, supports = genie_batch(y[None, :], params)
     return GenieTrace(
-        end_values={p: float(values[0, j]) for j, p in enumerate(paths)},
-        support_sums={prefix: float(v[0]) for prefix, v in supports.items()},
+        end_values={p: float(values[0, j]) for j, p in enumerate(enumerate_paths(params))},
+        support_sums={node.prefix: float(supports[0, j])
+                      for j, node in enumerate(_support_nodes(params.m, params.r))},
     )

@@ -27,6 +27,7 @@ from .decoder import (
     ALG_PHI,
     ALG_PSI,
     DecoderOptions,
+    _support_nodes,
     decode_batch,
     genie_batch,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "Channel",
     "SimConfig",
     "SimReport",
+    "GenieReport",
     "PathStats",
     "stream_uniforms",
     "apply_channel",
@@ -156,7 +158,7 @@ class PathStats:
 
 @dataclass
 class SimReport:
-    """Aggregated Monte Carlo results; per-path fields are filled on demand."""
+    """Aggregated Monte Carlo results; per-path error rates are filled on demand."""
 
     config: SimConfig
     trials: int
@@ -168,8 +170,17 @@ class SimReport:
     ber_half_width: float
     ops_max: int
     path_error_rates: dict[Path, tuple[float, float]] | None = None
-    path_stats: dict[Path, PathStats] | None = None
-    node_stats: dict[tuple[int, ...], PathStats] | None = None
+
+
+@dataclass
+class GenieReport:
+    """Genie-aided statistics: one entry per path, in path order, and one per
+    order-1 split node, keyed by its descent prefix in sorted order."""
+
+    config: SimConfig
+    trials: int
+    path_stats: dict[Path, PathStats]
+    node_stats: dict[tuple[int, ...], PathStats]
 
 
 def stream_uniforms(master_seed: int, purpose: int, first_trial: int,
@@ -187,18 +198,24 @@ def stream_uniforms(master_seed: int, purpose: int, first_trial: int,
     return (raw[:, :values_per_trial] >> np.uint64(11)) * 2.0 ** -53
 
 
-def _channel_flips(channel: Channel, master_seed: int, first_trial: int,
-                   n_trials: int, n: int) -> np.ndarray:
-    u = stream_uniforms(master_seed, PURPOSE_CHANNEL, first_trial, n_trials, n)
-    return u < channel.crossover
+def _channel_batches(channel: Channel, master_seed: int, n: int, trials: range,
+                     size: int):
+    """Per batch of up to `size` consecutive trials: their range and the
+    all-ones word through the channel, (len, n) +/-1 reals."""
+    for start in trials[::size]:
+        batch = range(start, min(start + size, trials.stop))
+        # one expression, so that no draw or flip array outlives the yield
+        yield batch, np.where(stream_uniforms(master_seed, PURPOSE_CHANNEL, start, len(batch), n)
+                              < channel.crossover, -1.0, 1.0)
 
 
 def apply_channel(codeword: np.ndarray, channel: Channel,
                   master_seed: int = 0, trial: int = 0) -> np.ndarray:
     """Flip each +/-1 symbol independently with the channel's crossover."""
     codeword = np.asarray(codeword, dtype=np.float64)
-    flips = _channel_flips(channel, master_seed, trial, 1, codeword.shape[-1])
-    return codeword * np.where(flips[0], -1.0, 1.0)
+    ((_, signs),) = _channel_batches(channel, master_seed, codeword.shape[-1],
+                                     range(trial, trial + 1), 1)
+    return codeword * signs[0]
 
 
 def binomial_ci(errors: float, trials: int) -> tuple[float, float]:
@@ -213,46 +230,34 @@ def binomial_ci(errors: float, trials: int) -> tuple[float, float]:
     return rate, half
 
 
-def _batches(trials: int, size: int):
-    start = 0
-    while start < trials:
-        stop = min(start + size, trials)
-        yield start, stop
-        start = stop
-
-
 def run_wer(config: SimConfig, per_path: bool = False) -> SimReport:
     """Estimate word and bit error rates over config.trials decodings."""
     params, n, k = config.params, config.params.n, config.params.k
     word_errors = 0
-    bit_errors = 0
     ops = 0
-    per_path_errors = np.zeros(k, dtype=np.int64) if per_path else None
-    for start, stop in _batches(config.trials, config.effective_batch()):
-        count = stop - start
-        flips = _channel_flips(config.channel, config.master_seed, start, count, n)
-        received = np.where(flips, -1.0, 1.0)  # the all-ones word through the channel
+    path_errors = np.zeros(k, dtype=np.int64)
+    for batch, received in _channel_batches(config.channel, config.master_seed, n,
+                                            range(config.trials), config.effective_batch()):
         if config.transmitted == ALL_ONES:
-            info_true = np.zeros((count, k), dtype=np.uint8)
+            info_true = np.zeros((len(batch), k), dtype=np.uint8)
         else:
-            u = stream_uniforms(config.master_seed, PURPOSE_INFO, start, count, k)
+            u = stream_uniforms(config.master_seed, PURPOSE_INFO, batch.start, len(batch), k)
             info_true = (u < 0.5).astype(np.uint8)
             received *= encode_batch(info_true, params)
-        trials_idx = np.arange(start, stop, dtype=np.uint64)
+        trials_idx = np.arange(batch.start, batch.stop, dtype=np.uint64)
         info_hat, _, ops = decode_batch(received, params, config.algorithm,
                                         config.options, trials_idx)
         wrong = info_hat != info_true
         word_errors += int(np.count_nonzero(wrong.any(axis=1)))
-        bit_errors += int(np.count_nonzero(wrong))
-        if per_path_errors is not None:
-            per_path_errors += wrong.sum(axis=0)
+        path_errors += wrong.sum(axis=0)
+    bit_errors = int(path_errors.sum())
     wer, wer_half = binomial_ci(word_errors, config.trials)
     ber, ber_half = binomial_ci(bit_errors, config.trials * k)
     report = SimReport(config, config.trials, word_errors, bit_errors,
                        wer, wer_half, ber, ber_half, ops)
-    if per_path_errors is not None:
+    if per_path:
         report.path_error_rates = {
-            path: binomial_ci(int(per_path_errors[j]), config.trials)
+            path: binomial_ci(int(path_errors[j]), config.trials)
             for j, path in enumerate(enumerate_paths(params))
         }
     return report
@@ -289,54 +294,42 @@ class _MomentAccumulator:
         neg = int(self.negatives[column])
         nil = int(self.zeros[column])
         err, err_half = binomial_ci(neg + 0.5 * nil, n)
-        return PathStats(n, mean, variance, _Z95 * math.sqrt(var_of_var),
+        return PathStats(n, float(mean), float(variance), _Z95 * math.sqrt(var_of_var),
                          err, err_half, neg, nil)
 
 
-def path_statistics(config: SimConfig) -> SimReport:
+def path_statistics(config: SimConfig) -> GenieReport:
     """Genie-aided per-path statistics under all-ones transmission.
 
     For every path, the end value y(path) is normalized by its theoretical
     mean; the report carries the empirical mean (target 1), variance
     (target of the variance recursion), and the conditional error rate
-    (negative end values plus half the exact zeros).  First-order nodes
-    additionally get the same statistics for their normalized half-block
-    support sums, keyed by the node's descent prefix.
+    (negative end values plus half the exact zeros).  Every order-1 split
+    node of the Plotkin tree additionally gets the same statistics for its
+    normalized half-block support sum, keyed by the node's descent prefix.
     """
     if config.transmitted != ALL_ONES:
         raise ValueError("genie statistics require all-ones transmission")
     params = config.params
     epsilon = config.channel.residual
-    paths: tuple[Path, ...] | None = None
-    prefixes: list[tuple[int, ...]] = []
-    path_acc: _MomentAccumulator | None = None
-    node_acc: _MomentAccumulator | None = None
-    path_norm = node_norm = None
-    for start, stop in _batches(config.trials, config.effective_batch()):
-        count = stop - start
-        flips = _channel_flips(config.channel, config.master_seed, start, count, params.n)
-        received = np.where(flips, -1.0, 1.0)
-        batch_paths, values, supports = genie_batch(received, params)
-        if paths is None:
-            paths = batch_paths
-            prefixes = sorted(supports)
-            path_norm = np.array([analysis.moments_for_path(params, p, epsilon).mean
-                                  for p in paths])
-            node_norm = np.array([
-                2.0 ** (params.m - len(pre) - 1) * analysis.path_mean(pre, epsilon)
-                for pre in prefixes])
-            if np.any(path_norm <= 0.0) or np.any(node_norm <= 0.0):
-                raise ValueError("theoretical path means underflow to zero; "
-                                 "the normalized statistics are not defined")
-            path_acc = _MomentAccumulator(len(paths))
-            node_acc = _MomentAccumulator(len(prefixes))
+    paths = enumerate_paths(params)
+    nodes = _support_nodes(params.m, params.r)
+    path_norm = np.array([analysis.moments_for_path(params, p, epsilon).mean for p in paths])
+    node_norm = np.array([2.0 ** (node.length_log - 1) * analysis.path_mean(node.prefix, epsilon)
+                          for node in nodes])
+    if np.any(path_norm <= 0.0) or np.any(node_norm <= 0.0):
+        raise ValueError("theoretical path means underflow to zero; "
+                         "the normalized statistics are not defined")
+    path_acc = _MomentAccumulator(len(paths))
+    node_acc = _MomentAccumulator(len(nodes))
+    for _, received in _channel_batches(config.channel, config.master_seed, params.n,
+                                        range(config.trials), config.effective_batch()):
+        values, supports = genie_batch(received, params)
         path_acc.add(values / path_norm)
-        if prefixes:
-            node_acc.add(np.column_stack([supports[pre] for pre in prefixes]) / node_norm)
-    report = SimReport(config, config.trials, 0, 0, 0.0, 0.0, 0.0, 0.0, 0)
-    report.path_stats = {p: path_acc.stats(j) for j, p in enumerate(paths)}
-    report.node_stats = {pre: node_acc.stats(j) for j, pre in enumerate(prefixes)}
-    return report
+        node_acc.add(supports / node_norm)
+    return GenieReport(config, config.trials,
+                       {p: path_acc.stats(j) for j, p in enumerate(paths)},
+                       {node.prefix: node_acc.stats(j) for j, node in enumerate(nodes)})
 
 
 def sweep(config: SimConfig, channels: list[Channel],

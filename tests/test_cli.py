@@ -97,6 +97,16 @@ def test_decode_bad_word(capsys):
     assert code == 2
 
 
+def test_decode_rejects_non_finite_reals(capsys):
+    for word, algo in (("nan 1 1 1 1 1 1 1", "psi"), ("inf -inf 1 1 1 1 1 1", "phi"),
+                       ("1 1 1 1 1 1 1 -inf", "psi")):
+        code, out, err = run_cli(capsys, "decode", "--m", "3", "--r", "1", word,
+                                 "--algo", algo)
+        assert code == 2 and out == "" and "finite" in err
+    with pytest.raises(ValueError):
+        parse_word("0.5 nan", 2)
+
+
 def test_decode_from_file(capsys, tmp_path):
     word_file = tmp_path / "word.txt"
     word_file.write_text("0.9 0.8 0.7 0.6 -0.5 -0.4 -0.3 -0.2\n")

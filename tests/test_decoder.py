@@ -19,7 +19,7 @@ from rmrec import (
     recalc_u,
     recalc_v,
 )
-from rmrec.core import extract_info_batch
+from rmrec.core import SPLIT, extract_info_batch, plotkin_tree
 from rmrec.decoder import MIN_SUM, TIE_POSITIVE, UNSCALED, genie_batch
 
 from oracles import brute_codebook, md_oracle
@@ -321,8 +321,6 @@ def test_genie_noiseless_fixed_point():
     # noiseless support sums equal the support size 2^(m-len(prefix)-1)
     for prefix, value in trace.support_sums.items():
         assert value == float(1 << (params.m - len(prefix) - 1))
-    with pytest.raises(ValueError):
-        genie_decode(np.ones(params.n), params, genie=-np.ones(params.n))
 
 
 def test_genie_matches_trace_when_decisions_correct():
@@ -340,11 +338,30 @@ def test_genie_matches_trace_when_decisions_correct():
 def test_genie_batch_column_order():
     rng = np.random.default_rng(15)
     params = CodeParams(6, 3)
-    paths, values, supports = genie_batch(rng.uniform(-1, 1, (4, params.n)), params)
-    assert paths == enumerate_paths(params)
+    y = rng.uniform(-1, 1, (4, params.n))
+    values, supports = genie_batch(y, params)
     assert values.shape == (4, params.k)
-    for prefix in supports:
-        assert len(prefix) <= params.m - 2
+    # one support column per order-1 split node, in sorted prefix order
+    nodes = [node for node in plotkin_tree(params.m, params.r).nodes
+             if node.kind == SPLIT and node.order == 1]
+    prefixes = [node.prefix for node in nodes]
+    assert prefixes == sorted(prefixes) and len(set(prefixes)) == len(prefixes)
+    assert supports.shape == (4, len(nodes))
+    for j, row in enumerate(y):
+        trace = genie_decode(row, params)
+        assert list(trace.end_values) == list(enumerate_paths(params))
+        assert list(trace.end_values.values()) == list(values[j])
+        assert list(trace.support_sums) == prefixes
+        assert list(trace.support_sums.values()) == list(supports[j])
+    # the outermost order-1 node of {6,3} is {4,1} at prefix 00: its input
+    # is the product of the four quarters, and the column sums the last half
+    v = y[:, :32] * y[:, 32:]
+    v = v[:, :16] * v[:, 16:]
+    assert prefixes[0] == (0, 0)
+    assert np.array_equal(supports[:, 0], v[:, 8:].sum(axis=1))
+    # repetition and full-space roots have no order-1 split node
+    for root in (CodeParams(6, 0), CodeParams(6, 6)):
+        assert genie_batch(y, root)[1].shape == (4, 0)
 
 
 def test_genie_left_end_matches_manual_recursion():

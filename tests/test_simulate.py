@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+import rmrec.simulate
 from rmrec import (
     Channel,
     CodeParams,
     DecoderOptions,
+    GenieReport,
     SimConfig,
     apply_channel,
     decode_batch,
@@ -110,9 +112,21 @@ def test_genie_requires_all_ones():
         path_statistics(_config(transmitted="random"))
 
 
+def test_genie_underflow_raises_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("the channel was drawn before the underflow check")
+
+    monkeypatch.setattr(rmrec.simulate, "stream_uniforms", no_draw)
+    config = _config(m=10, r=9, p=0.4, trials=10)  # eps = 0.2
+    with pytest.raises(ValueError, match="underflow"):
+        path_statistics(config)
+
+
 def test_genie_noiseless_statistics():
     report = path_statistics(_config(p=0.0, trials=50))
-    for stats in report.path_stats.values():
+    assert isinstance(report, GenieReport) and report.trials == 50
+    for stats in [*report.path_stats.values(), *report.node_stats.values()]:
+        assert type(stats.mean) is float and type(stats.variance) is float
         assert stats.mean == 1.0 and stats.variance == 0.0
         assert stats.error_rate == 0.0
 
