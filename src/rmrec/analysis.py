@@ -356,8 +356,8 @@ def residual_ml(params: CodeParams, c: float) -> float:
 
 
 def _check_constant(c: float) -> None:
-    if c <= LN4:
-        raise ValueError(f"the constant must exceed ln 4 = {LN4:.6f}, got {c}")
+    if not (math.isfinite(c) and c > LN4):
+        raise ValueError(f"the constant must be finite and exceed ln 4 = {LN4:.6f}, got {c}")
 
 
 # --- error-probability predictions --------------------------------------------

@@ -22,8 +22,10 @@ First-order map: the FHT winner of a node {L, 1} is a pattern index
 order, are the pattern bits (best >> (L-1)) & 1, ..., (best >> 1) & 1, one
 per v step from the top, then the two symbols s and s ^ (best & 1) of the
 closing {1, 1} node, where s is 1 when the sign is negative.  The node's
-codeword is those bits encoded through the {L, 1} Plotkin tree, which is
-the sign times row `best` of the Hadamard matrix.
+codeword, those bits encoded through the {L, 1} Plotkin tree, is the sign
+times row `best` of the Hadamard matrix, whose entry (j, i) is
+(-1)^popcount(i & j); the decoder writes it from that rule and walks no
+{L, 1} tree.
 
 Operation counting: every real addition, multiplication, comparison and
 sign evaluation costs one unit.  A Hadamard butterfly stage costs two per
@@ -56,7 +58,6 @@ from .core import (
     CodeParams,
     Path,
     PlotkinNode,
-    _encode,
     enumerate_paths,
     extract_info_batch,  # not called here; benchmarks/tracer.py wraps this binding
     plotkin_tree,
@@ -263,27 +264,34 @@ def hadamard_transform(x: np.ndarray) -> np.ndarray:
     Output index j holds sum_i x[i] * (-1)^popcount(i & j), i.e. the
     correlations of x with every linear +/-1 pattern.
     """
-    x = np.asarray(x, dtype=np.float64)
-    width = x.shape[-1]
+    out = np.array(x, dtype=np.float64, order="C")  # a copy, so reshapes are views
+    width = out.shape[-1]
     if width & (width - 1):
         raise ValueError(f"length must be a power of two, got {width}")
-    out = x.copy()
-    lead = out.shape[:-1]
     h = 1
     while h < width:
-        out = out.reshape(lead + (width // (2 * h), 2, h))
-        a = out[..., 0, :].copy()
-        b = out[..., 1, :]
-        out[..., 0, :] = a + b
-        out[..., 1, :] = a - b
-        out = out.reshape(lead + (width,))
+        pairs = out.reshape(out.shape[:-1] + (width // (2 * h), 2, h))
+        a, b = pairs[..., 0, :], pairs[..., 1, :]
+        pairs[..., 0, :], pairs[..., 1, :] = a + b, a - b
         h *= 2
     return out
 
 
+def _hadamard_negative(patterns: np.ndarray, width: int) -> np.ndarray:
+    """Where rows `patterns` of the width x width Hadamard matrix hold -1.
+
+    Entry (j, i) of the matrix is (-1)^popcount(i & j): the sign rule of
+    :func:`hadamard_transform`, and the only place the matrix is written.
+    """
+    index = np.arange(width, dtype=np.min_scalar_type(width - 1))  # the narrowest that fits
+    odd = np.bitwise_count(index[patterns][:, None] & index) & 1  # a pattern past the end raises
+    return odd.astype(bool)
+
+
 def biorthogonal_codeword(pattern: np.ndarray | int, width: int) -> np.ndarray:
-    """+/-1 rows of the width x width Hadamard matrix, one per pattern index."""
-    return hadamard_transform(np.eye(width)[np.atleast_1d(pattern)])
+    """+/-1 rows of the width x width Hadamard matrix, one per pattern index;
+    width is a power of two, and a pattern index past its end raises."""
+    return np.where(_hadamard_negative(np.atleast_1d(pattern), width), -1.0, 1.0)
 
 
 def biorthogonal_codebook(g: int) -> np.ndarray:
@@ -298,10 +306,7 @@ def biorthogonal_codebook(g: int) -> np.ndarray:
         raise ValueError("g must be nonnegative")
     width = 1 << (g + 1)
     rows = biorthogonal_codeword(np.arange(width), width)
-    book = np.empty((2 * width, width))
-    book[0::2] = rows
-    book[1::2] = -rows
-    return book
+    return np.stack([rows, -rows], axis=1).reshape(2 * width, width)
 
 
 # --- end-node decisions -----------------------------------------------------
@@ -319,8 +324,8 @@ def _first_order(y: np.ndarray, length_log: int, options: DecoderOptions,
 
     Writes the +/-1 codewords into cw and returns (info bits, end values);
     the end value is the winning correlation over the block length, (B, 1).
-    The info bits are read off the winner (see the module docstring) and
-    re-encoded through the node's Plotkin tree.
+    The info bits are read off the winner (see the module docstring); the
+    codeword is the winner's sign times Hadamard row `best`, written in place.
     """
     corr = hadamard_transform(y)
     best = np.argmax(np.abs(corr), axis=1)  # first (lowest-index) maximum wins
@@ -330,7 +335,8 @@ def _first_order(y: np.ndarray, length_log: int, options: DecoderOptions,
     bits[:, :-2] = (best[:, None] >> np.arange(length_log - 1, 0, -1)) & 1
     bits[:, -2] = sign[:, 0] < 0
     bits[:, -1] = bits[:, -2] ^ (best & 1)
-    _encode(plotkin_tree(length_log, 1).root, bits, cw)
+    np.copyto(cw, sign)
+    np.negative(cw, out=cw, where=_hadamard_negative(best, y.shape[1]))
     return bits, winning * sign / y.shape[1]
 
 
@@ -367,6 +373,8 @@ def md_biorthogonal(z: np.ndarray, g: int, options: DecoderOptions | None = None
     pattern index wins, and an exactly zero winning correlation falls back
     to the tie rule for its sign.
     """
+    if g < 0:
+        raise ValueError("g must be nonnegative")
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (1 << (g + 1),):
         raise ValueError(f"block length must be 2^(g+1)={1 << (g + 1)}")

@@ -128,8 +128,8 @@ class SimConfig:
     batch_size: int = 0
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if self.trials < 1 or self.batch_size < 0:
+            raise ValueError("trials must be >= 1 and batch_size >= 0 (0: automatic)")
         if self.algorithm not in (ALG_PSI, ALG_PHI):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.transmitted not in (ALL_ONES, RANDOM_CODEWORDS):
@@ -213,6 +213,8 @@ def apply_channel(codeword: np.ndarray, channel: Channel,
                   master_seed: int = 0, trial: int = 0) -> np.ndarray:
     """Flip each +/-1 symbol independently with the channel's crossover."""
     codeword = np.asarray(codeword, dtype=np.float64)
+    if codeword.ndim != 1:
+        raise ValueError("apply_channel expects a 1-D codeword, one trial")
     ((_, signs),) = _channel_batches(channel, master_seed, codeword.shape[-1],
                                      range(trial, trial + 1), 1)
     return codeword * signs[0]

@@ -218,9 +218,10 @@ def test_analyze_csv_roundtrip(capsys):
 
 
 def test_analyze_rejects_small_constant(capsys):
-    code, _, err = run_cli(capsys, "analyze", "--m", "6", "--r", "2",
-                           "--c", "1.0")
-    assert code == 2 and "ln 4" in err
+    for c in ("1.0", "nan", "inf"):
+        code, _, err = run_cli(capsys, "analyze", "--m", "6", "--r", "2",
+                               "--c", c)
+        assert code == 2 and "ln 4" in err
 
 
 def test_opcount_within_bounds(capsys):

@@ -104,6 +104,8 @@ def test_md_biorthogonal_examples():
     assert np.array_equal(cw, [1, 1, -1, -1])
     with pytest.raises(ValueError):
         md_biorthogonal(np.ones(6), 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        md_biorthogonal(np.ones(1), -1)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
@@ -120,9 +122,12 @@ def test_md_biorthogonal_matches_brute_force(g):
 @pytest.mark.parametrize("g", range(10))
 def test_biorthogonal_codebook_structure(g):
     from rmrec import biorthogonal_codebook
+    from rmrec.decoder import biorthogonal_codeword
 
     book = biorthogonal_codebook(g)
     width = 1 << (g + 1)
+    with pytest.raises(IndexError):
+        biorthogonal_codeword(width, width)
     assert book.shape == (2 * width, width)
     assert np.all(book[0] == 1) and np.array_equal(book[1], -book[0])
     supports = (book < 0).sum(axis=1)
@@ -138,14 +143,21 @@ def test_biorthogonal_codebook_structure(g):
 
 
 def test_hadamard_transform_matches_direct():
-    rng = np.random.default_rng(4)
-    for logl in (1, 2, 3, 4):
-        width = 1 << logl
-        z = rng.normal(size=width)
-        direct = np.array([
+    def direct(z):
+        width = len(z)
+        return np.array([
             sum(z[i] * (-1) ** bin(i & j).count("1") for i in range(width))
             for j in range(width)])
-        assert np.allclose(hadamard_transform(z), direct)
+
+    rng = np.random.default_rng(4)
+    for logl in (1, 2, 3, 4):
+        z = rng.normal(size=1 << logl)
+        assert np.allclose(hadamard_transform(z), direct(z))
+    z = rng.normal(size=(2, 3, 16))  # leading axes are independent rows
+    got = hadamard_transform(z)
+    assert got.shape == z.shape
+    for index in np.ndindex(2, 3):
+        assert np.allclose(got[index], direct(z[index]))
     with pytest.raises(ValueError):
         hadamard_transform(np.ones(5))
 
@@ -251,7 +263,7 @@ def test_trace_decisions_match_info():
 
 def test_codeword_is_reencoded_info():
     rng = np.random.default_rng(10)
-    for m, r in [(6, 2), (7, 3), (5, 5)]:
+    for m, r in [(6, 2), (7, 3), (5, 5), (12, 2)]:
         params = CodeParams(m, r)
         y = rng.uniform(-1, 1, params.n)
         for decode in (decode_psi,) + ((decode_phi,) if r >= 1 else ()):

@@ -58,6 +58,11 @@ def test_apply_channel_noiseless_and_flip_rate():
     assert abs(np.mean(awgn < 0) - q_function(1.0)) < 1.5e-3
 
 
+def test_apply_channel_rejects_batches():
+    with pytest.raises(ValueError):  # one trial's flips would repeat on every row
+        apply_channel(np.ones((4, 8)), Channel.bsc(0.3))
+
+
 def test_stream_uniforms_batch_independent():
     whole = stream_uniforms(7, 1, 0, 20, 10)
     parts = np.vstack([stream_uniforms(7, 1, 0, 8, 10),
@@ -215,6 +220,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(params=CodeParams(3, 1), channel=Channel.bsc(0.1),
                   transmitted="codebook")
+    with pytest.raises(ValueError):
+        _config(batch_size=-7)
 
 
 def test_min_sum_simulation_runs():
