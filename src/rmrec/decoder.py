@@ -34,7 +34,11 @@ bookkeeping) is symbol manipulation, not channel arithmetic, and is not
 counted.  The tree and the two rules fix every counted operation, so the
 count is a static sum over the tree's nodes, the same for every block.
 Under this convention the counts never exceed the closed-form bounds in
-:func:`decode_op_bound`.
+:func:`decode_op_bound`.  A first-order node of width w counts the
+paper's butterfly, w*log2(w) operations for its FHT, whatever kernel runs
+it: :func:`hadamard_transform` does w*(a+b) multiply-adds (w = a*b) in two
+BLAS calls, so a time per counted operation compares the paper's count
+with that kernel, not with a butterfly.
 
 Ties: sign(0) is resolved either by a seeded +/-1 coin or deterministically
 as +1.  Every potential sign evaluation has a fixed site: each end node of
@@ -263,18 +267,32 @@ def hadamard_transform(x: np.ndarray) -> np.ndarray:
 
     Output index j holds sum_i x[i] * (-1)^popcount(i & j), i.e. the
     correlations of x with every linear +/-1 pattern.
+
+    The width w = a*b splits as a = 2^floor(log2(w)/2), and Sylvester's
+    H_w = H_a (x) H_b turns the transform into two small matrix products,
+    H_a @ X @ H_b over each row X viewed as a (a, b) block.  Both products
+    run stacked, one block per row, so a row's result does not depend on
+    the rows beside it, the batch size or the BLAS thread count.  On dyadic
+    input small enough that every partial sum is exact (+/-1 symbols, say)
+    the result is exact, whatever the summation order; on other real input
+    it can differ from a butterfly's in the last bits.
     """
-    out = np.array(x, dtype=np.float64, order="C")  # a copy, so reshapes are views
-    width = out.shape[-1]
-    if width & (width - 1):
+    x = np.asarray(x, dtype=np.float64)
+    width = x.shape[-1]
+    if width < 1 or width & (width - 1):
         raise ValueError(f"length must be a power of two, got {width}")
-    h = 1
-    while h < width:
-        pairs = out.reshape(out.shape[:-1] + (width // (2 * h), 2, h))
-        a, b = pairs[..., 0, :], pairs[..., 1, :]
-        pairs[..., 0, :], pairs[..., 1, :] = a + b, a - b
-        h *= 2
-    return out
+    a = 1 << ((width.bit_length() - 1) // 2)
+    rows = x.reshape(-1, a, width // a)
+    return (_hadamard_matrix(a) @ (rows @ _hadamard_matrix(width // a))).reshape(x.shape)
+
+
+@cache
+def _hadamard_matrix(width: int) -> np.ndarray:
+    """The read-only +/-1 Hadamard matrix of a width, a Kronecker factor of
+    :func:`hadamard_transform` (at most 64 x 64 for widths up to 2^12)."""
+    matrix = np.where(_hadamard_negative(np.arange(width), width), -1.0, 1.0)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _hadamard_negative(patterns: np.ndarray, width: int) -> np.ndarray:
@@ -340,16 +358,24 @@ def _first_order(y: np.ndarray, length_log: int, options: DecoderOptions,
     return bits, winning * sign / y.shape[1]
 
 
+def _one_block(z: np.ndarray) -> np.ndarray:
+    """One nonempty 1-D block as a (1, n) batch; a (B, n) array is refused,
+    not read as one block of B*n symbols."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1:
+        raise ValueError(f"expected one 1-D block, got shape {z.shape}")
+    if z.shape[0] == 0:
+        raise ValueError("empty block")
+    return z[None, :]
+
+
 def md_repetition(z: np.ndarray, options: DecoderOptions | None = None,
                   trial: int = 0) -> tuple[int, float]:
     """Minimum-distance decision for a repetition block.
 
     Returns (+/-1 decision, end value), the end value being the block mean.
     """
-    z = np.asarray(z, dtype=np.float64).reshape(1, -1)
-    if z.shape[1] == 0:
-        raise ValueError("empty block")
-    decision, mean = _repetition(z, options or DecoderOptions(),
+    decision, mean = _repetition(_one_block(z), options or DecoderOptions(),
                                  np.array([trial], dtype=np.uint64), 0)
     return int(decision[0, 0]), float(mean[0, 0])
 
@@ -357,10 +383,7 @@ def md_repetition(z: np.ndarray, options: DecoderOptions | None = None,
 def md_full_space(z: np.ndarray, options: DecoderOptions | None = None,
                   trial: int = 0) -> np.ndarray:
     """Componentwise sign decision, exact MD decoding for a full space."""
-    z = np.asarray(z, dtype=np.float64).reshape(1, -1)
-    if z.shape[1] == 0:
-        raise ValueError("empty block")
-    signs = _signs(z, options or DecoderOptions(), np.array([trial], dtype=np.uint64), 0)
+    signs = _signs(_one_block(z), options or DecoderOptions(), np.array([trial], dtype=np.uint64), 0)
     return signs[0].astype(np.int8)
 
 

@@ -83,6 +83,20 @@ def brute_codebook(g: int) -> np.ndarray:
     return np.array(rows)
 
 
+def butterfly_fht(x: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform along the last axis by the in-place
+    butterfly: log2(w) stages of (a, b) -> (a + b, a - b) over pairs h apart."""
+    out = np.array(x, dtype=np.float64, order="C")
+    width = out.shape[-1]
+    h = 1
+    while h < width:
+        pairs = out.reshape(out.shape[:-1] + (width // (2 * h), 2, h))
+        a, b = pairs[..., 0, :], pairs[..., 1, :]
+        pairs[..., 0, :], pairs[..., 1, :] = a + b, a - b
+        h *= 2
+    return out
+
+
 def md_oracle(z: np.ndarray, codebook: np.ndarray) -> np.ndarray:
     """Brute-force MD decoding: first codeword maximizing the inner product."""
     return codebook[int(np.argmax(codebook @ z))]

@@ -22,7 +22,7 @@ from rmrec import (
 from rmrec.core import SPLIT, extract_info_batch, plotkin_tree
 from rmrec.decoder import MIN_SUM, TIE_POSITIVE, UNSCALED, genie_batch
 
-from oracles import brute_codebook, md_oracle
+from oracles import brute_codebook, butterfly_fht, md_oracle, popcount
 
 DET = DecoderOptions(tie_rule=TIE_POSITIVE)
 
@@ -97,6 +97,13 @@ def test_md_full_space():
     assert float(got @ z) == pytest.approx(np.abs(z).sum())
 
 
+def test_md_end_nodes_reject_batches():
+    # a (B, n) array is a batch, not one block of B*n symbols
+    for decide in (md_repetition, md_full_space, lambda z: md_biorthogonal(z, 1)):
+        with pytest.raises(ValueError):
+            decide(np.ones((2, 4)))
+
+
 def test_md_biorthogonal_examples():
     cw, info = md_biorthogonal(np.ones(4), 1)
     assert np.all(cw == 1) and np.all(info == 0)
@@ -144,13 +151,11 @@ def test_biorthogonal_codebook_structure(g):
 
 def test_hadamard_transform_matches_direct():
     def direct(z):
-        width = len(z)
-        return np.array([
-            sum(z[i] * (-1) ** bin(i & j).count("1") for i in range(width))
-            for j in range(width)])
+        index = np.arange(z.shape[-1])
+        return z @ (-1.0) ** popcount(index[:, None] & index)
 
     rng = np.random.default_rng(4)
-    for logl in (1, 2, 3, 4):
+    for logl in range(1, 12):
         z = rng.normal(size=1 << logl)
         assert np.allclose(hadamard_transform(z), direct(z))
     z = rng.normal(size=(2, 3, 16))  # leading axes are independent rows
@@ -160,6 +165,34 @@ def test_hadamard_transform_matches_direct():
         assert np.allclose(got[index], direct(z[index]))
     with pytest.raises(ValueError):
         hadamard_transform(np.ones(5))
+
+
+def test_hadamard_transform_equals_butterfly_on_dyadic_input():
+    # every partial sum of these inputs is exact, so any summation order
+    # must give the butterfly's floats bit for bit
+    rng = np.random.default_rng(5)
+    for logw in range(12):
+        shape = (5, 1 << logw)
+        dyadic = rng.integers(-2**20, 2**20, size=shape) / 2.0 ** rng.integers(0, 21, size=shape)
+        for x in (rng.choice([-1.0, 1.0], size=shape),
+                  rng.integers(-1, 2, size=shape).astype(np.float64), dyadic):
+            got = hadamard_transform(x)
+            assert np.array_equal(got.view(np.uint64), butterfly_fht(x).view(np.uint64))
+
+
+def test_hadamard_transform_rows_independent_of_batch():
+    # a row's result must not depend on the batch around it: decode_batch
+    # and run_wer promise the same output under any batching
+    rng = np.random.default_rng(6)
+    for logw in range(12):
+        x = rng.normal(size=(80, 1 << logw))
+        alone = np.array([hadamard_transform(row) for row in x])
+        for size in (1, 3, 7, 64):
+            for start in (0, 1, 5, 16):
+                rows = slice(start, start + size)
+                assert np.array_equal(hadamard_transform(x[rows]), alone[rows])
+        stacked = x[:64].reshape(4, 16, -1)
+        assert np.array_equal(hadamard_transform(stacked), alone[:64].reshape(stacked.shape))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
