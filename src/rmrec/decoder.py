@@ -491,7 +491,10 @@ def decode_batch(y: np.ndarray, params: CodeParams, algorithm: str = ALG_PSI,
     """Decode a (B, n) batch of real blocks; rows are independent trials.
 
     Returns (info bits (B, k), codewords (B, n), op count per block).
-    `trials` supplies the per-row trial indices for the tie coin.
+    `trials` supplies the per-row trial indices for the tie coin.  Nothing
+    checks the output here: a row whose intermediates overflow to inf and
+    then NaN yields NaN symbols, which :func:`decode_psi` and :func:`decode_phi`
+    refuse.
     """
     info, cw, ops, _ = _decode(y, params, algorithm, options, trials)
     return info, cw, ops
@@ -503,8 +506,12 @@ def _decode_single(y: np.ndarray, params: CodeParams, algorithm: str,
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (params.n,):
         raise ValueError(f"received block must have length n={params.n}")
-    info, cw, ops, trace = _decode(y[None, :], params, algorithm, options,
-                                   np.array([trial], dtype=np.uint64), options.trace)
+    with np.errstate(invalid="ignore"):  # NaN symbols are refused below
+        info, cw, ops, trace = _decode(y[None, :], params, algorithm, options,
+                                       np.array([trial], dtype=np.uint64), options.trace)
+    if np.isnan(cw).any():
+        raise ValueError("the decoder's intermediates overflowed: decoded symbols "
+                         "are NaN; scale the received word down")
     if trace is not None:  # decode order is the lexicographic path order
         values, decisions = trace
         trace = {path: PathTrace(float(values[0, j]), int(decisions[0, j]), j)

@@ -4,8 +4,15 @@ Randomness is drawn from counter-based Philox streams keyed by
 (master seed, purpose) with a fixed counter budget per trial, so trial i
 always sees the same channel noise no matter how trials are grouped into
 batches; tie coins inside the decoder hash (seed, trial, site) directly.
-Identical configurations therefore produce bit-identical reports, and a
-parallel scheduler combining batch partials in index order would too.
+Identical configurations therefore produce bit-identical reports.
+
+Trials run in batches of a fixed size, in order.  The rows of a batch are
+cut into contiguous blocks, at most one per available core, that draw,
+decode and count on worker threads.  Neither the worker count nor the
+block boundaries enter the results: integer counters are summed, and the
+genie statistics of a batch are put back together in row order and
+accumulated once, as one array.  The batch size does enter them, because
+floating-point accumulators are combined batch by batch.
 
 Channels are binary symmetric: either with an explicit crossover p or as
 the hard-decision image of an AWGN channel with deviation sigma, whose
@@ -17,6 +24,7 @@ exists to cross-check that symmetry empirically.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -115,7 +123,8 @@ class SimConfig:
 
     batch_size = 0 picks an automatic size from the code length; the
     value participates in the determinism contract because floating-point
-    accumulators are combined in batch order.
+    accumulators are combined in batch order.  How many worker threads
+    share a batch's rows does not.
     """
 
     params: CodeParams
@@ -183,30 +192,55 @@ class GenieReport:
     node_stats: dict[tuple[int, ...], PathStats]
 
 
-def stream_uniforms(master_seed: int, purpose: int, first_trial: int,
-                    n_trials: int, values_per_trial: int) -> np.ndarray:
-    """Uniforms in [0, 1) with a fixed per-trial counter budget.
+def _stream_raw(master_seed: int, purpose: int, first_trial: int,
+                n_trials: int, values_per_trial: int) -> np.ndarray:
+    """Raw Philox words, a (n_trials, values_per_trial) uint64 view.
 
     Trial i consumes ceil(values/4) Philox blocks starting at block
-    i * ceil(values/4), so the (n_trials, values_per_trial) result is
-    independent of how a run is split into batches.
+    i * ceil(values/4), so a trial's words do not depend on how a run is
+    split into batches or row blocks.
     """
     blocks = -(-values_per_trial // 4)
     key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, purpose], dtype=np.uint64)
     gen = np.random.Philox(key=key, counter=first_trial * blocks)
     raw = gen.random_raw(n_trials * blocks * 4).reshape(n_trials, blocks * 4)
-    return (raw[:, :values_per_trial] >> np.uint64(11)) * 2.0 ** -53
+    return raw[:, :values_per_trial]
 
 
-def _channel_batches(channel: Channel, master_seed: int, n: int, trials: range,
-                     size: int):
-    """Per batch of up to `size` consecutive trials: their range and the
-    all-ones word through the channel, (len, n) +/-1 reals."""
-    for start in trials[::size]:
-        batch = range(start, min(start + size, trials.stop))
-        # one expression, so that no draw or flip array outlives the yield
-        yield batch, np.where(stream_uniforms(master_seed, PURPOSE_CHANNEL, start, len(batch), n)
-                              < channel.crossover, -1.0, 1.0)
+def stream_uniforms(master_seed: int, purpose: int, first_trial: int,
+                    n_trials: int, values_per_trial: int) -> np.ndarray:
+    """Uniforms in [0, 1): the top 53 bits of each raw word, times 2^-53.
+
+    Per-trial layout as in :func:`_stream_raw`; the (n_trials,
+    values_per_trial) result is independent of how a run is split.
+    """
+    raw = _stream_raw(master_seed, purpose, first_trial, n_trials, values_per_trial)
+    return (raw >> np.uint64(11)) * 2.0 ** -53
+
+
+def _threshold(p: float) -> np.uint64:
+    """t = ceil(p * 2^53), for 0 <= p <= 0.5: the uniform (raw >> 11) * 2^-53
+    lies below p exactly when the integer raw >> 11 lies below t, since
+    p * 2^53 and the scaling by 2^-53 are exact."""
+    return np.uint64(math.ceil(p * 2.0 ** 53))
+
+
+_HALF = np.uint64(1 << 63)  # raw < 2^63 exactly when its uniform is below 0.5
+
+
+def _received(channel: Channel, master_seed: int, n: int, rows: range) -> np.ndarray:
+    """The all-ones word through the channel for trials `rows`, (len, n)
+    +/-1 reals: a symbol flips when its uniform is below the crossover.
+
+    Built in place over the raw words.  With x = raw >> 11 < 2^53 and
+    t = _threshold(p) <= 2^52, the wrapped difference x - t has its top bit
+    set exactly when x < t; that bit is the sign copysign reads.
+    """
+    raw = _stream_raw(master_seed, PURPOSE_CHANNEL, rows.start, len(rows), n)
+    raw >>= np.uint64(11)
+    raw -= _threshold(channel.crossover)
+    signs = raw.view(np.float64)
+    return np.copysign(1.0, signs, out=signs)
 
 
 def apply_channel(codeword: np.ndarray, channel: Channel,
@@ -215,9 +249,52 @@ def apply_channel(codeword: np.ndarray, channel: Channel,
     codeword = np.asarray(codeword, dtype=np.float64)
     if codeword.ndim != 1:
         raise ValueError("apply_channel expects a 1-D codeword, one trial")
-    ((_, signs),) = _channel_batches(channel, master_seed, codeword.shape[-1],
-                                     range(trial, trial + 1), 1)
-    return codeword * signs[0]
+    return codeword * _received(channel, master_seed, codeword.shape[0],
+                                range(trial, trial + 1))[0]
+
+
+def _workers() -> int:
+    """Worker threads per batch: the cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+# Symbols per row block at least: below this a block's numpy calls are too
+# short to release the GIL for long, and two threads ran several times
+# slower than one.
+_MIN_BLOCK_SYMBOLS = 1 << 18
+
+
+def _row_blocks(work, trials: int, size: int, n: int):
+    """Per batch of up to `size` consecutive trials, in order: the results
+    of work(rows) on its contiguous row blocks, in row order.
+
+    A batch of rows of n symbols is cut into at most one block per worker
+    thread, each of at least _MIN_BLOCK_SYMBOLS symbols when there are two
+    or more.  A batch of one block runs inline, and a run of such batches
+    starts no thread pool.
+    """
+    workers = _workers()
+    pool = None
+    try:
+        for start in range(0, trials, size):
+            rows = min(size, trials - start)
+            count = max(1, min(workers, rows, rows * n // _MIN_BLOCK_SYMBOLS))
+            if count == 1:
+                yield [work(range(start, start + rows))]
+                continue
+            if pool is None:
+                # imported here: with the logging it pulls in, it would add
+                # about 10 ms to every `import rmrec`
+                from concurrent.futures import ThreadPoolExecutor
+                pool = ThreadPoolExecutor(workers)
+            bounds = [start + rows * i // count for i in range(count + 1)]
+            yield list(pool.map(work, [range(a, b) for a, b in zip(bounds, bounds[1:])]))
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def binomial_ci(errors: float, trials: int) -> tuple[float, float]:
@@ -235,23 +312,28 @@ def binomial_ci(errors: float, trials: int) -> tuple[float, float]:
 def run_wer(config: SimConfig, per_path: bool = False) -> SimReport:
     """Estimate word and bit error rates over config.trials decodings."""
     params, n, k = config.params, config.params.n, config.params.k
-    word_errors = 0
-    ops = 0
-    path_errors = np.zeros(k, dtype=np.int64)
-    for batch, received in _channel_batches(config.channel, config.master_seed, n,
-                                            range(config.trials), config.effective_batch()):
+
+    def count_errors(rows: range) -> tuple[int, np.ndarray, int]:
+        received = _received(config.channel, config.master_seed, n, rows)
         if config.transmitted == ALL_ONES:
-            info_true = np.zeros((len(batch), k), dtype=np.uint8)
+            info_true = np.zeros((len(rows), k), dtype=np.uint8)
         else:
-            u = stream_uniforms(config.master_seed, PURPOSE_INFO, batch.start, len(batch), k)
-            info_true = (u < 0.5).astype(np.uint8)
+            raw = _stream_raw(config.master_seed, PURPOSE_INFO, rows.start, len(rows), k)
+            info_true = (raw < _HALF).astype(np.uint8)
             received *= encode_batch(info_true, params)
-        trials_idx = np.arange(batch.start, batch.stop, dtype=np.uint64)
+        trials_idx = np.arange(rows.start, rows.stop, dtype=np.uint64)
         info_hat, _, ops = decode_batch(received, params, config.algorithm,
                                         config.options, trials_idx)
         wrong = info_hat != info_true
-        word_errors += int(np.count_nonzero(wrong.any(axis=1)))
-        path_errors += wrong.sum(axis=0)
+        return int(np.count_nonzero(wrong.any(axis=1))), wrong.sum(axis=0), ops
+
+    word_errors = 0
+    ops = 0
+    path_errors = np.zeros(k, dtype=np.int64)
+    for blocks in _row_blocks(count_errors, config.trials, config.effective_batch(), n):
+        for block_words, block_paths, ops in blocks:
+            word_errors += block_words
+            path_errors += block_paths
     bit_errors = int(path_errors.sum())
     wer, wer_half = binomial_ci(word_errors, config.trials)
     ber, ber_half = binomial_ci(bit_errors, config.trials * k)
@@ -324,11 +406,18 @@ def path_statistics(config: SimConfig) -> GenieReport:
                          "the normalized statistics are not defined")
     path_acc = _MomentAccumulator(len(paths))
     node_acc = _MomentAccumulator(len(nodes))
-    for _, received in _channel_batches(config.channel, config.master_seed, params.n,
-                                        range(config.trials), config.effective_batch()):
-        values, supports = genie_batch(received, params)
-        path_acc.add(values / path_norm)
-        node_acc.add(supports / node_norm)
+
+    def normalized(rows: range) -> tuple[np.ndarray, np.ndarray]:
+        values, supports = genie_batch(
+            _received(config.channel, config.master_seed, params.n, rows), params)
+        return values / path_norm, supports / node_norm
+
+    for blocks in _row_blocks(normalized, config.trials, config.effective_batch(),
+                              params.n):
+        # one add per batch, on the rows in order: the same float sums for
+        # any number of blocks
+        path_acc.add(np.concatenate([values for values, _ in blocks]))
+        node_acc.add(np.concatenate([supports for _, supports in blocks]))
     return GenieReport(config, config.trials,
                        {p: path_acc.stats(j) for j, p in enumerate(paths)},
                        {node.prefix: node_acc.stats(j) for j, node in enumerate(nodes)})

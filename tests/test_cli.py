@@ -107,6 +107,13 @@ def test_decode_rejects_non_finite_reals(capsys):
         parse_word("0.5 nan", 2)
 
 
+def test_decode_rejects_overflow_to_nan(capsys):
+    # finite reals whose v-step products overflow to inf, then inf - inf
+    word = "1e200 1e200 -1e200 1e200 1e200 1e200 1e200 1e200"
+    code, out, err = run_cli(capsys, "decode", "--m", "3", "--r", "1", word)
+    assert code == 2 and out == "" and "NaN" in err
+
+
 def test_decode_from_file(capsys, tmp_path):
     word_file = tmp_path / "word.txt"
     word_file.write_text("0.9 0.8 0.7 0.6 -0.5 -0.4 -0.3 -0.2\n")

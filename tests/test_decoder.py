@@ -233,6 +233,18 @@ def test_decode_validation():
         decode_batch(np.ones((2, 8)), params, "viterbi")
 
 
+def test_single_decode_refuses_nan_symbols():
+    # finite input whose products overflow to inf, then to NaN
+    params = CodeParams(3, 1)
+    y = np.full(8, 1e200)
+    y[2] = -1e200
+    with pytest.raises(ValueError, match="NaN"):
+        decode_psi(y, params)
+    with np.errstate(invalid="ignore"):  # the batch path does not check
+        _, cw, _ = decode_batch(y[None, :], params)
+    assert np.isnan(cw).any()
+
+
 def test_op_counts_reference_values():
     rng = np.random.default_rng(5)
     # (measured, bound) pinned for the published reference codes

@@ -1,7 +1,11 @@
 import dataclasses
+import functools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmrec.simulate
 from rmrec import (
@@ -72,6 +76,43 @@ def test_stream_uniforms_batch_independent():
     assert not np.array_equal(whole, other_purpose)
 
 
+def test_stream_uniforms_are_raw_words_scaled():
+    raw = rmrec.simulate._stream_raw(7, 1, 3, 5, 10)  # 10: not a multiple of 4
+    assert raw.shape == (5, 10) and raw.dtype == np.uint64
+    assert np.array_equal(stream_uniforms(7, 1, 3, 5, 10),
+                          (raw >> np.uint64(11)) * 2.0 ** -53)
+
+
+THRESHOLD_P = (0.0, 2.0 ** -53, 0.25, np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0),
+               0.375, np.nextafter(0.5, 0.0), Channel.awgn_hard(1.0).crossover)
+
+
+def _words_around(p: float) -> np.ndarray:
+    """Every raw word whose top 53 bits are t - 1, t or t + 1, t = ceil(p 2^53):
+    (t << 11) - 1, t << 11 and all their neighbours in the low 11 bits."""
+    t = int(np.ceil(p * 2.0 ** 53))
+    tops = [top for top in (t - 1, t, t + 1) if 0 <= top < 1 << 53]
+    return np.array([(top << 11) + low for top in tops for low in range(1 << 11)],
+                    dtype=np.uint64)
+
+
+@pytest.mark.parametrize("p", THRESHOLD_P)
+def test_channel_threshold_is_exact(monkeypatch, p):
+    raw = _words_around(p)
+    exact = (raw >> np.uint64(11)) * 2.0 ** -53 < p
+    assert np.array_equal(raw >> np.uint64(11) < rmrec.simulate._threshold(p), exact)
+    # the channel itself, fed these words
+    monkeypatch.setattr(rmrec.simulate, "_stream_raw", lambda *args: raw[None, :].copy())
+    assert np.array_equal(apply_channel(np.ones(raw.size), Channel.bsc(p)) < 0, exact)
+
+
+def test_info_bit_threshold_is_exact():
+    raw = _words_around(0.5)
+    assert int(rmrec.simulate._HALF) == 1 << 63
+    assert np.array_equal(raw < rmrec.simulate._HALF,
+                          (raw >> np.uint64(11)) * 2.0 ** -53 < 0.5)
+
+
 def test_run_wer_noiseless():
     report = run_wer(_config(p=0.0, trials=500))
     assert report.wer == 0.0 and report.word_errors == 0
@@ -122,6 +163,7 @@ def test_genie_underflow_raises_before_any_draw(monkeypatch):
         raise AssertionError("the channel was drawn before the underflow check")
 
     monkeypatch.setattr(rmrec.simulate, "stream_uniforms", no_draw)
+    monkeypatch.setattr(rmrec.simulate, "_stream_raw", no_draw)
     config = _config(m=10, r=9, p=0.4, trials=10)  # eps = 0.2
     with pytest.raises(ValueError, match="underflow"):
         path_statistics(config)
@@ -228,3 +270,76 @@ def test_min_sum_simulation_runs():
     config = _config(trials=500, options=DecoderOptions(v_rule="min-sum"))
     report = run_wer(config)
     assert 0.0 <= report.wer <= 1.0
+
+
+def _hexed(value):
+    """A report as nested plain values, every float as its hex string."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _hexed(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: _hexed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hexed(item) for item in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+# 101 trials: the automatic batch is 101 rows, and 3 and 5 divide neither it
+# nor 7
+_INVARIANCE_RUNS = {
+    "phi all-ones": lambda batch: run_wer(
+        _config(m=6, r=2, p=0.15, algorithm="phi", trials=101, batch_size=batch)),
+    "psi random": lambda batch: run_wer(
+        _config(m=6, r=2, p=0.15, transmitted="random", trials=101, batch_size=batch),
+        per_path=True),
+    "genie": lambda batch: path_statistics(
+        _config(m=6, r=2, p=0.15, trials=101, batch_size=batch)),
+}
+
+
+def test_row_blocks_cut_batches_in_order(monkeypatch):
+    monkeypatch.setattr(rmrec.simulate, "_workers", lambda: 3)
+    wide = rmrec.simulate._MIN_BLOCK_SYMBOLS
+    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 10, 7, wide))
+    assert cut == [[range(0, 2), range(2, 4), range(4, 7)],
+                   [range(7, 8), range(8, 9), range(9, 10)]]
+    # too few symbols for two blocks: one block per batch
+    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 10, 7, wide // 4))
+    assert cut == [[range(0, 7)], [range(7, 10)]]
+    # never more blocks than rows
+    monkeypatch.setattr(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", 1)
+    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 3, 2, 64))
+    assert cut == [[range(0, 1), range(1, 2)], [range(2, 3)]]
+
+
+@pytest.mark.parametrize("batch", (1, 7, 0))
+@pytest.mark.parametrize("run", sorted(_INVARIANCE_RUNS))
+def test_reports_independent_of_worker_count(monkeypatch, run, batch):
+    monkeypatch.setattr(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", 1)  # cut small batches too
+    reports = []
+    for workers in (1, 2, 3, 5):
+        monkeypatch.setattr(rmrec.simulate, "_workers", lambda: workers)
+        reports.append(_hexed(_INVARIANCE_RUNS[run](batch)))
+    assert all(report == reports[0] for report in reports[1:])
+
+
+def _counters(report) -> tuple:
+    if isinstance(report, GenieReport):
+        return tuple((s.negatives, s.zeros)
+                     for table in (report.path_stats, report.node_stats)
+                     for s in table.values())
+    return report.word_errors, report.bit_errors, report.path_error_rates
+
+
+@functools.cache
+def _reference_counters(run: str) -> tuple:
+    return _counters(_INVARIANCE_RUNS[run](0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(run=st.sampled_from(sorted(_INVARIANCE_RUNS)), batch=st.integers(1, 120),
+       workers=st.integers(1, 6))
+def test_counters_independent_of_batch_split(run, batch, workers):
+    with mock.patch.object(rmrec.simulate, "_workers", lambda: workers), \
+            mock.patch.object(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", 1):
+        report = _INVARIANCE_RUNS[run](batch)
+    assert _counters(report) == _reference_counters(run)
