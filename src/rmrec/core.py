@@ -263,28 +263,40 @@ def symbols_to_bits(symbols: np.ndarray) -> np.ndarray:
     return (sym < 0).astype(np.uint8)
 
 
+def _memory_order(block: np.ndarray) -> str:
+    """"F" for a symbol-major (B, n) block, one that is F-contiguous and not
+    C-contiguous; "C" for any other."""
+    return "F" if block.flags.f_contiguous and not block.flags.c_contiguous else "C"
+
+
 def _encode(node: PlotkinNode, info: np.ndarray, out: np.ndarray) -> None:
-    # writes the +/-1 codeword of the node's info columns into out, (B, 2^length_log)
+    # writes the +/-1 codeword of the node's info columns into the
+    # symbol-first view out, (2^length_log, B)
     if node.kind == SPLIT:
         v, u = node.children
-        half = out.shape[1] // 2
-        _encode(v, info, out[:, half:])
-        _encode(u, info, out[:, :half])
-        out[:, half:] *= out[:, :half]  # (u, u*v)
+        half = out.shape[0] // 2
+        _encode(v, info, out[half:])
+        _encode(u, info, out[:half])
+        out[half:] *= out[:half]  # (u, u*v)
     else:  # a repetition node broadcasts its single bit
-        out[:] = 1.0 - 2.0 * info[:, node.info]
+        out[:] = 1.0 - 2.0 * info[:, node.info].T
 
 
 def encode_batch(info: np.ndarray, params: CodeParams) -> np.ndarray:
-    """Encode a (B, k) block of information bits into (B, n) +/-1 symbols."""
+    """Encode a (B, k) block of information bits into (B, n) +/-1 symbols.
+
+    The codewords come back in the memory order of the info block: an
+    F-ordered (symbol-major) block gives F-ordered codewords, anything
+    else C-ordered ones.
+    """
     info = np.atleast_2d(np.asarray(info))
     if info.shape[1] != params.k:
         raise ValueError(f"info block must have k={params.k} bits per row, "
                          f"got {info.shape[1]}")
     if info.size and not np.all((info == 0) | (info == 1)):
         raise ValueError("info bits must be 0 or 1")
-    out = np.empty((info.shape[0], params.n))
-    _encode(plotkin_tree(params.m, params.r).root, info, out)
+    out = np.empty((info.shape[0], params.n), order=_memory_order(info))
+    _encode(plotkin_tree(params.m, params.r).root, info, out.T)
     return out
 
 

@@ -17,6 +17,20 @@ the public end-node helpers run the same kernels: the v step, the u step,
 the sign with tie resolution, and the repetition and first-order
 decisions.
 
+Memory order: the walk slices the symbol axis of a symbol-first (n, B)
+view, the transpose of the (B, n) batch a caller passes.  For a row-major
+(C-ordered) batch every node works on B short row segments, as numpy lays
+out each temporary like its inputs; for a symbol-major (F-ordered) batch,
+an (n, B) C array underneath, every v step, u step, sign and re-assembly
+runs on one contiguous (w/2, B) or (w, B) slab, which is much faster at
+small widths.  Two kinds of step depend on the order of their additions
+and read each trial's row instead: the repetition node's sum (numpy sums a
+row pairwise; summed down a slab, a row of 8 or more reals rounds
+differently) and the first-order node's FHT and argmax.  A row-major view
+already has contiguous rows; a symbol-major slab is copied into rows
+first.  The output is therefore bit-identical for any memory order of the
+input, and comes back in the input's order.
+
 First-order map: the FHT winner of a node {L, 1} is a pattern index
 `best` in [0, 2^L) and a sign.  Its L+1 info bits, in the node's path
 order, are the pattern bits (best >> (L-1)) & 1, ..., (best >> 1) & 1, one
@@ -24,8 +38,10 @@ per v step from the top, then the two symbols s and s ^ (best & 1) of the
 closing {1, 1} node, where s is 1 when the sign is negative.  The node's
 codeword, those bits encoded through the {L, 1} Plotkin tree, is the sign
 times row `best` of the Hadamard matrix, whose entry (j, i) is
-(-1)^popcount(i & j); the decoder writes it from that rule and walks no
-{L, 1} tree.
+(-1)^popcount(i & j).  With w = a*b as in :func:`hadamard_transform`, that
+row is the Kronecker product of row best // b of H_a and row best % b of
+H_b; the decoder writes it from the cached factors and walks no {L, 1}
+tree.
 
 Operation counting: every real addition, multiplication, comparison and
 sign evaluation costs one unit.  A Hadamard butterfly stage costs two per
@@ -62,6 +78,7 @@ from .core import (
     CodeParams,
     Path,
     PlotkinNode,
+    _memory_order,
     enumerate_paths,
     extract_info_batch,  # not called here; benchmarks/tracer.py wraps this binding
     plotkin_tree,
@@ -222,9 +239,13 @@ def _v_step(y1: np.ndarray, y2: np.ndarray, v_rule: str) -> np.ndarray:
 
 
 def _u_step(y1: np.ndarray, y2: np.ndarray, v_hat: np.ndarray, u_rule: str) -> np.ndarray:
+    # one temporary; y2*v_hat + y1 rounds as y1 + y2*v_hat, IEEE addition
+    # being exactly commutative
+    u = y2 * v_hat
+    u += y1
     if u_rule == SCALED:
-        return (y1 + y2 * v_hat) * 0.5
-    return y1 + y2 * v_hat
+        u *= 0.5
+    return u
 
 
 def recalc_v(y1: np.ndarray, y2: np.ndarray, v_rule: str = PRODUCT) -> np.ndarray:
@@ -281,9 +302,15 @@ def hadamard_transform(x: np.ndarray) -> np.ndarray:
     width = x.shape[-1]
     if width < 1 or width & (width - 1):
         raise ValueError(f"length must be a power of two, got {width}")
+    a, b = _kronecker_split(width)
+    rows = x.reshape(-1, a, b)
+    return (_hadamard_matrix(a) @ (rows @ _hadamard_matrix(b))).reshape(x.shape)
+
+
+def _kronecker_split(width: int) -> tuple[int, int]:
+    """(a, b) with a * b = width and a = 2^floor(log2(width) / 2)."""
     a = 1 << ((width.bit_length() - 1) // 2)
-    rows = x.reshape(-1, a, width // a)
-    return (_hadamard_matrix(a) @ (rows @ _hadamard_matrix(width // a))).reshape(x.shape)
+    return a, width // a
 
 
 @cache
@@ -329,6 +356,21 @@ def biorthogonal_codebook(g: int) -> np.ndarray:
 
 # --- end-node decisions -----------------------------------------------------
 
+def _rows(y: np.ndarray) -> np.ndarray:
+    """The (B, w) rows of a symbol-first (w, B) view, each contiguous in memory.
+
+    For row-major input that is the view itself; a symbol-major slab is
+    copied.  Sums along a row and the FHT then see each row as they would in
+    a (B, n) C array, and round the same whatever the input's memory order:
+    summed along the slab's symbol axis, a row of 8 or more reals rounds
+    differently from numpy's pairwise row sum.
+    """
+    rows = y.T
+    if rows.shape[1] > 1 and rows.strides[1] != rows.itemsize:
+        rows = np.ascontiguousarray(rows)
+    return rows
+
+
 def _repetition(y: np.ndarray, options: DecoderOptions, trials: np.ndarray,
                 site: int) -> tuple[np.ndarray, np.ndarray]:
     """MD decisions of repetition blocks: (+/-1 decisions, block means), (B, 1) each."""
@@ -336,25 +378,35 @@ def _repetition(y: np.ndarray, options: DecoderOptions, trials: np.ndarray,
     return _signs(total, options, trials, site), total / y.shape[1]
 
 
+@cache
+def _pattern_shifts(length_log: int) -> np.ndarray:
+    """Right shifts that read a {length_log, 1} winner's pattern bits, one per
+    v step from the top."""
+    return np.arange(length_log - 1, 0, -1)
+
+
 def _first_order(y: np.ndarray, length_log: int, options: DecoderOptions,
                  trials: np.ndarray, site: int, cw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """MD decisions of first-order blocks via the FHT.
 
-    Writes the +/-1 codewords into cw and returns (info bits, end values);
-    the end value is the winning correlation over the block length, (B, 1).
-    The info bits are read off the winner (see the module docstring); the
-    codeword is the winner's sign times Hadamard row `best`, written in place.
+    y holds one block per row, (B, w); writes the +/-1 codewords into cw,
+    (B, w) in any memory order, and returns (info bits, end values); the
+    end value is the winning correlation over the block length, (B, 1).
+    The info bits and the codeword are read off the winner (see the module
+    docstring).
     """
     corr = hadamard_transform(y)
     best = np.argmax(np.abs(corr), axis=1)  # first (lowest-index) maximum wins
-    winning = np.take_along_axis(corr, best[:, None], axis=1)
+    winning = corr[np.arange(len(best)), best][:, None]
     sign = _signs(winning, options, trials, site)
     bits = np.empty((y.shape[0], length_log + 1), dtype=np.uint8)
-    bits[:, :-2] = (best[:, None] >> np.arange(length_log - 1, 0, -1)) & 1
+    bits[:, :-2] = (best[:, None] >> _pattern_shifts(length_log)) & 1
     bits[:, -2] = sign[:, 0] < 0
     bits[:, -1] = bits[:, -2] ^ (best & 1)
-    np.copyto(cw, sign)
-    np.negative(cw, out=cw, where=_hadamard_negative(best, y.shape[1]))
+    a, b = _kronecker_split(y.shape[1])
+    high, low = np.divmod(best, b)
+    np.multiply((sign * _hadamard_matrix(a)[high])[:, :, None], _hadamard_matrix(b)[low][:, None, :],
+                out=cw.reshape(-1, a, b))  # splitting an axis is always a view
     return bits, winning * sign / y.shape[1]
 
 
@@ -449,37 +501,41 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
         if trials.shape != (y.shape[0],):
             raise ValueError("trials must hold one index per row")
     phi = algorithm == ALG_PHI
-    info = np.empty((y.shape[0], params.k), dtype=np.uint8)
+    order = _memory_order(y)
+    info = np.empty((y.shape[0], params.k), dtype=np.uint8, order=order)
     if trace:
         values = np.empty((y.shape[0], params.k))
         decisions = np.empty((y.shape[0], params.k), dtype=np.int64)
 
     def walk(node, y: np.ndarray, cw: np.ndarray) -> None:
-        # decodes y into cw, (B, 2^length_log), and the node's info columns
+        # decodes the symbol-first view y, (2^length_log, B), into the view
+        # cw and the node's info columns
         if node.kind == SPLIT:
             v, u = node.children
-            half = y.shape[1] // 2
-            y1, y2 = y[:, :half], y[:, half:]
-            walk(v, _v_step(y1, y2, options.v_rule), cw[:, half:])
-            walk(u, _u_step(y1, y2, cw[:, half:], options.u_rule), cw[:, :half])
-            cw[:, half:] *= cw[:, :half]  # symbol re-assembly (u, u*v), uncounted
+            half = y.shape[0] // 2
+            y1, y2 = y[:half], y[half:]
+            walk(v, _v_step(y1, y2, options.v_rule), cw[half:])
+            walk(u, _u_step(y1, y2, cw[half:], options.u_rule), cw[:half])
+            cw[half:] *= cw[:half]  # symbol re-assembly (u, u*v), uncounted
             return
         if node.kind == FIRST_ORDER:
-            bits, value = _first_order(y, node.length_log, options, trials, node.site, cw)
+            bits, value = _first_order(_rows(y), node.length_log, options, trials, node.site,
+                                       cw.T)
         else:
             if node.kind == RIGHT_END:
-                cw[:], value = _signs(y, options, trials, node.site), y
+                cw.T[:], value = _signs(y.T, options, trials, node.site), y.T
             else:
-                cw[:], value = _repetition(y, options, trials, node.site)
-            bits = cw[:, :len(node.paths)] < 0
+                signs, value = _repetition(_rows(y), options, trials, node.site)
+                cw[:] = signs.T
+            bits = cw[:len(node.paths)].T < 0
         info[:, node.info] = bits
         if trace:
             values[:, node.info] = value
             decisions[:, node.info] = np.where(bits, -1, 1)
 
-    cw = np.empty_like(y)
+    cw = np.empty(y.shape, order=order)
     with np.errstate(over="ignore"):  # unscaled intermediates may reach inf
-        walk(plotkin_tree(params.m, params.r, phi).root, y, cw)
+        walk(plotkin_tree(params.m, params.r, phi).root, y.T, cw.T)
     ops = _op_count(params.m, params.r, phi, options.u_rule, options.v_rule)
     return info, cw, ops, (values, decisions) if trace else None
 
@@ -490,7 +546,9 @@ def decode_batch(y: np.ndarray, params: CodeParams, algorithm: str = ALG_PSI,
                  ) -> tuple[np.ndarray, np.ndarray, int]:
     """Decode a (B, n) batch of real blocks; rows are independent trials.
 
-    Returns (info bits (B, k), codewords (B, n), op count per block).
+    Returns (info bits (B, k), codewords (B, n), op count per block),
+    both in y's memory order: an F-ordered (symbol-major) batch decodes
+    fastest, to the same bits (see the module docstring).
     `trials` supplies the per-row trial indices for the tie coin.  Nothing
     checks the output here: a row whose intermediates overflow to inf and
     then NaN yields NaN symbols, which :func:`decode_psi` and :func:`decode_phi`

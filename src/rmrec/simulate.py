@@ -14,6 +14,17 @@ genie statistics of a batch are put back together in row order and
 accumulated once, as one array.  The batch size does enter them, because
 floating-point accumulators are combined batch by batch.
 
+Memory order is fixed per algorithm.  psi blocks run symbol-major: the
+received word is built as an (n, rows) array, random codewords are encoded
+into one, and the decoder walks it as contiguous per-symbol slabs (see
+:mod:`rmrec.decoder`), at about 1.6-1.8 times the speed of a row-major
+{8,2} block of 8192 rows, draw included.  phi and genie blocks stay
+row-major: phi's FHT reads rows, which a symbol-major block must copy out
+first, and the genie recursion's sums are wide; drawn and decoded
+symbol-major, a {10,2} phi block of 2048 rows ran at about 0.67 times and
+a {12,1} genie block of 512 rows at about 0.85 times the row-major speed
+(one thread).  The order never enters a result.
+
 Channels are binary symmetric: either with an explicit crossover p or as
 the hard-decision image of an AWGN channel with deviation sigma, whose
 crossover is Q(1/sigma).  By symmetry of the decoders' arithmetic the
@@ -228,19 +239,36 @@ def _threshold(p: float) -> np.uint64:
 _HALF = np.uint64(1 << 63)  # raw < 2^63 exactly when its uniform is below 0.5
 
 
-def _received(channel: Channel, master_seed: int, n: int, rows: range) -> np.ndarray:
-    """The all-ones word through the channel for trials `rows`, (len, n)
-    +/-1 reals: a symbol flips when its uniform is below the crossover.
+# Symbols per chunk of a symbol-major received block: each chunk of rows is
+# drawn row-major and transposed into place, so its draw buffer stays small.
+_CHUNK_SYMBOLS = 1 << 16
 
-    Built in place over the raw words.  With x = raw >> 11 < 2^53 and
-    t = _threshold(p) <= 2^52, the wrapped difference x - t has its top bit
-    set exactly when x < t; that bit is the sign copysign reads.
+
+def _received(channel: Channel, master_seed: int, n: int, rows: range,
+              order: str = "C") -> np.ndarray:
+    """The all-ones word through the channel for trials `rows`, (len, n)
+    +/-1 reals in memory order `order` ("C" row-major, "F" symbol-major): a
+    symbol flips when its uniform is below the crossover.
+
+    A row-major block is built in place over the raw words.  With
+    x = raw >> 11 < 2^53 and t = _threshold(p) <= 2^52, the wrapped
+    difference x - t has its top bit set exactly when x < t; that bit is the
+    sign copysign reads.  A symbol-major block is built the same way in
+    chunks of rows, each transposed into an (n, len) array, so that no
+    second buffer of the block's size exists.
     """
-    raw = _stream_raw(master_seed, PURPOSE_CHANNEL, rows.start, len(rows), n)
-    raw >>= np.uint64(11)
-    raw -= _threshold(channel.crossover)
-    signs = raw.view(np.float64)
-    return np.copysign(1.0, signs, out=signs)
+    if order == "C":
+        raw = _stream_raw(master_seed, PURPOSE_CHANNEL, rows.start, len(rows), n)
+        raw >>= np.uint64(11)
+        raw -= _threshold(channel.crossover)
+        signs = raw.view(np.float64)
+        return np.copysign(1.0, signs, out=signs)
+    out = np.empty((n, len(rows)))
+    step = max(1, _CHUNK_SYMBOLS // n)
+    for start in range(0, len(rows), step):
+        chunk = range(rows.start + start, min(rows.start + start + step, rows.stop))
+        out[:, start:start + len(chunk)] = _received(channel, master_seed, n, chunk).T
+    return out.T
 
 
 def apply_channel(codeword: np.ndarray, channel: Channel,
@@ -310,16 +338,22 @@ def binomial_ci(errors: float, trials: int) -> tuple[float, float]:
 
 
 def run_wer(config: SimConfig, per_path: bool = False) -> SimReport:
-    """Estimate word and bit error rates over config.trials decodings."""
+    """Estimate word and bit error rates over config.trials decodings.
+
+    psi blocks are drawn, encoded and decoded symbol-major, phi blocks
+    row-major (see the module docstring); the report is the same either way.
+    """
     params, n, k = config.params, config.params.n, config.params.k
+    order = "F" if config.algorithm == ALG_PSI else "C"
 
     def count_errors(rows: range) -> tuple[int, np.ndarray, int]:
-        received = _received(config.channel, config.master_seed, n, rows)
+        received = _received(config.channel, config.master_seed, n, rows, order)
         if config.transmitted == ALL_ONES:
             info_true = np.zeros((len(rows), k), dtype=np.uint8)
         else:
             raw = _stream_raw(config.master_seed, PURPOSE_INFO, rows.start, len(rows), k)
-            info_true = (raw < _HALF).astype(np.uint8)
+            info_true = np.empty((len(rows), k), dtype=np.uint8, order=order)
+            np.less(raw, _HALF, out=info_true)
             received *= encode_batch(info_true, params)
         trials_idx = np.arange(rows.start, rows.stop, dtype=np.uint64)
         info_hat, _, ops = decode_batch(received, params, config.algorithm,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmrec import (
     LEFT_END,
@@ -13,7 +15,7 @@ from rmrec import (
     encode_op_count,
     enumerate_paths,
 )
-from rmrec.core import plotkin_tree, symbols_to_bits
+from rmrec.core import extract_info_batch, plotkin_tree, symbols_to_bits
 
 from oracles import encode_oracle, generator_rows, pack_rows, packed_codebook, popcount
 
@@ -165,6 +167,30 @@ def test_info_roundtrip():
         params = CodeParams(m, r)
         info = rng.integers(0, 2, params.k).astype(np.uint8)
         assert np.array_equal(codeword_to_info(encode(info, params), params), info)
+
+
+@st.composite
+def _info_blocks(draw):
+    """A code with m <= 10, a (B, k) info block with 1 <= B <= 40, and a memory order."""
+    m = draw(st.integers(1, 10))
+    r = draw(st.integers(0, m))
+    rows = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    order = draw(st.sampled_from("CF"))
+    params = CodeParams(m, r)
+    info = np.random.default_rng(seed).integers(0, 2, (rows, params.k), dtype=np.uint8)
+    return params, np.asarray(info, order=order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_info_blocks())
+def test_encode_batch_roundtrip_and_rows(case):
+    params, info = case
+    codewords = encode_batch(info, params)
+    assert codewords.shape == (info.shape[0], params.n)
+    assert np.array_equal(extract_info_batch(codewords, params.m, params.r), info)
+    for row, codeword in zip(info, codewords):
+        assert np.array_equal(encode(row, params), codeword)
 
 
 def test_exhaustive_distance_small():

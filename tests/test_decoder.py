@@ -20,7 +20,15 @@ from rmrec import (
     recalc_v,
 )
 from rmrec.core import SPLIT, extract_info_batch, plotkin_tree
-from rmrec.decoder import MIN_SUM, TIE_POSITIVE, UNSCALED, genie_batch
+from rmrec.decoder import (
+    MIN_SUM,
+    PRODUCT,
+    SCALED,
+    TIE_POSITIVE,
+    TIE_RANDOM,
+    UNSCALED,
+    genie_batch,
+)
 
 from oracles import brute_codebook, butterfly_fht, md_oracle, popcount
 
@@ -344,6 +352,43 @@ def test_batch_matches_single_calls():
         assert np.array_equal(single.info, info[i])
         assert np.array_equal(single.codeword, cw[i])
         assert single.op_count == ops
+
+
+MEMORY_ORDER_RULES = [DecoderOptions(u_rule=u, v_rule=v, tie_rule=t, tie_seed=9)
+                      for u in (SCALED, UNSCALED) for v in (PRODUCT, MIN_SUM)
+                      for t in (TIE_RANDOM, TIE_POSITIVE)]
+
+
+@pytest.mark.parametrize("m, r", [(5, 0), (6, 2), (7, 3), (8, 2)])
+def test_rows_independent_of_memory_order(m, r):
+    # A C-ordered batch runs in row-major order, an F-ordered one runs
+    # symbol-major (each node's halves are contiguous slabs); the end-node
+    # reductions must still round as on one row alone
+    rng = np.random.default_rng(20 + m)
+    params = CodeParams(m, r)
+    half = rng.normal(size=(20, params.n // 2))
+    # rows whose exact sum is 0: the rounded sum, and hence a repetition
+    # root's decision, depends on the order of the additions
+    cancelling = rng.permuted(np.hstack([half, -half]), axis=1)
+    y = np.vstack([rng.normal(size=(20, params.n)), cancelling,
+                   rng.integers(-1, 2, size=(20, params.n)).astype(np.float64)])
+    y[:20][rng.uniform(size=(20, params.n)) < 0.05] = 0.0  # ties on real rows too
+    trials = np.arange(len(y), dtype=np.uint64) + 1000
+    symbol_major = np.asfortranarray(y)
+    for algorithm in ("psi", "phi") if r >= 1 else ("psi",):
+        for options in MEMORY_ORDER_RULES:
+            info, cw, _ = decode_batch(y, params, algorithm, options, trials)
+            info_f, cw_f, _ = decode_batch(symbol_major, params, algorithm, options, trials)
+            assert cw_f.flags.f_contiguous and not cw_f.flags.c_contiguous
+            assert np.array_equal(info_f, info) and np.array_equal(cw_f, cw)
+            for j in range(len(y)):
+                info_j, cw_j, _ = decode_batch(y[j], params, algorithm, options, trials[j:j + 1])
+                assert np.array_equal(info_j[0], info[j]) and np.array_equal(cw_j[0], cw[j])
+    bits = rng.integers(0, 2, size=(len(y), params.k), dtype=np.uint8)
+    encoded_f = encode_batch(np.asfortranarray(bits), params)
+    if params.k > 1:  # a (B, 1) block is C- and F-contiguous at once
+        assert encoded_f.flags.f_contiguous and not encoded_f.flags.c_contiguous
+    assert np.array_equal(encoded_f, encode_batch(bits, params))
 
 
 def test_phi_first_order_is_one_biorthogonal_call():

@@ -16,12 +16,14 @@ from rmrec import (
     SimConfig,
     apply_channel,
     decode_batch,
+    decode_psi,
+    encode,
     path_statistics,
     run_wer,
     sweep,
 )
 from rmrec.analysis import moments_for_path, phi_weakest_variance, q_function, weakest_path
-from rmrec.simulate import binomial_ci, stream_uniforms
+from rmrec.simulate import PURPOSE_INFO, binomial_ci, stream_uniforms
 
 
 def _config(m=7, r=2, p=0.12, **kw):
@@ -343,3 +345,47 @@ def test_counters_independent_of_batch_split(run, batch, workers):
             mock.patch.object(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", 1):
         report = _INVARIANCE_RUNS[run](batch)
     assert _counters(report) == _reference_counters(run)
+
+
+_RECOUNT_RUNS = {(6, 2): (0.15, 60), (8, 2): (0.2, 40)}  # crossover, trials
+
+
+@functools.cache
+def _row_recount(m: int, r: int, transmitted: str) -> tuple:
+    """Per-path error counts of psi run trial by trial through the public
+    single-row path: apply_channel, then decode_psi."""
+    params = CodeParams(m, r)
+    p, trials = _RECOUNT_RUNS[m, r]
+    options = DecoderOptions(tie_seed=4)
+    path_errors = np.zeros(params.k, dtype=np.int64)
+    word_errors = 0
+    for trial in range(trials):
+        info = np.zeros(params.k, dtype=np.uint8)
+        if transmitted == "random":
+            info = (stream_uniforms(31, PURPOSE_INFO, trial, 1, params.k)[0] < 0.5).astype(np.uint8)
+        received = apply_channel(encode(info, params), Channel.bsc(p), master_seed=31, trial=trial)
+        wrong = decode_psi(received, params, options, trial=trial).info != info
+        word_errors += int(wrong.any())
+        path_errors += wrong
+    return word_errors, tuple(int(e) for e in path_errors)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("batch", (1, 7, 0))
+@pytest.mark.parametrize("transmitted", ("all-ones", "random"))
+@pytest.mark.parametrize("m, r", sorted(_RECOUNT_RUNS))
+def test_psi_counters_match_row_recount(monkeypatch, m, r, transmitted, batch, workers):
+    # run_wer hands psi symbol-major blocks; its counters must equal a
+    # recount over the row-major public path
+    monkeypatch.setattr(rmrec.simulate, "_workers", lambda: workers)
+    monkeypatch.setattr(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", 1)  # cut small batches too
+    monkeypatch.setattr(rmrec.simulate, "_CHUNK_SYMBOLS", 768)  # several chunks per block
+    p, trials = _RECOUNT_RUNS[m, r]
+    report = run_wer(_config(m=m, r=r, p=p, trials=trials, master_seed=31, batch_size=batch,
+                             transmitted=transmitted, options=DecoderOptions(tie_seed=4)),
+                     per_path=True)
+    word_errors, path_errors = _row_recount(m, r, transmitted)
+    assert report.word_errors == word_errors > 0
+    assert report.bit_errors == sum(path_errors)
+    assert [rate for rate, _ in report.path_error_rates.values()] == \
+        [errors / trials for errors in path_errors]
