@@ -35,13 +35,17 @@ First-order map: the FHT winner of a node {L, 1} is a pattern index
 `best` in [0, 2^L) and a sign.  Its L+1 info bits, in the node's path
 order, are the pattern bits (best >> (L-1)) & 1, ..., (best >> 1) & 1, one
 per v step from the top, then the two symbols s and s ^ (best & 1) of the
-closing {1, 1} node, where s is 1 when the sign is negative.  The node's
-codeword, those bits encoded through the {L, 1} Plotkin tree, is the sign
-times row `best` of the Hadamard matrix, whose entry (j, i) is
-(-1)^popcount(i & j).  With w = a*b as in :func:`hadamard_transform`, that
-row is the Kronecker product of row best // b of H_a and row best % b of
-H_b; the decoder writes it from the cached factors and walks no {L, 1}
-tree.
+closing {1, 1} node, where s is 1 when the sign is negative.  A read-only
+table cached per width holds them for every winner: the decoder gathers
+row 2*best + s.  The node's codeword, those bits encoded through the
+{L, 1} Plotkin tree, is the sign times row `best` of the Hadamard matrix,
+whose entry (j, i) is (-1)^popcount(i & j).  With w = a*b as in
+:func:`hadamard_transform`, that row is the Kronecker product of row
+best >> log2(b) of H_a and row best & (b - 1) of H_b; the decoder writes it
+from the factors cached beside the table and walks no {L, 1} tree.  End
+values, the winning correlation over w here and the block mean at a
+repetition node, exist only for traces: an untraced decode does not
+compute them.
 
 Operation counting: every real addition, multiplication, comparison and
 sign evaluation costs one unit.  A Hadamard butterfly stage costs two per
@@ -67,6 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -215,8 +220,8 @@ def _signs(values: np.ndarray, options: DecoderOptions, trials: np.ndarray,
     """Componentwise sign with tie resolution; column j resolves its ties at
     site + j, so site indices stay aligned whether or not ties occur."""
     out = np.sign(values)
-    zero = out == 0.0
-    if zero.any():
+    if np.count_nonzero(out) < out.size:  # one call: sign(NaN) is NaN, not a tie
+        zero = out == 0.0
         if options.tie_rule == TIE_POSITIVE:
             out[zero] = 1.0
         else:
@@ -302,24 +307,48 @@ def hadamard_transform(x: np.ndarray) -> np.ndarray:
     width = x.shape[-1]
     if width < 1 or width & (width - 1):
         raise ValueError(f"length must be a power of two, got {width}")
-    a, b = _kronecker_split(width)
-    rows = x.reshape(-1, a, b)
-    return (_hadamard_matrix(a) @ (rows @ _hadamard_matrix(b))).reshape(x.shape)
+    a, b, _, h_a, h_b, _ = _first_order_tables(width)
+    return (h_a @ (x.reshape(-1, a, b) @ h_b)).reshape(x.shape)
 
 
-def _kronecker_split(width: int) -> tuple[int, int]:
-    """(a, b) with a * b = width and a = 2^floor(log2(width) / 2)."""
-    a = 1 << ((width.bit_length() - 1) // 2)
-    return a, width // a
+class _FirstOrderTables(NamedTuple):
+    """Read-only tables of one width w = a * b, built once per width."""
+
+    a: int  # 2^floor(log2(w) / 2)
+    b: int  # w // a
+    b_log: int  # log2(b)
+    h_a: np.ndarray  # the a x a and b x b Hadamard matrices, H_w = H_a (x) H_b
+    h_b: np.ndarray
+    bits: np.ndarray  # (2w, log2(w) + 1) uint8: row 2*best + negative holds a winner's info bits
 
 
 @cache
-def _hadamard_matrix(width: int) -> np.ndarray:
-    """The read-only +/-1 Hadamard matrix of a width, a Kronecker factor of
-    :func:`hadamard_transform` (at most 64 x 64 for widths up to 2^12)."""
-    matrix = np.where(_hadamard_negative(np.arange(width), width), -1.0, 1.0)
-    matrix.flags.writeable = False
-    return matrix
+def _first_order_tables(width: int) -> _FirstOrderTables:
+    """The Kronecker factors of :func:`hadamard_transform` and the info-bit
+    table of a first-order node, for one power-of-two width.
+
+    Row 2*best + negative of the bit table holds the info bits of the winner
+    (pattern best, sign -1 when negative; see the module docstring), read
+    from the top bit of one integer `code`, so that widths below 4 need no
+    case of their own.  The factors are at most 64 x 64 and the table at
+    most 8192 x 13 for widths up to 2^12.
+    """
+    length_log = width.bit_length() - 1
+    a = 1 << (length_log // 2)
+    b = width // a
+    # column by column from the narrowest integers that hold `code`: a whole
+    # (2w, log2(w) + 1) integer temporary adds 376 MiB to the peak memory of
+    # one transform at width 2^20
+    row = np.arange(2 * width, dtype=np.min_scalar_type(2 * width - 1))
+    best, negative = row >> 1, row & 1
+    code = (best >> 1 << 2) | negative << 1 | (negative ^ best & 1)
+    bits = np.empty((2 * width, length_log + 1), dtype=np.uint8)
+    for column in range(length_log + 1):
+        bits[:, column] = code >> (length_log - column) & 1
+    h_a, h_b = (np.where(_hadamard_negative(np.arange(n), n), -1.0, 1.0) for n in (a, b))
+    for table in (h_a, h_b, bits):
+        table.flags.writeable = False
+    return _FirstOrderTables(a, b, b.bit_length() - 1, h_a, h_b, bits)
 
 
 def _hadamard_negative(patterns: np.ndarray, width: int) -> np.ndarray:
@@ -372,42 +401,35 @@ def _rows(y: np.ndarray) -> np.ndarray:
 
 
 def _repetition(y: np.ndarray, options: DecoderOptions, trials: np.ndarray,
-                site: int) -> tuple[np.ndarray, np.ndarray]:
-    """MD decisions of repetition blocks: (+/-1 decisions, block means), (B, 1) each."""
+                site: int, trace: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """MD decisions of repetition blocks: (+/-1 decisions, block means), (B, 1)
+    each; the means only under `trace`, None otherwise."""
     total = y.sum(axis=1, keepdims=True)
-    return _signs(total, options, trials, site), total / y.shape[1]
+    return _signs(total, options, trials, site), total / y.shape[1] if trace else None
 
 
-@cache
-def _pattern_shifts(length_log: int) -> np.ndarray:
-    """Right shifts that read a {length_log, 1} winner's pattern bits, one per
-    v step from the top."""
-    return np.arange(length_log - 1, 0, -1)
-
-
-def _first_order(y: np.ndarray, length_log: int, options: DecoderOptions,
-                 trials: np.ndarray, site: int, cw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, site: int,
+                 cw: np.ndarray, trace: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """MD decisions of first-order blocks via the FHT.
 
     y holds one block per row, (B, w); writes the +/-1 codewords into cw,
     (B, w) in any memory order, and returns (info bits, end values); the
-    end value is the winning correlation over the block length, (B, 1).
-    The info bits and the codeword are read off the winner (see the module
-    docstring).
+    end value, the winning correlation over the block length, (B, 1), is
+    computed only under `trace` (None otherwise).  The info bits and the
+    codeword are read off the winner (see the module docstring).
     """
-    corr = hadamard_transform(y)
-    best = np.argmax(np.abs(corr), axis=1)  # first (lowest-index) maximum wins
-    winning = corr[np.arange(len(best)), best][:, None]
+    width = y.shape[1]
+    a, b, b_log, h_a, h_b, bit_table = _first_order_tables(width)
+    corr = hadamard_transform(y)  # the module binding, which benchmarks/tracer.py wraps
+    best = np.abs(corr).argmax(axis=1)  # first (lowest-index) maximum wins
+    winning = corr.take(np.arange(0, corr.size, width) + best)[:, None]
     sign = _signs(winning, options, trials, site)
-    bits = np.empty((y.shape[0], length_log + 1), dtype=np.uint8)
-    bits[:, :-2] = (best[:, None] >> _pattern_shifts(length_log)) & 1
-    bits[:, -2] = sign[:, 0] < 0
-    bits[:, -1] = bits[:, -2] ^ (best & 1)
-    a, b = _kronecker_split(y.shape[1])
-    high, low = np.divmod(best, b)
-    np.multiply((sign * _hadamard_matrix(a)[high])[:, :, None], _hadamard_matrix(b)[low][:, None, :],
+    # .take gathers rows several times faster than fancy indexing
+    bits = bit_table.take(2 * best + np.signbit(sign[:, 0]), axis=0)
+    np.multiply((sign * h_a.take(best >> b_log, axis=0))[:, :, None],
+                h_b.take(best & (b - 1), axis=0)[:, None, :],
                 out=cw.reshape(-1, a, b))  # splitting an axis is always a view
-    return bits, winning * sign / y.shape[1]
+    return bits, winning * sign / width if trace else None
 
 
 def _one_block(z: np.ndarray) -> np.ndarray:
@@ -428,7 +450,7 @@ def md_repetition(z: np.ndarray, options: DecoderOptions | None = None,
     Returns (+/-1 decision, end value), the end value being the block mean.
     """
     decision, mean = _repetition(_one_block(z), options or DecoderOptions(),
-                                 np.array([trial], dtype=np.uint64), 0)
+                                 np.array([trial], dtype=np.uint64), 0, trace=True)
     return int(decision[0, 0]), float(mean[0, 0])
 
 
@@ -454,8 +476,8 @@ def md_biorthogonal(z: np.ndarray, g: int, options: DecoderOptions | None = None
     if z.shape != (1 << (g + 1),):
         raise ValueError(f"block length must be 2^(g+1)={1 << (g + 1)}")
     cw = np.empty((1, z.shape[0]))
-    info, _ = _first_order(z[None, :], g + 1, options or DecoderOptions(),
-                           np.array([trial], dtype=np.uint64), 0, cw)
+    info, _ = _first_order(z[None, :], options or DecoderOptions(),
+                           np.array([trial], dtype=np.uint64), 0, cw, trace=False)
     return cw[0].astype(np.int8), info[0]
 
 
@@ -519,13 +541,12 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             cw[half:] *= cw[:half]  # symbol re-assembly (u, u*v), uncounted
             return
         if node.kind == FIRST_ORDER:
-            bits, value = _first_order(_rows(y), node.length_log, options, trials, node.site,
-                                       cw.T)
+            bits, value = _first_order(_rows(y), options, trials, node.site, cw.T, trace)
         else:
             if node.kind == RIGHT_END:
                 cw.T[:], value = _signs(y.T, options, trials, node.site), y.T
             else:
-                signs, value = _repetition(_rows(y), options, trials, node.site)
+                signs, value = _repetition(_rows(y), options, trials, node.site, trace)
                 cw[:] = signs.T
             bits = cw[:len(node.paths)].T < 0
         info[:, node.info] = bits

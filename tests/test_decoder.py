@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmrec import (
     CodeParams,
@@ -19,7 +21,7 @@ from rmrec import (
     recalc_u,
     recalc_v,
 )
-from rmrec.core import SPLIT, extract_info_batch, plotkin_tree
+from rmrec.core import FIRST_ORDER, SPLIT, extract_info_batch, plotkin_tree
 from rmrec.decoder import (
     MIN_SUM,
     PRODUCT,
@@ -27,6 +29,8 @@ from rmrec.decoder import (
     TIE_POSITIVE,
     TIE_RANDOM,
     UNSCALED,
+    _first_order_tables,
+    _tie_signs,
     genie_batch,
 )
 
@@ -132,6 +136,123 @@ def test_md_biorthogonal_matches_brute_force(g):
         cw, info = md_biorthogonal(z, g)
         assert np.array_equal(cw, md_oracle(z, book).astype(np.int8))
         assert np.array_equal(encode(info, CodeParams(g + 1, 1)), cw)
+
+
+def _first_order_blocks(book: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, list]:
+    """Gaussian rows, rows whose two top correlations have equal magnitude,
+    and the all-zero row, for a first-order code with codebook `book`; with
+    the winning (pattern, sign) that each tied row must decode to."""
+    width = book.shape[1]
+    tied, winners = [], []
+    for _ in range(12):
+        # patterns p < q at +/-w and a third at +/-w/2 (when there is one):
+        # dyadic entries, so every transform of these rows is exact
+        p, q, *rest = np.sort(rng.choice(width, min(width, 3), replace=False))
+        signs = rng.choice([-1.0, 1.0], 3)
+        row = signs[0] * book[2 * p] + signs[1] * book[2 * q]
+        if rest:
+            row += 0.5 * signs[2] * book[2 * rest[0]]
+        tied.append(row)
+        winners.append((p, signs[0]))
+    blocks = np.vstack([rng.normal(size=(8, width)), tied, np.zeros((1, width))])
+    return blocks, winners
+
+
+@pytest.mark.parametrize("g", range(11))
+def test_first_order_decisions_match_brute_force(g):
+    # every first-order width the benchmark decodes (4 .. 2048) and width 2,
+    # with ties between the top two patterns and an all-zero block
+    rng = np.random.default_rng(300 + g)
+    book = brute_codebook(g)
+    params = CodeParams(g + 1, 1)
+    blocks, winners = _first_order_blocks(book, rng)
+    trials = np.arange(len(blocks), dtype=np.uint64) + 40
+    for j, (p, sign) in enumerate(winners):  # the lowest tied pattern wins
+        assert np.array_equal(md_biorthogonal(blocks[8 + j], g, DET)[0], sign * book[2 * p])
+    seed = 7
+    tie_signs = _tie_signs(seed, trials, np.zeros(len(trials), dtype=np.uint64))
+    for options in (DET, DecoderOptions(tie_seed=seed)):
+        decoded = [md_biorthogonal(z, g, options, trial=int(t)) for z, t in zip(blocks, trials)]
+        for j, (cw, info) in enumerate(decoded):
+            assert np.array_equal(encode(info, params), cw)
+            if j < len(blocks) - 1 or options is DET:
+                assert np.array_equal(cw, md_oracle(blocks[j], book))
+        # the all-zero block: pattern 0, its sign from the tie rule at site 0
+        assert np.all(decoded[-1][0] == (1 if options is DET else tie_signs[-1]))
+        if g == 0:  # phi decodes {1,1} as a full space, not as a first-order node
+            continue
+        info, cw, _ = decode_batch(blocks, params, "phi", options, trials)
+        info_f, cw_f, _ = decode_batch(np.asfortranarray(blocks), params, "phi", options, trials)
+        assert np.array_equal(info_f, info) and np.array_equal(cw_f, cw)
+        for j, (md_cw, md_info) in enumerate(decoded):
+            single = decode_phi(blocks[j], params, options, trial=int(trials[j]))
+            assert np.array_equal(single.info, info[j]) and np.array_equal(md_info, info[j])
+            assert np.array_equal(single.codeword, cw[j]) and np.array_equal(md_cw, cw[j])
+    assert set(tie_signs) == {-1.0, 1.0}  # the coins cover both signs
+
+
+@pytest.mark.parametrize("m", [3, 6, 12])
+def test_first_order_zero_blocks_take_signs_at_their_sites(m):
+    # an all-zero {m,2} block reaches every first-order node as zeros; each
+    # node decodes pattern 0 with the tie sign of its own site
+    params = CodeParams(m, 2)
+    nodes = [node for node in plotkin_tree(m, 2, True).nodes if node.kind == FIRST_ORDER]
+    for trial in range(6):
+        result = decode_phi(np.zeros(params.n), params, DecoderOptions(tie_seed=3), trial=trial)
+        sites = np.array([node.site for node in nodes], dtype=np.uint64)
+        signs = _tie_signs(3, np.full(len(nodes), trial, dtype=np.uint64), sites)
+        for node, sign in zip(nodes, signs):
+            bits = result.info[node.info]
+            assert not bits[:-2].any() and list(bits[-2:]) == [sign < 0] * 2
+        assert np.array_equal(result.codeword, encode(result.info, params))
+        positive = decode_phi(np.zeros(params.n), params, DET, trial=trial)
+        assert np.all(positive.info == 0) and np.all(positive.codeword == 1)
+
+
+def test_first_order_tables_read_only_and_results_fresh():
+    for g in range(12):
+        tables = _first_order_tables(1 << g)
+        for table in (tables.h_a, tables.h_b, tables.bits):
+            assert not table.flags.writeable
+    y = np.random.default_rng(18).normal(size=(3, 64))
+    params = CodeParams(6, 2)
+
+    def results():
+        single = decode_phi(y[0], params)
+        return [single.info, single.codeword, *md_biorthogonal(y[0, :16], 3),
+                *decode_batch(y, params, "phi")[:2],
+                *decode_batch(np.asfortranarray(y), params, "phi")[:2]]
+
+    first = results()
+    expected = [result.copy() for result in first]
+    for result in first:
+        assert result.flags.writeable
+        result[...] = 7  # no decoded bit or symbol is 7
+    for result, again in zip(expected, results()):
+        assert np.array_equal(again, result)
+
+
+@pytest.mark.parametrize("m, r", [(m, r) for m in range(1, 9) for r in range(m + 1)])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6),
+       zeros=st.sampled_from([0.0, 0.1, 0.5]), tie_seed=st.integers(0, 2**16))
+def test_scaled_and_unscaled_agree_on_dyadic_input(m, r, seed, rows, zeros, tie_seed):
+    # the unscaled rule differs from the scaled one by a power of two per
+    # node, which changes no rounding, tie or decision; entries k/2^j
+    # (|k| <= 4, j <= 3) with exact zeros keep every product far from
+    # underflow and overflow
+    params = CodeParams(m, r)
+    rng = np.random.default_rng(seed)
+    shape = (rows, params.n)
+    y = rng.integers(-4, 5, size=shape) / 2.0 ** rng.integers(0, 4, size=shape)
+    y[rng.uniform(size=shape) < zeros] = 0.0
+    for algorithm in ("psi", "phi") if r >= 1 else ("psi",):
+        for v_rule in (PRODUCT, MIN_SUM):
+            scaled = decode_batch(y, params, algorithm, DecoderOptions(v_rule=v_rule, tie_seed=tie_seed))
+            unscaled = decode_batch(y, params, algorithm,
+                                    DecoderOptions(UNSCALED, v_rule, tie_seed=tie_seed))
+            assert np.array_equal(scaled[0], unscaled[0])
+            assert np.array_equal(scaled[1], unscaled[1])
 
 
 @pytest.mark.parametrize("g", range(10))
