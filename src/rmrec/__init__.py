@@ -6,7 +6,6 @@ from .core import (
     CodeParams,
     Path,
     classify_path,
-    codeword_to_info,
     dimension,
     encode,
     encode_batch,
@@ -24,19 +23,13 @@ from .decoder import (
     UNSCALED,
     DecodeResult,
     DecoderOptions,
-    GenieTrace,
-    biorthogonal_codebook,
+    codeword_to_info,
     decode_batch,
     decode_op_bound,
     decode_phi,
     decode_psi,
-    genie_decode,
     hadamard_transform,
     md_biorthogonal,
-    md_full_space,
-    md_repetition,
-    recalc_u,
-    recalc_v,
 )
 from .simulate import (
     ALL_ONES,
@@ -53,18 +46,16 @@ from .simulate import (
     sweep,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "LEFT_END", "RIGHT_END", "CodeParams", "Path", "classify_path",
     "codeword_to_info", "dimension", "encode", "encode_batch",
     "encode_op_count", "enumerate_paths",
     "ALG_PHI", "ALG_PSI", "MIN_SUM", "PRODUCT", "SCALED", "TIE_POSITIVE",
-    "TIE_RANDOM", "UNSCALED", "DecodeResult", "DecoderOptions", "GenieTrace",
-    "biorthogonal_codebook", "decode_batch", "decode_op_bound", "decode_phi",
-    "decode_psi",
-    "genie_decode", "hadamard_transform", "md_biorthogonal", "md_full_space",
-    "md_repetition", "recalc_u", "recalc_v",
+    "TIE_RANDOM", "UNSCALED", "DecodeResult", "DecoderOptions",
+    "decode_batch", "decode_op_bound", "decode_phi", "decode_psi",
+    "hadamard_transform", "md_biorthogonal",
     "ALL_ONES", "AWGN_HARD", "BSC", "RANDOM_CODEWORDS", "Channel",
     "GenieReport", "SimConfig", "SimReport", "apply_channel", "path_statistics", "run_wer",
     "sweep",

@@ -17,10 +17,11 @@ first bit most significant.  Codeword positions are indexed the same way:
 position p has coordinates x_1..x_m with x_1 the most significant bit.
 
 The tree is built once per code by :func:`plotkin_tree` and shared by
-every walk in the package: the encoder and the info extraction here, both
-decoders and the genie-aided recursion in :mod:`rmrec.decoder`, and the
-error predictions in :mod:`rmrec.analysis`.  It fixes the shape of the
-descent, the info columns each node owns and the decoder's tie sites.
+every walk in the package: the encoder here, both decoders (which also
+read a clean codeword's info bits) and the genie-aided recursion in
+:mod:`rmrec.decoder`, and the error predictions in :mod:`rmrec.analysis`.
+It fixes the shape of the descent, the info columns each node owns and
+the decoder's tie sites.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ __all__ = [
     "encode",
     "encode_batch",
     "encode_op_count",
-    "codeword_to_info",
-    "extract_info_batch",
-    "symbols_to_bits",
 ]
 
 
@@ -255,14 +253,6 @@ def enumerate_paths(params: CodeParams) -> tuple[Path, ...]:
     return plotkin_tree(params.m, params.r).paths
 
 
-def symbols_to_bits(symbols: np.ndarray) -> np.ndarray:
-    """Map the multiplicative domain back to binary: +1 -> 0, -1 -> 1."""
-    sym = np.asarray(symbols)
-    if not np.all(np.abs(sym) == 1):
-        raise ValueError("symbols must be +1 or -1")
-    return (sym < 0).astype(np.uint8)
-
-
 def _memory_order(block: np.ndarray) -> str:
     """"F" for a symbol-major (B, n) block, one that is F-contiguous and not
     C-contiguous; "C" for any other."""
@@ -314,36 +304,3 @@ def encode_op_count(params: CodeParams) -> int:
     return sum(1 << (node.length_log - 1)
                for node in plotkin_tree(params.m, params.r).nodes if node.kind == SPLIT)
 
-
-def _extract(node: PlotkinNode, cw: np.ndarray, info: np.ndarray) -> None:
-    if node.kind == SPLIT:
-        v, u = node.children
-        half = cw.shape[1] // 2
-        _extract(v, cw[:, :half] * cw[:, half:], info)
-        _extract(u, cw[:, :half], info)
-    else:  # a repetition node's bit is its first symbol
-        info[:, node.info] = cw[:, :len(node.paths)] < 0
-
-
-def extract_info_batch(codewords: np.ndarray, length_log: int, order: int) -> np.ndarray:
-    """Recover info bits from clean (noiseless) +/-1 codewords, batched.
-
-    Exact inverse of the encoder: the v constituent is re-derived as the
-    componentwise product of the two halves, so the input must be a valid
-    codeword with symbols exactly +/-1.
-    """
-    cw = np.atleast_2d(np.asarray(codewords, dtype=np.float64))
-    tree = plotkin_tree(length_log, order)
-    info = np.empty((cw.shape[0], len(tree.paths)), dtype=np.uint8)
-    _extract(tree.root, cw, info)
-    return info
-
-
-def codeword_to_info(codeword: np.ndarray, params: CodeParams) -> np.ndarray:
-    """Recover the k info bits of a clean +/-1 codeword of the code."""
-    codeword = np.asarray(codeword)
-    if codeword.shape != (params.n,):
-        raise ValueError(f"codeword must have length n={params.n}")
-    if not np.all(np.abs(codeword) == 1):
-        raise ValueError("codeword symbols must be +1 or -1")
-    return extract_info_batch(codeword[None, :], params.m, params.r)[0]

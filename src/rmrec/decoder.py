@@ -12,10 +12,11 @@ level earlier, decoding each first-order (biorthogonal) node {g+1,1} as a
 whole with a fast Hadamard transform.
 
 Both decoders walk the code's :func:`~rmrec.core.plotkin_tree` (phi's
-stops at the first-order nodes).  The walks, the genie-aided recursion and
-the public end-node helpers run the same kernels: the v step, the u step,
-the sign with tie resolution, and the repetition and first-order
-decisions.
+stops at the first-order nodes), and run the same kernels: the v step, the
+u step, the sign with tie resolution, and the repetition and first-order
+decisions.  The info bits of a clean codeword are read by the same walk:
+:func:`extract_info_batch` is a psi decode that checks the decoded word
+against its input.
 
 Memory order: the walk slices the symbol axis of a symbol-first (n, B)
 view, the transpose of the (B, n) batch a caller passes.  For a row-major
@@ -38,11 +39,11 @@ per v step from the top, then the two symbols s and s ^ (best & 1) of the
 closing {1, 1} node, where s is 1 when the sign is negative.  A read-only
 table cached per width holds them for every winner: the decoder gathers
 row 2*best + s.  The node's codeword, those bits encoded through the
-{L, 1} Plotkin tree, is the sign times row `best` of the Hadamard matrix,
-whose entry (j, i) is (-1)^popcount(i & j).  With w = a*b as in
+{L, 1} Plotkin tree, is the sign times row `best` of the Hadamard matrix
+(see :func:`biorthogonal_codeword`).  With w = a*b as in
 :func:`hadamard_transform`, that row is the Kronecker product of row
 best >> log2(b) of H_a and row best & (b - 1) of H_b; the decoder writes it
-from the factors cached beside the table and walks no {L, 1} tree.  End
+from the transform's cached factors and walks no {L, 1} tree.  End
 values, the winning correlation over w here and the block mean at a
 repetition node, exist only for traces: an untraced decode does not
 compute them.
@@ -71,7 +72,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -85,7 +85,6 @@ from .core import (
     PlotkinNode,
     _memory_order,
     enumerate_paths,
-    extract_info_batch,  # not called here; benchmarks/tracer.py wraps this binding
     plotkin_tree,
 )
 
@@ -111,19 +110,14 @@ __all__ = [
     "DecoderOptions",
     "DecodeResult",
     "PathTrace",
-    "GenieTrace",
-    "recalc_v",
-    "recalc_u",
-    "md_repetition",
-    "md_full_space",
     "md_biorthogonal",
     "hadamard_transform",
     "biorthogonal_codeword",
-    "biorthogonal_codebook",
     "decode_psi",
     "decode_phi",
     "decode_batch",
-    "genie_decode",
+    "extract_info_batch",
+    "codeword_to_info",
     "genie_batch",
     "decode_op_bound",
 ]
@@ -179,20 +173,6 @@ class DecodeResult:
     codeword: np.ndarray
     op_count: int
     trace: dict[Path, PathTrace] | None = None
-
-
-@dataclass
-class GenieTrace:
-    """Per-path end values of the genie-aided recursion (all-ones truth).
-
-    support_sums holds, for every order-1 split node keyed by its descent
-    prefix in sorted order, the sum of the node's values over the
-    canonical half-block support (the support of the codeword that flips
-    exactly the second half).
-    """
-
-    end_values: dict[Path, float]
-    support_sums: dict[tuple[int, ...], float]
 
 
 # --- tie randomness ---------------------------------------------------------
@@ -253,39 +233,6 @@ def _u_step(y1: np.ndarray, y2: np.ndarray, v_hat: np.ndarray, u_rule: str) -> n
     return u
 
 
-def recalc_v(y1: np.ndarray, y2: np.ndarray, v_rule: str = PRODUCT) -> np.ndarray:
-    """Channel estimate of the v constituent from the two halves.
-
-    PRODUCT: y1*y2 (len multiplications).  MIN_SUM: sign(y1*y2) *
-    min(|y1|, |y2|) (3*len operations).
-    """
-    y1, y2 = np.asarray(y1, dtype=np.float64), np.asarray(y2, dtype=np.float64)
-    if y1.shape != y2.shape:
-        raise ValueError(f"length mismatch: {y1.shape} vs {y2.shape}")
-    if v_rule not in _V_OPS:
-        raise ValueError(f"unknown v_rule {v_rule!r}")
-    return _v_step(y1, y2, v_rule)
-
-
-def recalc_u(y1: np.ndarray, y2: np.ndarray, v_hat: np.ndarray,
-             u_rule: str = SCALED) -> np.ndarray:
-    """Combine both halves into an estimate of u given the decoded v.
-
-    SCALED: (y1 + y2*v_hat)/2, which maps [-1,+1] inputs back into
-    [-1,+1] (3*len operations).  UNSCALED: y1 + y2*v_hat (2*len); all
-    downstream decisions are invariant under the positive scaling.
-    """
-    y1, y2 = np.asarray(y1, dtype=np.float64), np.asarray(y2, dtype=np.float64)
-    v_hat = np.asarray(v_hat, dtype=np.float64)
-    if y1.shape != y2.shape or y1.shape != v_hat.shape:
-        raise ValueError("recalc_u requires equal-length blocks")
-    if not np.all(np.abs(v_hat) == 1):
-        raise ValueError("v_hat entries must be +1 or -1")
-    if u_rule not in _U_OPS:
-        raise ValueError(f"unknown u_rule {u_rule!r}")
-    return _u_step(y1, y2, v_hat, u_rule)
-
-
 # --- fast Hadamard transform ------------------------------------------------
 
 def hadamard_transform(x: np.ndarray) -> np.ndarray:
@@ -307,80 +254,57 @@ def hadamard_transform(x: np.ndarray) -> np.ndarray:
     width = x.shape[-1]
     if width < 1 or width & (width - 1):
         raise ValueError(f"length must be a power of two, got {width}")
-    a, b, _, h_a, h_b, _ = _first_order_tables(width)
+    a, b, h_a, h_b = _hadamard_factors(width)
     return (h_a @ (x.reshape(-1, a, b) @ h_b)).reshape(x.shape)
 
 
-class _FirstOrderTables(NamedTuple):
-    """Read-only tables of one width w = a * b, built once per width."""
+def biorthogonal_codeword(pattern: np.ndarray | int, width: int) -> np.ndarray:
+    """+/-1 rows of the width x width Hadamard matrix, one per pattern index;
+    width is a power of two, and a pattern index past its end raises.
 
-    a: int  # 2^floor(log2(w) / 2)
-    b: int  # w // a
-    b_log: int  # log2(b)
-    h_a: np.ndarray  # the a x a and b x b Hadamard matrices, H_w = H_a (x) H_b
-    h_b: np.ndarray
-    bits: np.ndarray  # (2w, log2(w) + 1) uint8: row 2*best + negative holds a winner's info bits
+    Entry (j, i) of the matrix is (-1)^popcount(i & j): the sign rule of
+    :func:`hadamard_transform`, and the only place the matrix is written.
+    """
+    index = np.arange(width, dtype=np.min_scalar_type(width - 1))  # the narrowest that fits
+    odd = np.bitwise_count(index[np.atleast_1d(pattern)][:, None] & index) & 1
+    return np.where(odd.astype(bool), -1.0, 1.0)
 
 
 @cache
-def _first_order_tables(width: int) -> _FirstOrderTables:
-    """The Kronecker factors of :func:`hadamard_transform` and the info-bit
-    table of a first-order node, for one power-of-two width.
+def _hadamard_factors(width: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(a, b, H_a, H_b) of :func:`hadamard_transform` at one power-of-two
+    width w = a * b, a = 2^floor(log2(w) / 2): the split and its read-only
+    a x a and b x b Hadamard factors, at most 64 x 64 for widths up to 2^12.
+    """
+    a = 1 << ((width.bit_length() - 1) // 2)
+    b = width // a
+    h_a, h_b = (biorthogonal_codeword(np.arange(n), n) for n in (a, b))
+    h_a.flags.writeable = h_b.flags.writeable = False
+    return a, b, h_a, h_b
 
-    Row 2*best + negative of the bit table holds the info bits of the winner
-    (pattern best, sign -1 when negative; see the module docstring), read
-    from the top bit of one integer `code`, so that widths below 4 need no
-    case of their own.  The factors are at most 64 x 64 and the table at
-    most 8192 x 13 for widths up to 2^12.
+
+@cache
+def _first_order_bits(width: int) -> np.ndarray:
+    """The read-only (2w, log2(w) + 1) uint8 info-bit table of a first-order
+    node of width w: row 2*best + negative holds the info bits of the winner
+    (pattern best, sign -1 when negative; see the module docstring).
+
+    The bits are read from the top bit of one integer `code`, so that widths
+    below 4 need no case of their own.  The table is at most 8192 x 13 for
+    widths up to 2^12.
     """
     length_log = width.bit_length() - 1
-    a = 1 << (length_log // 2)
-    b = width // a
     # column by column from the narrowest integers that hold `code`: a whole
-    # (2w, log2(w) + 1) integer temporary adds 376 MiB to the peak memory of
-    # one transform at width 2^20
+    # (2w, log2(w) + 1) integer temporary adds 376 MiB to the peak memory
+    # at width 2^20
     row = np.arange(2 * width, dtype=np.min_scalar_type(2 * width - 1))
     best, negative = row >> 1, row & 1
     code = (best >> 1 << 2) | negative << 1 | (negative ^ best & 1)
     bits = np.empty((2 * width, length_log + 1), dtype=np.uint8)
     for column in range(length_log + 1):
         bits[:, column] = code >> (length_log - column) & 1
-    h_a, h_b = (np.where(_hadamard_negative(np.arange(n), n), -1.0, 1.0) for n in (a, b))
-    for table in (h_a, h_b, bits):
-        table.flags.writeable = False
-    return _FirstOrderTables(a, b, b.bit_length() - 1, h_a, h_b, bits)
-
-
-def _hadamard_negative(patterns: np.ndarray, width: int) -> np.ndarray:
-    """Where rows `patterns` of the width x width Hadamard matrix hold -1.
-
-    Entry (j, i) of the matrix is (-1)^popcount(i & j): the sign rule of
-    :func:`hadamard_transform`, and the only place the matrix is written.
-    """
-    index = np.arange(width, dtype=np.min_scalar_type(width - 1))  # the narrowest that fits
-    odd = np.bitwise_count(index[patterns][:, None] & index) & 1  # a pattern past the end raises
-    return odd.astype(bool)
-
-
-def biorthogonal_codeword(pattern: np.ndarray | int, width: int) -> np.ndarray:
-    """+/-1 rows of the width x width Hadamard matrix, one per pattern index;
-    width is a power of two, and a pattern index past its end raises."""
-    return np.where(_hadamard_negative(np.atleast_1d(pattern), width), -1.0, 1.0)
-
-
-def biorthogonal_codebook(g: int) -> np.ndarray:
-    """All 2l codewords of the length l = 2^(g+1) first-order code.
-
-    Row order is the tie-breaking index: the all-ones word first, its
-    negation second, then the +/- pair of every balanced pattern in
-    ascending pattern order.  Rows beyond the first two all have exactly
-    2^g entries equal to -1.
-    """
-    if g < 0:
-        raise ValueError("g must be nonnegative")
-    width = 1 << (g + 1)
-    rows = biorthogonal_codeword(np.arange(width), width)
-    return np.stack([rows, -rows], axis=1).reshape(2 * width, width)
+    bits.flags.writeable = False
+    return bits
 
 
 # --- end-node decisions -----------------------------------------------------
@@ -419,46 +343,17 @@ def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, sit
     codeword are read off the winner (see the module docstring).
     """
     width = y.shape[1]
-    a, b, b_log, h_a, h_b, bit_table = _first_order_tables(width)
+    a, b, h_a, h_b = _hadamard_factors(width)
     corr = hadamard_transform(y)  # the module binding, which benchmarks/tracer.py wraps
     best = np.abs(corr).argmax(axis=1)  # first (lowest-index) maximum wins
     winning = corr.take(np.arange(0, corr.size, width) + best)[:, None]
     sign = _signs(winning, options, trials, site)
     # .take gathers rows several times faster than fancy indexing
-    bits = bit_table.take(2 * best + np.signbit(sign[:, 0]), axis=0)
-    np.multiply((sign * h_a.take(best >> b_log, axis=0))[:, :, None],
+    bits = _first_order_bits(width).take(2 * best + np.signbit(sign[:, 0]), axis=0)
+    np.multiply((sign * h_a.take(best >> (b.bit_length() - 1), axis=0))[:, :, None],
                 h_b.take(best & (b - 1), axis=0)[:, None, :],
                 out=cw.reshape(-1, a, b))  # splitting an axis is always a view
     return bits, winning * sign / width if trace else None
-
-
-def _one_block(z: np.ndarray) -> np.ndarray:
-    """One nonempty 1-D block as a (1, n) batch; a (B, n) array is refused,
-    not read as one block of B*n symbols."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError(f"expected one 1-D block, got shape {z.shape}")
-    if z.shape[0] == 0:
-        raise ValueError("empty block")
-    return z[None, :]
-
-
-def md_repetition(z: np.ndarray, options: DecoderOptions | None = None,
-                  trial: int = 0) -> tuple[int, float]:
-    """Minimum-distance decision for a repetition block.
-
-    Returns (+/-1 decision, end value), the end value being the block mean.
-    """
-    decision, mean = _repetition(_one_block(z), options or DecoderOptions(),
-                                 np.array([trial], dtype=np.uint64), 0, trace=True)
-    return int(decision[0, 0]), float(mean[0, 0])
-
-
-def md_full_space(z: np.ndarray, options: DecoderOptions | None = None,
-                  trial: int = 0) -> np.ndarray:
-    """Componentwise sign decision, exact MD decoding for a full space."""
-    signs = _signs(_one_block(z), options or DecoderOptions(), np.array([trial], dtype=np.uint64), 0)
-    return signs[0].astype(np.int8)
 
 
 def md_biorthogonal(z: np.ndarray, g: int, options: DecoderOptions | None = None,
@@ -610,6 +505,31 @@ def decode_phi(y: np.ndarray, params: CodeParams,
     return _decode_single(y, params, ALG_PHI, options, trial)
 
 
+def extract_info_batch(codewords: np.ndarray, params: CodeParams) -> np.ndarray:
+    """Info bits (B, k) of a (B, n) batch of clean +/-1 codewords of the code.
+
+    They are the batch's psi decode: a codeword's sums are never zero, so
+    the decode meets no tie and returns the codeword itself.  Raises
+    ValueError unless every row decodes to itself, that is, unless every
+    row is a codeword.
+    """
+    codewords = np.atleast_2d(np.asarray(codewords, dtype=np.float64))
+    with np.errstate(invalid="ignore"):  # NaN rows fail the check below
+        info, decoded, _, _ = _decode(codewords, params, ALG_PSI, None, None)
+    if not np.array_equal(decoded, codewords):
+        raise ValueError(f"not a +/-1 codeword of {params}")
+    return info
+
+
+def codeword_to_info(codeword: np.ndarray, params: CodeParams) -> np.ndarray:
+    """The k info bits of one clean +/-1 codeword of the code; raises
+    ValueError for any other word."""
+    codeword = np.asarray(codeword)
+    if codeword.shape != (params.n,):
+        raise ValueError(f"codeword must have length n={params.n}")
+    return extract_info_batch(codeword[None, :], params)[0]
+
+
 def decode_op_bound(params: CodeParams, algorithm: str = ALG_PSI,
                     u_rule: str = SCALED) -> int:
     """Closed-form ceiling on the decoder's operation count."""
@@ -672,19 +592,3 @@ def genie_batch(y: np.ndarray, params: CodeParams) -> tuple[np.ndarray, np.ndarr
         supports[:, j] = column
     return values, supports
 
-
-def genie_decode(y: np.ndarray, params: CodeParams) -> GenieTrace:
-    """Genie-aided end values for a single received block.
-
-    The genie codeword is the all-ones word; channel symmetry makes it the
-    canonical choice.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (params.n,):
-        raise ValueError(f"received block must have length n={params.n}")
-    values, supports = genie_batch(y[None, :], params)
-    return GenieTrace(
-        end_values={p: float(values[0, j]) for j, p in enumerate(enumerate_paths(params))},
-        support_sums={node.prefix: float(supports[0, j])
-                      for j, node in enumerate(_support_nodes(params.m, params.r))},
-    )

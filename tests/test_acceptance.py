@@ -35,8 +35,8 @@ from rmrec.analysis import (
     weakest_path,
     weakest_variance,
 )
-from rmrec.core import codeword_to_info, encode
-from rmrec.decoder import UNSCALED, md_biorthogonal
+from rmrec.core import encode
+from rmrec.decoder import UNSCALED, codeword_to_info, md_biorthogonal
 
 from oracles import (
     brute_codebook,

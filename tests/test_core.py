@@ -1,8 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rmrec
 from rmrec import (
     LEFT_END,
     RIGHT_END,
@@ -15,7 +19,8 @@ from rmrec import (
     encode_op_count,
     enumerate_paths,
 )
-from rmrec.core import extract_info_batch, plotkin_tree, symbols_to_bits
+from rmrec.core import plotkin_tree
+from rmrec.decoder import extract_info_batch
 
 from oracles import encode_oracle, generator_rows, pack_rows, packed_codebook, popcount
 
@@ -169,6 +174,30 @@ def test_info_roundtrip():
         assert np.array_equal(codeword_to_info(encode(info, params), params), info)
 
 
+def test_codeword_to_info_rejects_non_codewords():
+    params = CodeParams(4, 1)
+    info = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
+    codeword = encode(info, params)
+    assert np.array_equal(codeword_to_info(codeword, params), info)
+    for j in (0, 7, 15):  # one flipped symbol leaves the code (d = 8)
+        flipped = codeword.copy()
+        flipped[j] = -flipped[j]
+        with pytest.raises(ValueError, match="codeword"):
+            codeword_to_info(flipped, params)
+    for bad in (0, 0.5, 2, np.nan, np.inf):
+        word = codeword.astype(np.float64)
+        word[3] = bad
+        with pytest.raises(ValueError, match="codeword"):
+            codeword_to_info(word, params)
+    for wrong in (codeword[:8], np.tile(codeword, 2), codeword[None, :]):
+        with pytest.raises(ValueError, match="length"):
+            codeword_to_info(wrong, params)
+    book = encode_batch(np.eye(params.k, dtype=np.uint8), params)
+    book[2, 5] = -book[2, 5]  # one bad row fails the batch
+    with pytest.raises(ValueError, match="codeword"):
+        extract_info_batch(book, params)
+
+
 @st.composite
 def _info_blocks(draw):
     """A code with m <= 10, a (B, k) info block with 1 <= B <= 40, and a memory order."""
@@ -188,7 +217,7 @@ def test_encode_batch_roundtrip_and_rows(case):
     params, info = case
     codewords = encode_batch(info, params)
     assert codewords.shape == (info.shape[0], params.n)
-    assert np.array_equal(extract_info_batch(codewords, params.m, params.r), info)
+    assert np.array_equal(extract_info_batch(codewords, params), info)
     for row, codeword in zip(info, codewords):
         assert np.array_equal(encode(row, params), codeword)
 
@@ -243,15 +272,16 @@ def test_encode_op_count_bound_and_structure():
             assert ops <= params.n * min(r, m - r)
 
 
-def test_symbols_to_bits_validation():
-    assert np.array_equal(symbols_to_bits(np.array([1, -1, 1])), [0, 1, 0])
-    with pytest.raises(ValueError):
-        symbols_to_bits(np.array([1, 0]))
-
-
 def test_generator_rows_are_independent():
     # sanity on the oracle itself: k distinct rows spanning 2^k words
     params = CodeParams(4, 2)
     rows = pack_rows(generator_rows(params))
     assert len(set(rows.tolist())) == params.k
     assert len(set(packed_codebook(params).tolist())) == 1 << params.k
+
+
+def test_version_matches_pyproject():
+    # read with a regex: tomllib needs Python 3.11, the package supports 3.10
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert declared and declared.group(1) == rmrec.__version__

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,15 +15,11 @@ from rmrec import (
     encode,
     encode_batch,
     enumerate_paths,
-    genie_decode,
     hadamard_transform,
     md_biorthogonal,
-    md_full_space,
-    md_repetition,
-    recalc_u,
-    recalc_v,
 )
-from rmrec.core import FIRST_ORDER, SPLIT, extract_info_batch, plotkin_tree
+from rmrec import decoder
+from rmrec.core import FIRST_ORDER, SPLIT, plotkin_tree
 from rmrec.decoder import (
     MIN_SUM,
     PRODUCT,
@@ -29,8 +27,11 @@ from rmrec.decoder import (
     TIE_POSITIVE,
     TIE_RANDOM,
     UNSCALED,
-    _first_order_tables,
+    _first_order_bits,
+    _hadamard_factors,
     _tie_signs,
+    biorthogonal_codeword,
+    extract_info_batch,
     genie_batch,
 )
 
@@ -39,79 +40,121 @@ from oracles import brute_codebook, butterfly_fht, md_oracle, popcount
 DET = DecoderOptions(tie_rule=TIE_POSITIVE)
 
 
+def _traced(y, params, options=DET, decode=decode_psi, trial=0):
+    """(end values, decisions) of one traced decode, in path order."""
+    trace = decode(np.asarray(y, dtype=np.float64), params, replace(options, trace=True),
+                   trial=trial).trace
+    return (np.array([trace[path].value for path in enumerate_paths(params)]),
+            np.array([trace[path].decision for path in enumerate_paths(params)]))
+
+
+def _steps(y1, y2, options=DET):
+    """One v step and one u step, read off a traced psi decode of {2,1}:
+    the end value of its v path 01, a {1,0} repetition, is the mean of the v
+    estimate, and the end values of its u paths 10 and 11, the {1,1} full
+    space, are the u estimate.  Returns (v mean, v decision, u estimate)."""
+    values, decisions = _traced(np.concatenate([y1, y2]), CodeParams(2, 1), options)
+    return values[0], decisions[0], values[1:]
+
+
 def test_recalc_v_product():
-    assert np.array_equal(recalc_v([1, -1], [-1, -1]), [-1, 1])
-    got = recalc_v([0.5, 0.2], [0.4, -1.0])
-    assert np.allclose(got, [0.2, -0.2])
+    # dyadic entries: every product, sum and mean below is exact
+    v_mean, v_hat, _ = _steps([0.5, 0.25], [0.75, -1.0])
+    assert v_mean == (0.375 - 0.25) / 2 and v_hat == 1
+    v_mean, v_hat, _ = _steps([1.0, -1.0], [-1.0, -0.5])  # v = [-1, 0.5]
+    assert v_mean == -0.25 and v_hat == -1
 
 
 def test_recalc_v_min_sum():
-    got = recalc_v([0.5, 0.2], [0.4, -1.0], MIN_SUM)
-    assert np.allclose(got, [0.4, -0.2])
-
-
-def test_recalc_v_length_mismatch():
-    with pytest.raises(ValueError):
-        recalc_v([1.0, 2.0], [1.0])
+    options = replace(DET, v_rule=MIN_SUM)
+    # sign(y1*y2) * min(|y1|, |y2|) = [0.5, -0.25], not the product [0.375, -0.25]
+    v_mean, v_hat, _ = _steps([0.5, 0.25], [0.75, -1.0], options)
+    assert v_mean == (0.5 - 0.25) / 2 and v_hat == 1
+    v_mean, _, _ = _steps([-0.25, 0.5], [0.75, -1.0], options)  # [-0.25, -0.5]
+    assert v_mean == -0.375
 
 
 def test_recalc_u_rules():
-    got = recalc_u([1, -1], [-1, -1], [-1, 1])
-    assert np.array_equal(got, [1, -1])
-    y = np.array([0.3, -0.7, 0.1])
-    assert np.array_equal(recalc_u(y, y, np.ones(3)), y)
-    scaled = recalc_u([0.25, -1], [0.5, 0.5], [1, -1])
-    unscaled = recalc_u([0.25, -1], [0.5, 0.5], [1, -1], UNSCALED)
-    assert np.array_equal(unscaled, 2 * scaled)
+    # v_hat = -1: v = [0.125, -0.5] sums below zero
+    _, v_hat, u = _steps([0.25, -1.0], [0.5, 0.5])
+    assert v_hat == -1 and np.array_equal(u, [(0.25 - 0.5) / 2, (-1.0 - 0.5) / 2])
+    _, _, unscaled = _steps([0.25, -1.0], [0.5, 0.5], replace(DET, u_rule=UNSCALED))
+    assert np.array_equal(unscaled, 2 * u)
+    # equal halves: v = y*y > 0, v_hat = +1, and the midpoint is y itself
+    y = np.array([0.3, -0.7])
+    assert np.array_equal(_steps(y, y)[2], y)
+    _, v_hat, u = _steps([1.0, -1.0], [-1.0, 1.0])  # a clean codeword's u
+    assert v_hat == -1 and np.array_equal(u, [1.0, -1.0])
 
 
 def test_scaled_recalcs_preserve_unit_range():
+    # scaled v and u steps map [-1, +1] into itself, so every end value of
+    # a [-1, +1] input (means, full-space inputs, correlations over w) does
     rng = np.random.default_rng(18)
-    y1 = rng.uniform(-1, 1, 1000)
-    y2 = rng.uniform(-1, 1, 1000)
-    v_hat = np.where(rng.uniform(size=1000) < 0.5, 1.0, -1.0)
-    assert np.all(np.abs(recalc_v(y1, y2)) <= 1.0)
-    assert np.all(np.abs(recalc_v(y1, y2, MIN_SUM)) <= 1.0)
-    assert np.all(np.abs(recalc_u(y1, y2, v_hat)) <= 1.0)
-
-
-def test_recalc_u_validation():
-    with pytest.raises(ValueError):
-        recalc_u([1.0], [1.0, 2.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        recalc_u([1.0, 1.0], [1.0, 1.0], [1.0, 0.5])
+    for m, r in [(2, 1), (6, 2), (6, 3), (8, 4)]:
+        params = CodeParams(m, r)
+        for v_rule in (PRODUCT, MIN_SUM):
+            for decode in (decode_psi, decode_phi):
+                for trial in range(20):
+                    y = rng.uniform(-1, 1, params.n)
+                    values, _ = _traced(y, params, DecoderOptions(v_rule=v_rule), decode, trial)
+                    assert np.all(np.abs(values) <= 1.0)
 
 
 def test_md_repetition():
-    decision, value = md_repetition([0.5, -0.2, 0.3, 0.1])
-    assert decision == 1 and value == pytest.approx(0.175)
-    decision, _ = md_repetition([-1, -1, -1, 1])
-    assert decision == -1
-    with pytest.raises(ValueError):
-        md_repetition([])
+    # a {2,0} root decides the sign of its block's sum; its end value is the mean
+    params = CodeParams(2, 0)
+    values, decisions = _traced([0.5, -0.2, 0.3, 0.1], params)
+    assert decisions.tolist() == [1] and values[0] == pytest.approx(0.175)
+    result = decode_psi(np.array([-1.0, -1.0, -1.0, 1.0]), params)
+    assert result.info.tolist() == [1] and np.all(result.codeword == -1)
 
 
 def test_md_repetition_ties():
-    assert md_repetition([1.0, -1.0], DET) == (1, 0.0)
-    flips = [md_repetition([1.0, -1.0], trial=t)[0] for t in range(2000)]
-    fraction = np.mean(np.array(flips) == 1)
-    assert 0.45 < fraction < 0.55  # seeded coin is fair across trials
-    again = [md_repetition([1.0, -1.0], trial=t)[0] for t in range(2000)]
-    assert flips == again  # and reproducible
+    # a block whose sum is exactly zero: +1 under TIE_POSITIVE, else a coin
+    # that is fair across trials and a pure function of (seed, trial, site)
+    trials = np.arange(2000, dtype=np.uint64)
+    for m in (1, 2):
+        params = CodeParams(m, 0)
+        tied = np.tile([1.0, -1.0], params.n // 2)
+        values, decisions = _traced(tied, params)
+        assert decisions.tolist() == [1] and values.tolist() == [0.0]
+        _, cw, _ = decode_batch(np.tile(tied, (2000, 1)), params, "psi", trials=trials)
+        flips = cw[:, 0]
+        assert np.all(cw == flips[:, None])
+        assert 0.45 < np.mean(flips == 1) < 0.55
+        assert np.array_equal(flips, _tie_signs(0, trials, np.zeros(2000, dtype=np.uint64)))
+        again = [decode_psi(tied, params, trial=t).codeword[0] for t in range(0, 2000, 97)]
+        assert again == flips[::97].tolist()  # and reproducible, one block at a time
 
 
 def test_md_full_space():
-    assert np.array_equal(md_full_space([0.3, -0.2]), [1, -1])
-    assert np.array_equal(md_full_space(np.zeros(4), DET), [1, 1, 1, 1])
+    # a {h,h} root decides every symbol by its sign, exact MD for a full space
+    assert np.array_equal(decode_psi(np.array([0.3, -0.2]), CodeParams(1, 1)).codeword, [1, -1])
     rng = np.random.default_rng(0)
-    z = rng.normal(size=8)
-    got = md_full_space(z)
-    assert float(got @ z) == pytest.approx(np.abs(z).sum())
+    for h in (1, 2, 3):
+        params = CodeParams(h, h)
+        z = rng.normal(size=params.n)
+        result = decode_psi(z, params)
+        assert np.array_equal(result.codeword, np.sign(z))
+        assert float(result.codeword @ z) == pytest.approx(np.abs(z).sum())
+        assert np.array_equal(result.info, z < 0)
+        assert np.all(decode_psi(np.zeros(params.n), params, DET).codeword == 1)
+        # a zero at symbol j takes the coin of site j
+        z[::2] = 0.0
+        for trial in range(8):
+            got = decode_psi(z, params, DecoderOptions(tie_seed=5), trial=trial).codeword
+            coins = _tie_signs(5, np.full(params.n, trial, dtype=np.uint64),
+                               np.arange(params.n, dtype=np.uint64))
+            assert np.array_equal(got, np.where(z == 0, coins, np.sign(z)))
 
 
 def test_md_end_nodes_reject_batches():
     # a (B, n) array is a batch, not one block of B*n symbols
-    for decide in (md_repetition, md_full_space, lambda z: md_biorthogonal(z, 1)):
+    for decide in (lambda z: decode_psi(z, CodeParams(2, 0)),
+                   lambda z: decode_psi(z, CodeParams(2, 2)),
+                   lambda z: decode_phi(z, CodeParams(2, 1)),
+                   lambda z: md_biorthogonal(z, 1)):
         with pytest.raises(ValueError):
             decide(np.ones((2, 4)))
 
@@ -211,8 +254,8 @@ def test_first_order_zero_blocks_take_signs_at_their_sites(m):
 
 def test_first_order_tables_read_only_and_results_fresh():
     for g in range(12):
-        tables = _first_order_tables(1 << g)
-        for table in (tables.h_a, tables.h_b, tables.bits):
+        _, _, h_a, h_b = _hadamard_factors(1 << g)
+        for table in (h_a, h_b, _first_order_bits(1 << g)):
             assert not table.flags.writeable
     y = np.random.default_rng(18).normal(size=(3, 64))
     params = CodeParams(6, 2)
@@ -257,25 +300,36 @@ def test_scaled_and_unscaled_agree_on_dyadic_input(m, r, seed, rows, zeros, tie_
 
 @pytest.mark.parametrize("g", range(10))
 def test_biorthogonal_codebook_structure(g):
-    from rmrec import biorthogonal_codebook
-    from rmrec.decoder import biorthogonal_codeword
-
-    book = biorthogonal_codebook(g)
+    # the rows of the Hadamard matrix and their negations, interleaved, are
+    # the first-order codebook in tie-breaking order: the all-ones word, its
+    # negation, then the +/- pair of every balanced pattern
     width = 1 << (g + 1)
+    rows = biorthogonal_codeword(np.arange(width), width)
     with pytest.raises(IndexError):
         biorthogonal_codeword(width, width)
-    assert book.shape == (2 * width, width)
+    assert np.array_equal(biorthogonal_codeword(width - 1, width), rows[-1:])
+    book = np.stack([rows, -rows], axis=1).reshape(2 * width, width)
+    assert np.array_equal(book, brute_codebook(g))
     assert np.all(book[0] == 1) and np.array_equal(book[1], -book[0])
     supports = (book < 0).sum(axis=1)
     assert np.all(supports[2:] == 1 << g)
     gram = book @ book.T  # distinct rows correlate at 0 or -l (antipodes)
     off = gram[~np.eye(2 * width, dtype=bool)]
     assert set(np.unique(off)) <= {0.0, -float(width)}
-    assert np.array_equal(book, brute_codebook(g))
     if g >= 1:  # every row is its own unique FHT winner, with no tie
-        info, cw, _ = decode_batch(book, CodeParams(g + 1, 1), "phi")
+        params = CodeParams(g + 1, 1)
+        info, cw, _ = decode_batch(book, params, "phi")
         assert np.array_equal(cw, book)
-        assert np.array_equal(info, extract_info_batch(book, g + 1, 1))
+        assert np.array_equal(info, extract_info_batch(book, params))
+        assert np.array_equal(encode_batch(info, params), book)
+
+
+def test_hadamard_transform_builds_no_first_order_bit_table():
+    # a plain transform reads only the cached factors
+    width = 1 << 13  # wider than any first-order node the tests decode
+    tables = _first_order_bits.cache_info().currsize
+    hadamard_transform(np.ones(width))
+    assert _first_order_bits.cache_info().currsize == tables
 
 
 def test_hadamard_transform_matches_direct():
@@ -412,16 +466,26 @@ def test_min_sum_decodes_noiseless():
     assert np.array_equal(result.info, info)
 
 
-def test_decode_order_lemma():
+def test_decode_order_lemma(monkeypatch):
+    # the decoders decide their end nodes one after another in tree order,
+    # each at its own tie site: record the site of every sign evaluation
     rng = np.random.default_rng(8)
-    params = CodeParams(5, 2)
-    y = rng.uniform(-1, 1, params.n)
-    for algorithm, decode in (("psi", decode_psi), ("phi", decode_phi)):
-        result = decode(y, params, DecoderOptions(trace=True))
-        paths = enumerate_paths(params)
-        assert set(result.trace) == set(paths)
-        orders = [result.trace[p].order for p in paths]
-        assert orders == sorted(orders) and len(set(orders)) == len(orders)
+    sites = []
+    signs = decoder._signs
+
+    def recording_signs(values, options, trials, site):
+        sites.append(site)
+        return signs(values, options, trials, site)
+
+    monkeypatch.setattr(decoder, "_signs", recording_signs)
+    for m, r in [(5, 2), (6, 3)]:
+        params = CodeParams(m, r)
+        y = rng.uniform(-1, 1, params.n)
+        for phi, decode in ((False, decode_psi), (True, decode_phi)):
+            sites.clear()
+            result = decode(y, params, DecoderOptions(trace=True))
+            assert sites == [leaf.site for leaf in plotkin_tree(m, r, phi).leaves]
+            assert list(result.trace) == list(enumerate_paths(params))
 
 
 def test_trace_decisions_match_info():
@@ -536,13 +600,19 @@ def test_repetition_and_full_space_roots():
     assert np.array_equal(got.codeword, np.sign(y[:8]))
 
 
+def _support_prefixes(params):
+    return [node.prefix for node in plotkin_tree(params.m, params.r).nodes
+            if node.kind == SPLIT and node.order == 1]
+
+
 def test_genie_noiseless_fixed_point():
     params = CodeParams(5, 2)
-    trace = genie_decode(np.ones(params.n), params)
-    assert all(v == 1.0 for v in trace.end_values.values())
-    assert len(trace.end_values) == params.k
+    values, supports = genie_batch(np.ones((1, params.n)), params)
+    assert values.shape == (1, params.k) and np.all(values == 1.0)
     # noiseless support sums equal the support size 2^(m-len(prefix)-1)
-    for prefix, value in trace.support_sums.items():
+    prefixes = _support_prefixes(params)
+    assert supports.shape == (1, len(prefixes))
+    for prefix, value in zip(prefixes, supports[0]):
         assert value == float(1 << (params.m - len(prefix) - 1))
 
 
@@ -552,10 +622,10 @@ def test_genie_matches_trace_when_decisions_correct():
     rng = np.random.default_rng(14)
     params = CodeParams(6, 2)
     y = 1.0 - 0.05 * rng.uniform(size=params.n)
-    result = decode_psi(y, params, DecoderOptions(trace=True))
-    trace = genie_decode(y, params)
-    for path, rec in result.trace.items():
-        assert rec.value == pytest.approx(trace.end_values[path], rel=1e-12)
+    traced, decisions = _traced(y, params, DecoderOptions())
+    values, _ = genie_batch(y[None, :], params)
+    assert np.all(decisions == 1)
+    np.testing.assert_allclose(traced, values[0], rtol=1e-12)
 
 
 def test_genie_batch_column_order():
@@ -565,17 +635,13 @@ def test_genie_batch_column_order():
     values, supports = genie_batch(y, params)
     assert values.shape == (4, params.k)
     # one support column per order-1 split node, in sorted prefix order
-    nodes = [node for node in plotkin_tree(params.m, params.r).nodes
-             if node.kind == SPLIT and node.order == 1]
-    prefixes = [node.prefix for node in nodes]
+    prefixes = _support_prefixes(params)
     assert prefixes == sorted(prefixes) and len(set(prefixes)) == len(prefixes)
-    assert supports.shape == (4, len(nodes))
-    for j, row in enumerate(y):
-        trace = genie_decode(row, params)
-        assert list(trace.end_values) == list(enumerate_paths(params))
-        assert list(trace.end_values.values()) == list(values[j])
-        assert list(trace.support_sums) == prefixes
-        assert list(trace.support_sums.values()) == list(supports[j])
+    assert supports.shape == (4, len(prefixes))
+    for j, row in enumerate(y):  # each row alone gives the same floats
+        values_j, supports_j = genie_batch(row[None, :], params)
+        assert np.array_equal(values_j[0], values[j])
+        assert np.array_equal(supports_j[0], supports[j])
     # the outermost order-1 node of {6,3} is {4,1} at prefix 00: its input
     # is the product of the four quarters, and the column sums the last half
     v = y[:, :32] * y[:, 32:]
@@ -591,10 +657,15 @@ def test_genie_left_end_matches_manual_recursion():
     rng = np.random.default_rng(16)
     params = CodeParams(3, 1)
     y = rng.uniform(-1, 1, 8)
-    trace = genie_decode(y, params)
+    values, _ = genie_batch(y[None, :], params)
     yv = y[:4] * y[4:]
-    leftmost = enumerate_paths(params)[0]  # 011
-    assert trace.end_values[leftmost] == pytest.approx(yv.mean())
+    assert enumerate_paths(params)[0].bits == (0, 1, 1)
+    assert values[0, 0] == pytest.approx(yv.mean())
     yu = (y[:4] + y[4:]) / 2
-    second = enumerate_paths(params)[1]  # 101
-    assert trace.end_values[second] == pytest.approx((yu[:2] * yu[2:]).mean())
+    assert enumerate_paths(params)[1].bits == (1, 0, 1)
+    assert values[0, 1] == pytest.approx((yu[:2] * yu[2:]).mean())
+    # a full-space end value is the node's input symbol: path 110 of {3,1}
+    # ends at the {1,1} node u(u(y)), whose first symbol is the midpoint
+    # of yu's halves
+    assert enumerate_paths(params)[2].bits == (1, 1, 0)
+    assert values[0, 2] == pytest.approx((yu[0] + yu[2]) / 2)
