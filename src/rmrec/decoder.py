@@ -30,7 +30,11 @@ row pairwise; summed down a slab, a row of 8 or more reals rounds
 differently) and the first-order node's FHT and argmax.  A row-major view
 already has contiguous rows; a symbol-major slab is copied into rows
 first.  The output is therefore bit-identical for any memory order of the
-input, and comes back in the input's order.
+input, and comes back in the input's order.  A symbol-major batch of +/-1
+words (every Monte Carlo input is one) on a psi code certified by a static
+bit budget (:func:`_bit_budget`: at most 53 bits, so every partial sum is
+exact in float64) sums its repetition slabs in place, along the symbol
+axis, and copies no rows: exact sums do not depend on their order.
 
 First-order map: the FHT winner of a node {L, 1} is a pattern index
 `best` in [0, 2^L) and a sign.  Its L+1 info bits, in the node's path
@@ -395,6 +399,34 @@ def _op_count(m: int, r: int, first_order_ends: bool, u_rule: str, v_rule: str) 
     return sum(node_ops(node) for node in plotkin_tree(m, r, first_order_ends).nodes)
 
 
+_EXACT_BITS = 53  # float64 holds every integer of at most 2^53 in magnitude
+
+
+@cache
+def _bit_budget(m: int, r: int, first_order_ends: bool, v_rule: str) -> int:
+    """Bits that one block's decode of a +/-1 word needs: a static maximum
+    over the tree's end nodes.
+
+    A value at a node with e bits is k/2^e (scaled u rule) or k (unscaled)
+    with |k| <= 2^e.  The root has e = 0; a product v step maps e to 2e, a
+    min-sum v step keeps it, and a u step maps it to e + 1 under either u
+    rule.  A full-space node needs e bits, and a repetition sum or an FHT of
+    width 2^L needs e + L.  Within _EXACT_BITS every value and every partial
+    sum of the decode is exact in float64, whatever the order of the sums.
+    """
+
+    def bits(node: PlotkinNode) -> int:
+        e = 0
+        for step in node.prefix:  # 1 a u step, 0 a v step
+            if step:
+                e += 1
+            elif v_rule == PRODUCT:
+                e *= 2
+        return e if node.kind == RIGHT_END else e + node.length_log
+
+    return max(bits(node) for node in plotkin_tree(m, r, first_order_ends).leaves)
+
+
 def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             options: DecoderOptions | None, trials: np.ndarray | None,
             trace: bool = False) -> tuple[np.ndarray, np.ndarray, int, tuple | None]:
@@ -419,6 +451,11 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             raise ValueError("trials must hold one index per row")
     phi = algorithm == ALG_PHI
     order = _memory_order(y)
+    # the static tests first, so that row-major batches and phi, whose tree
+    # has no repetition node, pay nothing for the +/-1 check
+    slab_sums = (order == "F" and not phi
+                 and _bit_budget(params.m, params.r, False, options.v_rule) <= _EXACT_BITS
+                 and bool(((y == 1.0) | (y == -1.0)).all()))
     info = np.empty((y.shape[0], params.k), dtype=np.uint8, order=order)
     if trace:
         values = np.empty((y.shape[0], params.k))
@@ -441,7 +478,8 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             if node.kind == RIGHT_END:
                 cw.T[:], value = _signs(y.T, options, trials, node.site), y.T
             else:
-                signs, value = _repetition(_rows(y), options, trials, node.site, trace)
+                signs, value = _repetition(y.T if slab_sums else _rows(y), options, trials,
+                                           node.site, trace)
                 cw[:] = signs.T
             bits = cw[:len(node.paths)].T < 0
         info[:, node.info] = bits

@@ -7,23 +7,28 @@ batches; tie coins inside the decoder hash (seed, trial, site) directly.
 Identical configurations therefore produce bit-identical reports.
 
 Trials run in batches of a fixed size, in order.  The rows of a batch are
-cut into contiguous blocks, at most one per available core, that draw,
-decode and count on worker threads.  Neither the worker count nor the
-block boundaries enter the results: integer counters are summed, and the
-genie statistics of a batch are put back together in row order and
-accumulated once, as one array.  The batch size does enter them, because
+cut into contiguous blocks, at most one per available core unless a
+symbol-major block would then exceed 2^20 symbols; the blocks draw,
+decode and count on worker threads.  Neither the worker count nor the block
+boundaries enter the results: integer counters are summed, and the genie
+statistics of a batch are put back together in row order and accumulated
+once, as one array.  The batch size does enter them, because
 floating-point accumulators are combined batch by batch.
 
 Memory order is fixed per algorithm.  psi blocks run symbol-major: the
 received word is built as an (n, rows) array, random codewords are encoded
 into one, and the decoder walks it as contiguous per-symbol slabs (see
-:mod:`rmrec.decoder`), at about 1.6-1.8 times the speed of a row-major
-{8,2} block of 8192 rows, draw included.  phi and genie blocks stay
-row-major: phi's FHT reads rows, which a symbol-major block must copy out
-first, and the genie recursion's sums are wide; drawn and decoded
-symbol-major, a {10,2} phi block of 2048 rows ran at about 0.67 times and
-a {12,1} genie block of 512 rows at about 0.85 times the row-major speed
-(one thread).  The order never enters a result.
+:mod:`rmrec.decoder`).  On their +/-1 words the decoder sums repetition
+slabs in place for every code it certifies exact (psi {m,2} up to m = 16,
+not {11,3}), and a cap of 2^20 symbols per block (4096 rows of {8,2})
+keeps the walk's temporaries small: 8192 rows of {8,2} ran at about 1.9
+times the speed of one row-major block of 8192 rows, draw included (one
+thread).  phi and genie blocks stay row-major: phi's FHT reads rows,
+which a symbol-major block must copy out first, and the genie
+recursion's sums are wide; drawn and decoded symbol-major, a {10,2} phi
+block of 2048 rows ran at about 0.67 times and a {12,1} genie block of
+512 rows at about 0.85 times the row-major speed (one thread).  The
+order never enters a result.
 
 Channels are binary symmetric: either with an explicit crossover p or as
 the hard-decision image of an AWGN channel with deviation sigma, whose
@@ -293,33 +298,46 @@ def _workers() -> int:
 # short to release the GIL for long, and two threads ran several times
 # slower than one.
 _MIN_BLOCK_SYMBOLS = 1 << 18
+# Symbols per symbol-major row block at most.  Larger blocks decode slower
+# per row, as the walk's larger temporaries fault in afresh: on one core a
+# {8,2} decode of 8192 rows took about 1.6 times as long per row as one of
+# 4096 rows (2^20 symbols), with 1.7 times the page faults per row.
+# Row-major blocks are not capped: capped too, phi ran slower.
+_MAX_SYMBOL_MAJOR_BLOCK = 1 << 20
 
 
-def _row_blocks(work, trials: int, size: int, n: int):
+def _row_blocks(work, trials: int, size: int, n: int, order: str = "C"):
     """Per batch of up to `size` consecutive trials, in order: the results
     of work(rows) on its contiguous row blocks, in row order.
 
     A batch of rows of n symbols is cut into at most one block per worker
     thread, each of at least _MIN_BLOCK_SYMBOLS symbols when there are two
-    or more.  A batch of one block runs inline, and a run of such batches
-    starts no thread pool.
+    or more.  Symbol-major blocks (`order` "F") are cut further where
+    needed, so that none of two or more rows holds more than
+    _MAX_SYMBOL_MAJOR_BLOCK symbols.  A batch's blocks run inline when it
+    has one block or there is one worker, and a run of such batches starts
+    no thread pool.
     """
     workers = _workers()
     pool = None
     try:
         for start in range(0, trials, size):
             rows = min(size, trials - start)
-            count = max(1, min(workers, rows, rows * n // _MIN_BLOCK_SYMBOLS))
-            if count == 1:
-                yield [work(range(start, start + rows))]
+            count = min(workers, rows * n // _MIN_BLOCK_SYMBOLS)
+            if order == "F":
+                count = max(count, -(-rows * n // _MAX_SYMBOL_MAJOR_BLOCK))
+            count = max(1, min(count, rows))
+            bounds = [start + rows * i // count for i in range(count + 1)]
+            blocks = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+            if count == 1 or workers == 1:
+                yield [work(block) for block in blocks]
                 continue
             if pool is None:
                 # imported here: with the logging it pulls in, it would add
                 # about 10 ms to every `import rmrec`
                 from concurrent.futures import ThreadPoolExecutor
                 pool = ThreadPoolExecutor(workers)
-            bounds = [start + rows * i // count for i in range(count + 1)]
-            yield list(pool.map(work, [range(a, b) for a, b in zip(bounds, bounds[1:])]))
+            yield list(pool.map(work, blocks))
     finally:
         if pool is not None:
             pool.shutdown()
@@ -364,7 +382,8 @@ def run_wer(config: SimConfig, per_path: bool = False) -> SimReport:
     word_errors = 0
     ops = 0
     path_errors = np.zeros(k, dtype=np.int64)
-    for blocks in _row_blocks(count_errors, config.trials, config.effective_batch(), n):
+    for blocks in _row_blocks(count_errors, config.trials, config.effective_batch(), n,
+                              order):
         for block_words, block_paths, ops in blocks:
             word_errors += block_words
             path_errors += block_paths

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from rmrec import (
     md_biorthogonal,
 )
 from rmrec import decoder
-from rmrec.core import FIRST_ORDER, SPLIT, plotkin_tree
+from rmrec.core import FIRST_ORDER, LEFT_END, RIGHT_END, SPLIT, plotkin_tree
 from rmrec.decoder import (
     MIN_SUM,
     PRODUCT,
@@ -574,6 +575,129 @@ def test_rows_independent_of_memory_order(m, r):
     if params.k > 1:  # a (B, 1) block is C- and F-contiguous at once
         assert encoded_f.flags.f_contiguous and not encoded_f.flags.c_contiguous
     assert np.array_equal(encoded_f, encode_batch(bits, params))
+
+
+def _grid_bits(values) -> int:
+    """Bits that a set of dyadic rationals needs on their common grid: the
+    least b with |x| * 2^g <= 2^b for all x, 2^-g the finest denominator.
+    float64 holds every such x exactly when b <= 53."""
+    g = max(value.denominator.bit_length() - 1 for value in values)
+    top = max(abs(value.numerator) << (g - value.denominator.bit_length() + 1)
+              for value in values)
+    return max(top - 1, 0).bit_length()
+
+
+def _sign(value) -> int:
+    return (value > 0) - (value < 0)
+
+
+def _exact_decode(y, node, options, bits):
+    """The +/-1 codeword of a decode of the Fraction list y at `node`, with
+    ties to +1, in exact arithmetic; appends to `bits` the grid bits of every
+    node's input and of the magnitude sum that bounds every partial sum of a
+    repetition or first-order node, in any order."""
+    bits.append(_grid_bits(y))
+    if node.kind == SPLIT:
+        v, u = node.children
+        half = len(y) // 2
+        y1, y2 = y[:half], y[half:]
+        if options.v_rule == PRODUCT:
+            y_v = [a * b for a, b in zip(y1, y2)]
+        else:
+            y_v = [_sign(a) * _sign(b) * min(abs(a), abs(b)) for a, b in zip(y1, y2)]
+        v_hat = _exact_decode(y_v, v, options, bits)
+        scale = Fraction(1, 2) if options.u_rule == SCALED else 1
+        u_hat = _exact_decode([(a + b * s) * scale for a, b, s in zip(y1, y2, v_hat)],
+                              u, options, bits)
+        return u_hat + [a * b for a, b in zip(u_hat, v_hat)]
+    if node.kind == RIGHT_END:
+        return [1 if value >= 0 else -1 for value in y]
+    bits.append(_grid_bits([sum(abs(value) for value in y)]))
+    if node.kind == LEFT_END:
+        return [1 if sum(y) >= 0 else -1] * len(y)
+    corr, h = list(y), 1  # the butterfly FHT
+    while h < len(corr):
+        for i in range(0, len(corr), 2 * h):
+            for j in range(i, i + h):
+                corr[j], corr[j + h] = corr[j] + corr[j + h], corr[j] - corr[j + h]
+        h *= 2
+    best = max(range(len(corr)), key=lambda j: (abs(corr[j]), -j))
+    sign = 1 if corr[best] >= 0 else -1
+    return [sign * int(s) for s in biorthogonal_codeword(best, len(y))[0]]
+
+
+_BUDGET_RULES = [DecoderOptions(u_rule=u, v_rule=v, tie_rule=TIE_POSITIVE)
+                 for u in (SCALED, UNSCALED) for v in (PRODUCT, MIN_SUM)]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_bit_budget_bounds_exact_decodes(m):
+    # decodes of +/-1 words in exact arithmetic never need more bits than
+    # the static budget, and the float decode of a certified code is exact
+    rng = np.random.default_rng(40 + m)
+    n = 1 << m
+    index = np.arange(n)
+    words = np.vstack([np.ones(n)]
+                      + [np.where(index >> j & 1, -1.0, 1.0) for j in range(m)]
+                      + [np.where(rng.random(n) < 0.5, -1.0, 1.0) for _ in range(4)])
+    for r in range(m + 1):
+        params = CodeParams(m, r)
+        for algorithm in ("psi", "phi") if r >= 1 else ("psi",):
+            phi = algorithm == "phi"
+            root = plotkin_tree(m, r, phi).root
+            for options in _BUDGET_RULES:
+                budget = decoder._bit_budget(m, r, phi, options.v_rule)
+                _, cw, _ = decode_batch(words, params, algorithm, options)
+                for word, decoded in zip(words, cw):
+                    bits = []
+                    exact = _exact_decode([Fraction(int(s)) for s in word], root, options, bits)
+                    assert max(bits) <= budget <= decoder._EXACT_BITS
+                    assert exact == decoded.tolist()
+
+
+def test_bit_budget_reference_values():
+    expect = {(8, 2, False): 21, (10, 2, False): 29, (11, 3, False): 57,
+              (12, 2, True): 20, (12, 4, True): 58}
+    for (m, r, phi), bits in expect.items():
+        assert decoder._bit_budget(m, r, phi, PRODUCT) == bits
+    assert decoder._bit_budget(11, 3, False, MIN_SUM) <= decoder._EXACT_BITS
+
+
+def test_certified_pm1_batches_sum_repetition_slabs_in_place(monkeypatch):
+    # a symbol-major batch of +/-1 words on a certified psi code sums its
+    # repetition slabs along the symbol axis and copies no rows; a real
+    # batch and an uncertified code read rows
+    calls = []
+    rows = decoder._rows
+    monkeypatch.setattr(decoder, "_rows", lambda y: calls.append(y.shape) or rows(y))
+    rng = np.random.default_rng(23)
+
+    def row_calls(y, params, options=DecoderOptions(tie_seed=3)):
+        calls.clear()
+        info, cw, _ = decode_batch(y, params, "psi", options)
+        info_c, cw_c, _ = decode_batch(np.ascontiguousarray(y), params, "psi", options)
+        assert np.array_equal(info, info_c) and np.array_equal(cw, cw_c)
+        return len(calls) - sum(leaf.kind == LEFT_END
+                                for leaf in plotkin_tree(params.m, params.r).leaves)
+
+    def pm1(params, rows=64):
+        # the channel word of a random codeword at crossover 0.2, symbol-major
+        bits = rng.integers(0, 2, size=(rows, params.k), dtype=np.uint8)
+        flips = np.where(rng.random((rows, params.n)) < 0.2, -1.0, 1.0)
+        return np.asfortranarray(encode_batch(bits, params) * flips)
+
+    certified = CodeParams(8, 2)
+    y = pm1(certified)
+    assert row_calls(y, certified) == 0  # only the C-ordered decode read rows
+    real = y * rng.uniform(0.5, 1.5, size=y.shape)
+    assert row_calls(np.asfortranarray(real), certified) > 0
+    nearly = y.copy(order="F")
+    nearly[-1, -1] = 0.75  # one entry off +/-1, in the last row
+    assert row_calls(nearly, certified) > 0
+    uncertified = CodeParams(11, 3)  # 57 bits under the product rule
+    y = pm1(uncertified, rows=8)
+    assert row_calls(y, uncertified) > 0
+    assert row_calls(y, uncertified, DecoderOptions(v_rule=MIN_SUM, tie_seed=3)) == 0
 
 
 def test_phi_first_order_is_one_biorthogonal_call():

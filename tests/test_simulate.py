@@ -311,6 +311,20 @@ def test_row_blocks_cut_batches_in_order(monkeypatch):
     monkeypatch.setattr(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", 1)
     cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 3, 2, 64))
     assert cut == [[range(0, 1), range(1, 2)], [range(2, 3)]]
+    # symbol-major blocks hold at most _MAX_SYMBOL_MAJOR_BLOCK symbols, more
+    # blocks than workers where needed, and never less than a row
+    monkeypatch.setattr(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", wide)
+    cap = rmrec.simulate._MAX_SYMBOL_MAJOR_BLOCK
+    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 12, 10, cap // 2, "F"))
+    assert cut == [[range(0, 2), range(2, 4), range(4, 6), range(6, 8), range(8, 10)],
+                   [range(10, 11), range(11, 12)]]
+    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 12, 10, cap // 2))
+    assert cut == [[range(0, 3), range(3, 6), range(6, 10)], [range(10, 11), range(11, 12)]]
+    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 3, 3, 4 * cap, "F"))
+    assert cut == [[range(0, 1), range(1, 2), range(2, 3)]]
+    monkeypatch.setattr(rmrec.simulate, "_workers", lambda: 1)
+    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 4, 4, cap // 2, "F"))
+    assert cut == [[range(0, 2), range(2, 4)]]
 
 
 @pytest.mark.parametrize("batch", (1, 7, 0))
@@ -384,8 +398,36 @@ def test_psi_counters_match_row_recount(monkeypatch, m, r, transmitted, batch, w
     report = run_wer(_config(m=m, r=r, p=p, trials=trials, master_seed=31, batch_size=batch,
                              transmitted=transmitted, options=DecoderOptions(tie_seed=4)),
                      per_path=True)
+    _assert_recount(report, m, r, transmitted)
+
+
+def _assert_recount(report, m: int, r: int, transmitted: str) -> None:
     word_errors, path_errors = _row_recount(m, r, transmitted)
     assert report.word_errors == word_errors > 0
     assert report.bit_errors == sum(path_errors)
     assert [rate for rate, _ in report.path_error_rates.values()] == \
-        [errors / trials for errors in path_errors]
+        [errors / report.trials for errors in path_errors]
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("transmitted", ("all-ones", "random"))
+@pytest.mark.parametrize("m, r", sorted(_RECOUNT_RUNS))
+def test_capped_psi_blocks_match_row_recount(monkeypatch, m, r, transmitted, workers):
+    # a cap of three rows' symbols cuts every automatic batch into many
+    # symbol-major blocks; the counters must still equal the recount
+    monkeypatch.setattr(rmrec.simulate, "_workers", lambda: workers)
+    monkeypatch.setattr(rmrec.simulate, "_MAX_SYMBOL_MAJOR_BLOCK", 3 << m)
+    blocks = []
+
+    def recorded(y, *args):
+        assert y.flags.f_contiguous
+        blocks.append(len(y))
+        return decode_batch(y, *args)
+
+    monkeypatch.setattr(rmrec.simulate, "decode_batch", recorded)
+    p, trials = _RECOUNT_RUNS[m, r]
+    report = run_wer(_config(m=m, r=r, p=p, trials=trials, master_seed=31,
+                             transmitted=transmitted, options=DecoderOptions(tie_seed=4)),
+                     per_path=True)
+    assert sum(blocks) == trials and max(blocks) == 3 and len(blocks) == -(-trials // 3)
+    _assert_recount(report, m, r, transmitted)
