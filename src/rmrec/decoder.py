@@ -24,17 +24,16 @@ view, the transpose of the (B, n) batch a caller passes.  For a row-major
 out each temporary like its inputs; for a symbol-major (F-ordered) batch,
 an (n, B) C array underneath, every v step, u step, sign and re-assembly
 runs on one contiguous (w/2, B) or (w, B) slab, which is much faster at
-small widths.  Two kinds of step depend on the order of their additions
-and read each trial's row instead: the repetition node's sum (numpy sums a
-row pairwise; summed down a slab, a row of 8 or more reals rounds
-differently) and the first-order node's FHT and argmax.  A row-major view
-already has contiguous rows; a symbol-major slab is copied into rows
-first.  The output is therefore bit-identical for any memory order of the
-input, and comes back in the input's order.  A symbol-major batch of +/-1
-words (every Monte Carlo input is one) on a psi code certified by a static
-bit budget (:func:`_bit_budget`: at most 53 bits, so every partial sum is
-exact in float64) sums its repetition slabs in place, along the symbol
-axis, and copies no rows: exact sums do not depend on their order.
+small widths.  Two kinds of step depend on the order of their additions.
+The repetition node's sum adds in one order for both layouts: numpy's
+pairwise order over a contiguous row (Higham, SIAM J. Sci. Comput. 14,
+1993), which :func:`_block_sums` writes out with slab-wide adds when the
+symbols of a block are not adjacent in memory; numpy itself would sum down
+a slab one symbol at a time.  The first-order node's FHT and argmax read
+each trial's row, a strided view of a symbol-major slab, which the
+transform's matrix products round as they would a contiguous row.  The
+output is therefore bit-identical for any memory order of the input, and
+comes back in the input's order.
 
 First-order map: the FHT winner of a node {L, 1} is a pattern index
 `best` in [0, 2^L) and a sign.  Its L+1 info bits, in the node's path
@@ -313,27 +312,43 @@ def _first_order_bits(width: int) -> np.ndarray:
 
 # --- end-node decisions -----------------------------------------------------
 
-def _rows(y: np.ndarray) -> np.ndarray:
-    """The (B, w) rows of a symbol-first (w, B) view, each contiguous in memory.
+def _block_sums(y: np.ndarray) -> np.ndarray:
+    """The (B,) block sums of a symbol-first (w, B) view, w a power of two,
+    each rounded as numpy sums the block as one contiguous row.
 
-    For row-major input that is the view itself; a symbol-major slab is
-    copied.  Sums along a row and the FHT then see each row as they would in
-    a (B, n) C array, and round the same whatever the input's memory order:
-    summed along the slab's symbol axis, a row of 8 or more reals rounds
-    differently from numpy's pairwise row sum.
+    Contiguous rows are numpy's own sum.  Otherwise the sum writes numpy's
+    pairwise order out over the whole slab: a sequential sum from zero
+    below 8 symbols; else, within each 128-symbol block, 8 lanes summed
+    sequentially over the block's 8-symbol groups, then
+    ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)), and blocks combined by halving;
+    the sum starts from zero, so -0.0 blocks sum to +0.0, as in numpy.
     """
-    rows = y.T
-    if rows.shape[1] > 1 and rows.strides[1] != rows.itemsize:
-        rows = np.ascontiguousarray(rows)
-    return rows
+    if y.strides[0] == y.itemsize:
+        return y.sum(axis=0)
+    width = y.shape[0]
+    if width < 8:
+        total = y[0] + 0.0
+        for row in y[1:]:
+            total += row
+        return total
+    groups = min(width, 128) // 8
+    lanes = y.reshape(-1, groups, 8, y.shape[1])  # (blocks, groups, lanes, B)
+    total = lanes[:, 0] if groups == 1 else lanes[:, 0] + lanes[:, 1]
+    for group in range(2, groups):
+        total += lanes[:, group]
+    total = total.reshape(-1, y.shape[1])  # each block's lanes, block by block
+    while len(total) > 1:
+        total = total[0::2] + total[1::2]
+    return total[0] + 0.0
 
 
 def _repetition(y: np.ndarray, options: DecoderOptions, trials: np.ndarray,
                 site: int, trace: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """MD decisions of repetition blocks: (+/-1 decisions, block means), (B, 1)
-    each; the means only under `trace`, None otherwise."""
-    total = y.sum(axis=1, keepdims=True)
-    return _signs(total, options, trials, site), total / y.shape[1] if trace else None
+    """MD decisions of the repetition blocks of a symbol-first (w, B) view:
+    (+/-1 decisions, block means), (B, 1) each; the means only under
+    `trace`, None otherwise."""
+    total = _block_sums(y)[:, None]
+    return _signs(total, options, trials, site), total / y.shape[0] if trace else None
 
 
 def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, site: int,
@@ -399,41 +414,12 @@ def _op_count(m: int, r: int, first_order_ends: bool, u_rule: str, v_rule: str) 
     return sum(node_ops(node) for node in plotkin_tree(m, r, first_order_ends).nodes)
 
 
-_EXACT_BITS = 53  # float64 holds every integer of at most 2^53 in magnitude
-
-
-@cache
-def _bit_budget(m: int, r: int, first_order_ends: bool, v_rule: str) -> int:
-    """Bits that one block's decode of a +/-1 word needs: a static maximum
-    over the tree's end nodes.
-
-    A value at a node with e bits is k/2^e (scaled u rule) or k (unscaled)
-    with |k| <= 2^e.  The root has e = 0; a product v step maps e to 2e, a
-    min-sum v step keeps it, and a u step maps it to e + 1 under either u
-    rule.  A full-space node needs e bits, and a repetition sum or an FHT of
-    width 2^L needs e + L.  Within _EXACT_BITS every value and every partial
-    sum of the decode is exact in float64, whatever the order of the sums.
-    """
-
-    def bits(node: PlotkinNode) -> int:
-        e = 0
-        for step in node.prefix:  # 1 a u step, 0 a v step
-            if step:
-                e += 1
-            elif v_rule == PRODUCT:
-                e *= 2
-        return e if node.kind == RIGHT_END else e + node.length_log
-
-    return max(bits(node) for node in plotkin_tree(m, r, first_order_ends).leaves)
-
-
 def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             options: DecoderOptions | None, trials: np.ndarray | None,
-            trace: bool = False) -> tuple[np.ndarray, np.ndarray, int, tuple | None]:
+            trace: bool = False) -> tuple[np.ndarray, np.ndarray, int, np.ndarray | None]:
     """Validate, then walk the tree: (info, codewords, op count, trace).
 
-    The trace, when asked for, holds the (B, k) end values and decisions
-    per info column.
+    The trace, when asked for, holds the (B, k) end values per info column.
     """
     options = options or DecoderOptions()
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
@@ -451,15 +437,9 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             raise ValueError("trials must hold one index per row")
     phi = algorithm == ALG_PHI
     order = _memory_order(y)
-    # the static tests first, so that row-major batches and phi, whose tree
-    # has no repetition node, pay nothing for the +/-1 check
-    slab_sums = (order == "F" and not phi
-                 and _bit_budget(params.m, params.r, False, options.v_rule) <= _EXACT_BITS
-                 and bool(((y == 1.0) | (y == -1.0)).all()))
     info = np.empty((y.shape[0], params.k), dtype=np.uint8, order=order)
     if trace:
         values = np.empty((y.shape[0], params.k))
-        decisions = np.empty((y.shape[0], params.k), dtype=np.int64)
 
     def walk(node, y: np.ndarray, cw: np.ndarray) -> None:
         # decodes the symbol-first view y, (2^length_log, B), into the view
@@ -473,25 +453,25 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             cw[half:] *= cw[:half]  # symbol re-assembly (u, u*v), uncounted
             return
         if node.kind == FIRST_ORDER:
-            bits, value = _first_order(_rows(y), options, trials, node.site, cw.T, trace)
+            bits, value = _first_order(y.T, options, trials, node.site, cw.T, trace)
         else:
             if node.kind == RIGHT_END:
                 cw.T[:], value = _signs(y.T, options, trials, node.site), y.T
             else:
-                signs, value = _repetition(y.T if slab_sums else _rows(y), options, trials,
-                                           node.site, trace)
+                signs, value = _repetition(y, options, trials, node.site, trace)
                 cw[:] = signs.T
             bits = cw[:len(node.paths)].T < 0
         info[:, node.info] = bits
         if trace:
             values[:, node.info] = value
-            decisions[:, node.info] = np.where(bits, -1, 1)
 
     cw = np.empty(y.shape, order=order)
-    with np.errstate(over="ignore"):  # unscaled intermediates may reach inf
+    # unscaled intermediates may reach inf, and inf - inf is NaN; the
+    # callers that must refuse NaN check the decoded symbols
+    with np.errstate(over="ignore", invalid="ignore"):
         walk(plotkin_tree(params.m, params.r, phi).root, y.T, cw.T)
     ops = _op_count(params.m, params.r, phi, options.u_rule, options.v_rule)
-    return info, cw, ops, (values, decisions) if trace else None
+    return info, cw, ops, values if trace else None
 
 
 def decode_batch(y: np.ndarray, params: CodeParams, algorithm: str = ALG_PSI,
@@ -518,15 +498,14 @@ def _decode_single(y: np.ndarray, params: CodeParams, algorithm: str,
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (params.n,):
         raise ValueError(f"received block must have length n={params.n}")
-    with np.errstate(invalid="ignore"):  # NaN symbols are refused below
-        info, cw, ops, trace = _decode(y[None, :], params, algorithm, options,
-                                       np.array([trial], dtype=np.uint64), options.trace)
+    info, cw, ops, values = _decode(y[None, :], params, algorithm, options,
+                                    np.array([trial], dtype=np.uint64), options.trace)
     if np.isnan(cw).any():
         raise ValueError("the decoder's intermediates overflowed: decoded symbols "
                          "are NaN; scale the received word down")
-    if trace is not None:  # decode order is the lexicographic path order
-        values, decisions = trace
-        trace = {path: PathTrace(float(values[0, j]), int(decisions[0, j]), j)
+    trace = None
+    if values is not None:  # decode order is the lexicographic path order
+        trace = {path: PathTrace(float(values[0, j]), 1 - 2 * int(info[0, j]), j)
                  for j, path in enumerate(enumerate_paths(params))}
     return DecodeResult(info[0], cw[0].astype(np.int8), ops, trace)
 
@@ -552,8 +531,7 @@ def extract_info_batch(codewords: np.ndarray, params: CodeParams) -> np.ndarray:
     row is a codeword.
     """
     codewords = np.atleast_2d(np.asarray(codewords, dtype=np.float64))
-    with np.errstate(invalid="ignore"):  # NaN rows fail the check below
-        info, decoded, _, _ = _decode(codewords, params, ALG_PSI, None, None)
+    info, decoded, _, _ = _decode(codewords, params, ALG_PSI, None, None)
     if not np.array_equal(decoded, codewords):
         raise ValueError(f"not a +/-1 codeword of {params}")
     return info

@@ -18,13 +18,11 @@ floating-point accumulators are combined batch by batch.
 Memory order is fixed per algorithm.  psi blocks run symbol-major: the
 received word is built as an (n, rows) array, random codewords are encoded
 into one, and the decoder walks it as contiguous per-symbol slabs (see
-:mod:`rmrec.decoder`).  On their +/-1 words the decoder sums repetition
-slabs in place for every code it certifies exact (psi {m,2} up to m = 16,
-not {11,3}), and a cap of 2^20 symbols per block (4096 rows of {8,2})
-keeps the walk's temporaries small: 8192 rows of {8,2} ran at about 1.9
+:mod:`rmrec.decoder`).  A cap of 2^20 symbols per block (4096 rows of
+{8,2}) keeps the walk's temporaries small: 8192 rows of {8,2} ran at about 1.9
 times the speed of one row-major block of 8192 rows, draw included (one
 thread).  phi and genie blocks stay row-major: phi's FHT reads rows,
-which a symbol-major block must copy out first, and the genie
+which are strided in a symbol-major block, and the genie
 recursion's sums are wide; drawn and decoded symbol-major, a {10,2} phi
 block of 2048 rows ran at about 0.67 times and a {12,1} genie block of
 512 rows at about 0.85 times the row-major speed (one thread).  The

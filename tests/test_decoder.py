@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -418,15 +419,21 @@ def test_decode_validation():
 
 
 def test_single_decode_refuses_nan_symbols():
-    # finite input whose products overflow to inf, then to NaN
-    params = CodeParams(3, 1)
-    y = np.full(8, 1e200)
-    y[2] = -1e200
-    with pytest.raises(ValueError, match="NaN"):
-        decode_psi(y, params)
-    with np.errstate(invalid="ignore"):  # the batch path does not check
-        _, cw, _ = decode_batch(y[None, :], params)
-    assert np.isnan(cw).any()
+    # finite input whose products overflow to inf, then to NaN; the decode
+    # silences its own inf and NaN arithmetic, so nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params, decodes in [(CodeParams(3, 1), (decode_psi,)),
+                                (CodeParams(4, 2), (decode_psi, decode_phi))]:
+            y = np.full(params.n, 1e200)
+            y[2] = -1e200
+            for decode in decodes:
+                with pytest.raises(ValueError, match="NaN"):
+                    decode(y, params)
+            with pytest.raises(ValueError, match="codeword"):
+                extract_info_batch(y[None, :], params)
+            _, cw, _ = decode_batch(y[None, :], params)  # the batch path does not check
+            assert np.isnan(cw).any()
 
 
 def test_op_counts_reference_values():
@@ -545,31 +552,50 @@ MEMORY_ORDER_RULES = [DecoderOptions(u_rule=u, v_rule=v, tie_rule=t, tie_seed=9)
                       for t in (TIE_RANDOM, TIE_POSITIVE)]
 
 
-@pytest.mark.parametrize("m, r", [(5, 0), (6, 2), (7, 3), (8, 2)])
+def _pm1_batches(rng, params, rows):
+    """Channel words of random codewords at crossover 0.2, symbol-major, and
+    two variants: one entry off +/-1, and every entry scaled by a real."""
+    bits = rng.integers(0, 2, size=(rows, params.k), dtype=np.uint8)
+    flips = np.where(rng.random((rows, params.n)) < 0.2, -1.0, 1.0)
+    pm1 = np.asfortranarray(encode_batch(bits, params) * flips)
+    nearly = pm1.copy(order="F")
+    nearly[-1, -1] = 0.75
+    scaled = np.asfortranarray(pm1 * rng.uniform(0.5, 1.5, size=pm1.shape))
+    return [pm1, nearly, scaled]
+
+
+@pytest.mark.parametrize("m, r", [(5, 0), (9, 0), (12, 0), (6, 2), (7, 3), (8, 2), (9, 1),
+                                  (11, 3)])
 def test_rows_independent_of_memory_order(m, r):
     # A C-ordered batch runs in row-major order, an F-ordered one runs
     # symbol-major (each node's halves are contiguous slabs); the end-node
-    # reductions must still round as on one row alone
+    # reductions must still round as on one row alone.  Repetition nodes
+    # wider than one 128-symbol block: the roots of {9,0} and {12,0}, whose
+    # cancelling rows make a decision hang on the rounding, and the {8,0}
+    # nodes of {9,1} and {11,3}
     rng = np.random.default_rng(20 + m)
     params = CodeParams(m, r)
-    half = rng.normal(size=(20, params.n // 2))
+    rows = 20 if params.n <= 512 else 3
+    half = rng.normal(size=(rows, params.n // 2))
     # rows whose exact sum is 0: the rounded sum, and hence a repetition
     # root's decision, depends on the order of the additions
     cancelling = rng.permuted(np.hstack([half, -half]), axis=1)
-    y = np.vstack([rng.normal(size=(20, params.n)), cancelling,
-                   rng.integers(-1, 2, size=(20, params.n)).astype(np.float64)])
-    y[:20][rng.uniform(size=(20, params.n)) < 0.05] = 0.0  # ties on real rows too
-    trials = np.arange(len(y), dtype=np.uint64) + 1000
-    symbol_major = np.asfortranarray(y)
-    for algorithm in ("psi", "phi") if r >= 1 else ("psi",):
-        for options in MEMORY_ORDER_RULES:
-            info, cw, _ = decode_batch(y, params, algorithm, options, trials)
-            info_f, cw_f, _ = decode_batch(symbol_major, params, algorithm, options, trials)
-            assert cw_f.flags.f_contiguous and not cw_f.flags.c_contiguous
-            assert np.array_equal(info_f, info) and np.array_equal(cw_f, cw)
-            for j in range(len(y)):
-                info_j, cw_j, _ = decode_batch(y[j], params, algorithm, options, trials[j:j + 1])
-                assert np.array_equal(info_j[0], info[j]) and np.array_equal(cw_j[0], cw[j])
+    y = np.vstack([rng.normal(size=(rows, params.n)), cancelling,
+                   rng.integers(-1, 2, size=(rows, params.n)).astype(np.float64)])
+    y[:rows][rng.uniform(size=(rows, params.n)) < 0.05] = 0.0  # ties on real rows too
+    for batch in [y] + _pm1_batches(rng, params, rows):
+        trials = np.arange(len(batch), dtype=np.uint64) + 1000
+        row_major, symbol_major = np.ascontiguousarray(batch), np.asfortranarray(batch)
+        for algorithm in ("psi", "phi") if r >= 1 else ("psi",):
+            for options in MEMORY_ORDER_RULES:
+                info, cw, _ = decode_batch(row_major, params, algorithm, options, trials)
+                info_f, cw_f, _ = decode_batch(symbol_major, params, algorithm, options, trials)
+                assert cw_f.flags.f_contiguous and not cw_f.flags.c_contiguous
+                assert np.array_equal(info_f, info) and np.array_equal(cw_f, cw)
+                for j in range(len(batch)):
+                    info_j, cw_j, _ = decode_batch(batch[j], params, algorithm, options,
+                                                   trials[j:j + 1])
+                    assert np.array_equal(info_j[0], info[j]) and np.array_equal(cw_j[0], cw[j])
     bits = rng.integers(0, 2, size=(len(y), params.k), dtype=np.uint8)
     encoded_f = encode_batch(np.asfortranarray(bits), params)
     if params.k > 1:  # a (B, 1) block is C- and F-contiguous at once
@@ -577,26 +603,36 @@ def test_rows_independent_of_memory_order(m, r):
     assert np.array_equal(encoded_f, encode_batch(bits, params))
 
 
-def _grid_bits(values) -> int:
-    """Bits that a set of dyadic rationals needs on their common grid: the
-    least b with |x| * 2^g <= 2^b for all x, 2^-g the finest denominator.
-    float64 holds every such x exactly when b <= 53."""
-    g = max(value.denominator.bit_length() - 1 for value in values)
-    top = max(abs(value.numerator) << (g - value.denominator.bit_length() + 1)
-              for value in values)
-    return max(top - 1, 0).bit_length()
+@pytest.mark.parametrize("length_log", range(13))
+def test_block_sums_match_numpy_rows_in_either_memory_order(length_log):
+    # the repetition sum of a symbol-major slab adds in numpy's pairwise
+    # order over one contiguous row, to the bit and to the sign of zero
+    rng = np.random.default_rng(60 + length_log)
+    width = 1 << length_log
+    for count in (1, 7, 300):
+        # a dynamic range of 16 decades
+        rows = rng.normal(size=(count, width)) * 10.0 ** rng.uniform(-8, 8, size=(count, width))
+        rows[0, :(width + 1) // 2] = -0.0  # all -0.0 when the width is 1
+        if count > 1:
+            half = rng.normal(size=width // 2)
+            rows[1] = rng.permuted(np.concatenate([half, -half])) if width > 1 else -0.0
+            rows[2, rng.integers(width)] = np.inf
+            rows[3] = -0.0
+            rows[4, rng.integers(width)], rows[4, 0] = -np.inf, np.inf
+            rows[5, rng.integers(width)] = -np.inf
+        with np.errstate(invalid="ignore"):  # inf - inf
+            expect = rows.sum(axis=1).view(np.int64)
+            for view in (rows.T, np.ascontiguousarray(rows.T)):  # row-major, symbol-major
+                assert np.array_equal(decoder._block_sums(view).view(np.int64), expect)
 
 
 def _sign(value) -> int:
     return (value > 0) - (value < 0)
 
 
-def _exact_decode(y, node, options, bits):
+def _exact_decode(y, node, options):
     """The +/-1 codeword of a decode of the Fraction list y at `node`, with
-    ties to +1, in exact arithmetic; appends to `bits` the grid bits of every
-    node's input and of the magnitude sum that bounds every partial sum of a
-    repetition or first-order node, in any order."""
-    bits.append(_grid_bits(y))
+    ties to +1, in exact arithmetic."""
     if node.kind == SPLIT:
         v, u = node.children
         half = len(y) // 2
@@ -605,14 +641,13 @@ def _exact_decode(y, node, options, bits):
             y_v = [a * b for a, b in zip(y1, y2)]
         else:
             y_v = [_sign(a) * _sign(b) * min(abs(a), abs(b)) for a, b in zip(y1, y2)]
-        v_hat = _exact_decode(y_v, v, options, bits)
+        v_hat = _exact_decode(y_v, v, options)
         scale = Fraction(1, 2) if options.u_rule == SCALED else 1
         u_hat = _exact_decode([(a + b * s) * scale for a, b, s in zip(y1, y2, v_hat)],
-                              u, options, bits)
+                              u, options)
         return u_hat + [a * b for a, b in zip(u_hat, v_hat)]
     if node.kind == RIGHT_END:
         return [1 if value >= 0 else -1 for value in y]
-    bits.append(_grid_bits([sum(abs(value) for value in y)]))
     if node.kind == LEFT_END:
         return [1 if sum(y) >= 0 else -1] * len(y)
     corr, h = list(y), 1  # the butterfly FHT
@@ -626,14 +661,13 @@ def _exact_decode(y, node, options, bits):
     return [sign * int(s) for s in biorthogonal_codeword(best, len(y))[0]]
 
 
-_BUDGET_RULES = [DecoderOptions(u_rule=u, v_rule=v, tie_rule=TIE_POSITIVE)
-                 for u in (SCALED, UNSCALED) for v in (PRODUCT, MIN_SUM)]
+_EXACT_RULES = [DecoderOptions(u_rule=u, v_rule=v, tie_rule=TIE_POSITIVE)
+                for u in (SCALED, UNSCALED) for v in (PRODUCT, MIN_SUM)]
 
 
 @pytest.mark.parametrize("m", range(1, 7))
-def test_bit_budget_bounds_exact_decodes(m):
-    # decodes of +/-1 words in exact arithmetic never need more bits than
-    # the static budget, and the float decode of a certified code is exact
+def test_pm1_decodes_match_exact_arithmetic(m):
+    # the float decode of +/-1 words equals their decode in exact arithmetic
     rng = np.random.default_rng(40 + m)
     n = 1 << m
     index = np.arange(n)
@@ -643,61 +677,12 @@ def test_bit_budget_bounds_exact_decodes(m):
     for r in range(m + 1):
         params = CodeParams(m, r)
         for algorithm in ("psi", "phi") if r >= 1 else ("psi",):
-            phi = algorithm == "phi"
-            root = plotkin_tree(m, r, phi).root
-            for options in _BUDGET_RULES:
-                budget = decoder._bit_budget(m, r, phi, options.v_rule)
+            root = plotkin_tree(m, r, algorithm == "phi").root
+            for options in _EXACT_RULES:
                 _, cw, _ = decode_batch(words, params, algorithm, options)
                 for word, decoded in zip(words, cw):
-                    bits = []
-                    exact = _exact_decode([Fraction(int(s)) for s in word], root, options, bits)
-                    assert max(bits) <= budget <= decoder._EXACT_BITS
+                    exact = _exact_decode([Fraction(int(s)) for s in word], root, options)
                     assert exact == decoded.tolist()
-
-
-def test_bit_budget_reference_values():
-    expect = {(8, 2, False): 21, (10, 2, False): 29, (11, 3, False): 57,
-              (12, 2, True): 20, (12, 4, True): 58}
-    for (m, r, phi), bits in expect.items():
-        assert decoder._bit_budget(m, r, phi, PRODUCT) == bits
-    assert decoder._bit_budget(11, 3, False, MIN_SUM) <= decoder._EXACT_BITS
-
-
-def test_certified_pm1_batches_sum_repetition_slabs_in_place(monkeypatch):
-    # a symbol-major batch of +/-1 words on a certified psi code sums its
-    # repetition slabs along the symbol axis and copies no rows; a real
-    # batch and an uncertified code read rows
-    calls = []
-    rows = decoder._rows
-    monkeypatch.setattr(decoder, "_rows", lambda y: calls.append(y.shape) or rows(y))
-    rng = np.random.default_rng(23)
-
-    def row_calls(y, params, options=DecoderOptions(tie_seed=3)):
-        calls.clear()
-        info, cw, _ = decode_batch(y, params, "psi", options)
-        info_c, cw_c, _ = decode_batch(np.ascontiguousarray(y), params, "psi", options)
-        assert np.array_equal(info, info_c) and np.array_equal(cw, cw_c)
-        return len(calls) - sum(leaf.kind == LEFT_END
-                                for leaf in plotkin_tree(params.m, params.r).leaves)
-
-    def pm1(params, rows=64):
-        # the channel word of a random codeword at crossover 0.2, symbol-major
-        bits = rng.integers(0, 2, size=(rows, params.k), dtype=np.uint8)
-        flips = np.where(rng.random((rows, params.n)) < 0.2, -1.0, 1.0)
-        return np.asfortranarray(encode_batch(bits, params) * flips)
-
-    certified = CodeParams(8, 2)
-    y = pm1(certified)
-    assert row_calls(y, certified) == 0  # only the C-ordered decode read rows
-    real = y * rng.uniform(0.5, 1.5, size=y.shape)
-    assert row_calls(np.asfortranarray(real), certified) > 0
-    nearly = y.copy(order="F")
-    nearly[-1, -1] = 0.75  # one entry off +/-1, in the last row
-    assert row_calls(nearly, certified) > 0
-    uncertified = CodeParams(11, 3)  # 57 bits under the product rule
-    y = pm1(uncertified, rows=8)
-    assert row_calls(y, uncertified) > 0
-    assert row_calls(y, uncertified, DecoderOptions(v_rule=MIN_SUM, tie_seed=3)) == 0
 
 
 def test_phi_first_order_is_one_biorthogonal_call():
