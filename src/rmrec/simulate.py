@@ -8,12 +8,13 @@ Identical configurations therefore produce bit-identical reports.
 
 Trials run in batches of a fixed size, in order.  The rows of a batch are
 cut into contiguous blocks, at most one per available core unless a
-symbol-major block would then exceed 2^20 symbols; the blocks draw,
-decode and count on worker threads.  Neither the worker count nor the block
-boundaries enter the results: integer counters are summed, and the genie
-statistics of a batch are put back together in row order and accumulated
-once, as one array.  The batch size does enter them, because
-floating-point accumulators are combined batch by batch.
+block would then exceed its memory order's cap (2^19 symbols row-major,
+2^20 symbol-major); the blocks draw, decode and count on worker threads.
+Neither the worker count nor the block boundaries enter the results:
+integer counters are summed, and the genie statistics of a batch are put
+back together in row order and accumulated once, as one array.  The
+batch size does enter them, because floating-point accumulators are
+combined batch by batch.
 
 Memory order is fixed per algorithm.  psi blocks run symbol-major: the
 received word is built as an (n, rows) array, random codewords are encoded
@@ -25,8 +26,10 @@ thread).  phi and genie blocks stay row-major: phi's FHT reads rows,
 which are strided in a symbol-major block, and the genie
 recursion's sums are wide; drawn and decoded symbol-major, a {10,2} phi
 block of 2048 rows ran at about 0.67 times and a {12,1} genie block of
-512 rows at about 0.85 times the row-major speed (one thread).  The
-order never enters a result.
+512 rows at about 0.85 times the row-major speed (one thread).  A cap
+of 2^19 symbols per row-major block (128 rows of {12,1}, 512 rows of
+{10,2}) lets a worker consume the word it draws while it is still in
+its core's cache.  The order never enters a result.
 
 Channels are binary symmetric: either with an explicit crossover p or as
 the hard-decision image of an AWGN channel with deviation sigma, whose
@@ -296,12 +299,18 @@ def _workers() -> int:
 # short to release the GIL for long, and two threads ran several times
 # slower than one.
 _MIN_BLOCK_SYMBOLS = 1 << 18
-# Symbols per symbol-major row block at most.  Larger blocks decode slower
-# per row, as the walk's larger temporaries fault in afresh: on one core a
-# {8,2} decode of 8192 rows took about 1.6 times as long per row as one of
-# 4096 rows (2^20 symbols), with 1.7 times the page faults per row.
-# Row-major blocks are not capped: capped too, phi ran slower.
-_MAX_SYMBOL_MAJOR_BLOCK = 1 << 20
+# Symbols per row block at most, by memory order.  A row-major (genie, phi)
+# block is drawn and consumed while it is still in the core's cache: on one
+# core, drawing and running the genie on 512 rows of {12,1} took a minimum of
+# 31.9 ms as one block and 22.1 ms as 128-row (2^19-symbol) blocks, and
+# drawing and decoding 2048 rows of {10,2} with phi 69.1 ms as one block
+# and 44.4-45.1 ms as blocks of 2^18-2^20 symbols.  A symbol-major (psi)
+# block decodes slower per row when larger, as the walk's larger
+# temporaries fault in afresh: a {8,2} decode of 8192 rows took about 1.6
+# times as long per row as one of 4096 rows (2^20 symbols), with 1.7 times
+# the page faults per row; 2^18-2^19-symbol blocks were not consistently
+# faster.
+_MAX_BLOCK_SYMBOLS = {"C": 1 << 19, "F": 1 << 20}
 
 
 def _row_blocks(work, trials: int, size: int, n: int, order: str = "C"):
@@ -310,11 +319,11 @@ def _row_blocks(work, trials: int, size: int, n: int, order: str = "C"):
 
     A batch of rows of n symbols is cut into at most one block per worker
     thread, each of at least _MIN_BLOCK_SYMBOLS symbols when there are two
-    or more.  Symbol-major blocks (`order` "F") are cut further where
-    needed, so that none of two or more rows holds more than
-    _MAX_SYMBOL_MAJOR_BLOCK symbols.  A batch's blocks run inline when it
-    has one block or there is one worker, and a run of such batches starts
-    no thread pool.
+    or more.  Blocks are cut further where needed, so that none of two or
+    more rows holds more than _MAX_BLOCK_SYMBOLS[order] symbols, `order`
+    being the memory order ("C" or "F") the blocks are drawn in.  A
+    batch's blocks run inline when it has one block or there is one
+    worker, and a run of such batches starts no thread pool.
     """
     workers = _workers()
     pool = None
@@ -322,8 +331,7 @@ def _row_blocks(work, trials: int, size: int, n: int, order: str = "C"):
         for start in range(0, trials, size):
             rows = min(size, trials - start)
             count = min(workers, rows * n // _MIN_BLOCK_SYMBOLS)
-            if order == "F":
-                count = max(count, -(-rows * n // _MAX_SYMBOL_MAJOR_BLOCK))
+            count = max(count, -(-rows * n // _MAX_BLOCK_SYMBOLS[order]))
             count = max(1, min(count, rows))
             bounds = [start + rows * i // count for i in range(count + 1)]
             blocks = [range(a, b) for a, b in zip(bounds, bounds[1:])]

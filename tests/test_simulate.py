@@ -301,30 +301,35 @@ _INVARIANCE_RUNS = {
 def test_row_blocks_cut_batches_in_order(monkeypatch):
     monkeypatch.setattr(rmrec.simulate, "_workers", lambda: 3)
     wide = rmrec.simulate._MIN_BLOCK_SYMBOLS
-    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 10, 7, wide))
-    assert cut == [[range(0, 2), range(2, 4), range(4, 7)],
-                   [range(7, 8), range(8, 9), range(9, 10)]]
+    caps = rmrec.simulate._MAX_BLOCK_SYMBOLS
+    # one block per worker, each of at least _MIN_BLOCK_SYMBOLS symbols
+    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 10, 7, wide // 2))
+    assert cut == [[range(0, 2), range(2, 4), range(4, 7)], [range(7, 10)]]
     # too few symbols for two blocks: one block per batch
     cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 10, 7, wide // 4))
     assert cut == [[range(0, 7)], [range(7, 10)]]
+    # blocks hold at most _MAX_BLOCK_SYMBOLS[order] symbols, more blocks than
+    # workers where needed, and never less than a row
+    for order in "CF":
+        cap = caps[order]
+        cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 12, 10, cap // 2, order))
+        assert cut == [[range(0, 2), range(2, 4), range(4, 6), range(6, 8), range(8, 10)],
+                       [range(10, 11), range(11, 12)]]
+        cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 3, 3, 4 * cap, order))
+        assert cut == [[range(0, 1), range(1, 2), range(2, 3)]]
+    # row-major blocks are capped at fewer symbols than symbol-major ones
+    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 12, 10, caps["F"] // 2))
+    assert cut == [[range(i, i + 1) for i in range(10)], [range(10, 11), range(11, 12)]]
+    # one worker: a capped batch is still cut, and its blocks run inline
+    monkeypatch.setattr(rmrec.simulate, "_workers", lambda: 1)
+    for order in "CF":
+        cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 4, 4, caps[order] // 2, order))
+        assert cut == [[range(0, 2), range(2, 4)]]
     # never more blocks than rows
+    monkeypatch.setattr(rmrec.simulate, "_workers", lambda: 3)
     monkeypatch.setattr(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", 1)
     cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 3, 2, 64))
     assert cut == [[range(0, 1), range(1, 2)], [range(2, 3)]]
-    # symbol-major blocks hold at most _MAX_SYMBOL_MAJOR_BLOCK symbols, more
-    # blocks than workers where needed, and never less than a row
-    monkeypatch.setattr(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", wide)
-    cap = rmrec.simulate._MAX_SYMBOL_MAJOR_BLOCK
-    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 12, 10, cap // 2, "F"))
-    assert cut == [[range(0, 2), range(2, 4), range(4, 6), range(6, 8), range(8, 10)],
-                   [range(10, 11), range(11, 12)]]
-    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 12, 10, cap // 2))
-    assert cut == [[range(0, 3), range(3, 6), range(6, 10)], [range(10, 11), range(11, 12)]]
-    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 3, 3, 4 * cap, "F"))
-    assert cut == [[range(0, 1), range(1, 2), range(2, 3)]]
-    monkeypatch.setattr(rmrec.simulate, "_workers", lambda: 1)
-    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 4, 4, cap // 2, "F"))
-    assert cut == [[range(0, 2), range(2, 4)]]
 
 
 @pytest.mark.parametrize("batch", (1, 7, 0))
@@ -332,9 +337,13 @@ def test_row_blocks_cut_batches_in_order(monkeypatch):
 def test_reports_independent_of_worker_count(monkeypatch, run, batch):
     monkeypatch.setattr(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", 1)  # cut small batches too
     reports = []
-    for workers in (1, 2, 3, 5):
-        monkeypatch.setattr(rmrec.simulate, "_workers", lambda: workers)
-        reports.append(_hexed(_INVARIANCE_RUNS[run](batch)))
+    # the default row-major cap, then one of three rows' symbols (m = 6),
+    # which cuts phi and genie batches into blocks of at most three rows
+    for cap in (rmrec.simulate._MAX_BLOCK_SYMBOLS["C"], 3 << 6):
+        monkeypatch.setitem(rmrec.simulate._MAX_BLOCK_SYMBOLS, "C", cap)
+        for workers in (1, 2, 3, 5):
+            monkeypatch.setattr(rmrec.simulate, "_workers", lambda: workers)
+            reports.append(_hexed(_INVARIANCE_RUNS[run](batch)))
     assert all(report == reports[0] for report in reports[1:])
 
 
@@ -416,7 +425,7 @@ def test_capped_psi_blocks_match_row_recount(monkeypatch, m, r, transmitted, wor
     # a cap of three rows' symbols cuts every automatic batch into many
     # symbol-major blocks; the counters must still equal the recount
     monkeypatch.setattr(rmrec.simulate, "_workers", lambda: workers)
-    monkeypatch.setattr(rmrec.simulate, "_MAX_SYMBOL_MAJOR_BLOCK", 3 << m)
+    monkeypatch.setitem(rmrec.simulate._MAX_BLOCK_SYMBOLS, "F", 3 << m)
     blocks = []
 
     def recorded(y, *args):
