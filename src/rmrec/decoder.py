@@ -35,6 +35,27 @@ transform's matrix products round as they would a contiguous row.  The
 output is therefore bit-identical for any memory order of the input, and
 comes back in the input's order.
 
+Workspace: a decode's temporaries live in one flat float64 workspace of
+B*(n + w) elements, w being the widest first-order node (0 under psi).
+A split node of width w keeps its v estimate, and once the v child is
+decoded its u estimate, in one (w/2, B) slot after its ancestors' slots,
+laid out like the batch; a first-order node of width w runs its
+transform's two products and their magnitudes in the 2*B*w elements after
+those, and the min-sum v step borrows the node's own codeword view, which
+nothing has written yet.  Those steps write with `out=`.  Beside the
+decode's outputs, the walk allocates only small arrays at end nodes: sums,
+winners and bits per row, the a + b symbols of a wide winner's factor
+rows (w = a*b, see :func:`hadamard_transform`) and the signs of a
+full-space node, at most 2^r symbols wide.  No step reads an element that an earlier
+step of the same decode has not written, so what a workspace held before
+never enters a result.  A direct call of :func:`decode_batch`,
+:func:`decode_psi` or :func:`decode_phi` allocates its workspace once and
+frees it on return.  A Monte Carlo run keeps one workspace, grown as
+needed, on each thread that runs its blocks (see
+:func:`rmrec.simulate._row_blocks`), so that from its second block on a
+thread allocates no temporaries of the block's size and faults in no
+fresh pages for them.
+
 First-order map: the FHT winner of a node {L, 1} is a pattern index
 `best` in [0, 2^L) and a sign.  Its L+1 info bits, in the node's path
 order, are the pattern bits (best >> (L-1)) & 1, ..., (best >> 1) & 1, one
@@ -73,6 +94,7 @@ under any batching.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cache
 
@@ -220,25 +242,31 @@ _V_OPS = {PRODUCT: 1, MIN_SUM: 3}  # counted operations per symbol pair
 _U_OPS = {SCALED: 3, UNSCALED: 2}
 
 
-def _v_step(y1: np.ndarray, y2: np.ndarray, v_rule: str) -> np.ndarray:
+def _v_step(y1: np.ndarray, y2: np.ndarray, v_rule: str, out: np.ndarray,
+            spare: np.ndarray) -> np.ndarray:
+    """Writes the v estimate of the halves y1, y2 into out; min-sum also
+    writes into `spare`, a free array twice out's length along axis 0."""
     if v_rule == PRODUCT:
-        return y1 * y2
-    return np.sign(y1) * np.sign(y2) * np.minimum(np.abs(y1), np.abs(y2))
+        return np.multiply(y1, y2, out=out)
+    # sign(y1) * sign(y2) * min(|y1|, |y2|), in that order
+    a1, a2 = spare[:len(out)], spare[len(out):]
+    np.multiply(np.sign(y1, out=out), np.sign(y2, out=a1), out=out)
+    return np.multiply(out, np.minimum(np.abs(y1, out=a1), np.abs(y2, out=a2), out=a1), out=out)
 
 
-def _u_step(y1: np.ndarray, y2: np.ndarray, v_hat: np.ndarray, u_rule: str) -> np.ndarray:
-    # one temporary; y2*v_hat + y1 rounds as y1 + y2*v_hat, IEEE addition
-    # being exactly commutative
-    u = y2 * v_hat
-    u += y1
-    if u_rule == SCALED:
-        u *= 0.5
-    return u
+def _u_step(y1: np.ndarray, y2: np.ndarray, v_hat: np.ndarray, u_rule: str,
+            out: np.ndarray) -> np.ndarray:
+    """Writes the u estimate of the halves y1, y2, given v_hat, into out."""
+    # y2*v_hat + y1 rounds as y1 + y2*v_hat, IEEE addition being exactly
+    # commutative
+    np.add(np.multiply(y2, v_hat, out=out), y1, out=out)
+    return np.multiply(out, 0.5, out=out) if u_rule == SCALED else out
 
 
 # --- fast Hadamard transform ------------------------------------------------
 
-def hadamard_transform(x: np.ndarray) -> np.ndarray:
+def hadamard_transform(x: np.ndarray, *, out: np.ndarray | None = None,
+                       scratch: np.ndarray | None = None) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis (length a power of two).
 
     Output index j holds sum_i x[i] * (-1)^popcount(i & j), i.e. the
@@ -252,13 +280,22 @@ def hadamard_transform(x: np.ndarray) -> np.ndarray:
     input small enough that every partial sum is exact (+/-1 symbols, say)
     the result is exact, whatever the summation order; on other real input
     it can differ from a butterfly's in the last bits.
+
+    As in numpy, `out` receives the result and is returned, and `scratch`
+    receives the first product; each is a C-contiguous float64 array of x's
+    shape, allocated when left None.
     """
     x = np.asarray(x, dtype=np.float64)
     width = x.shape[-1]
     if width < 1 or width & (width - 1):
         raise ValueError(f"length must be a power of two, got {width}")
     a, b, h_a, h_b = _hadamard_factors(width)
-    return (h_a @ (x.reshape(-1, a, b) @ h_b)).reshape(x.shape)
+    out = np.empty(x.shape) if out is None else out
+    scratch = np.empty(x.shape) if scratch is None else scratch
+    # splitting the last axis of a C-contiguous array is always a view
+    np.matmul(h_a, np.matmul(x.reshape(-1, a, b), h_b, out=scratch.reshape(-1, a, b)),
+              out=out.reshape(-1, a, b))
+    return out
 
 
 def biorthogonal_codeword(pattern: np.ndarray | int, width: int) -> np.ndarray:
@@ -274,16 +311,21 @@ def biorthogonal_codeword(pattern: np.ndarray | int, width: int) -> np.ndarray:
 
 
 @cache
+def _hadamard_matrix(width: int) -> np.ndarray:
+    """The read-only width x width Hadamard matrix, width a power of two."""
+    matrix = biorthogonal_codeword(np.arange(width), width)
+    matrix.flags.writeable = False
+    return matrix
+
+
+@cache
 def _hadamard_factors(width: int) -> tuple[int, int, np.ndarray, np.ndarray]:
     """(a, b, H_a, H_b) of :func:`hadamard_transform` at one power-of-two
     width w = a * b, a = 2^floor(log2(w) / 2): the split and its read-only
     a x a and b x b Hadamard factors, at most 64 x 64 for widths up to 2^12.
     """
     a = 1 << ((width.bit_length() - 1) // 2)
-    b = width // a
-    h_a, h_b = (biorthogonal_codeword(np.arange(n), n) for n in (a, b))
-    h_a.flags.writeable = h_b.flags.writeable = False
-    return a, b, h_a, h_b
+    return a, width // a, _hadamard_matrix(a), _hadamard_matrix(width // a)
 
 
 @cache
@@ -352,26 +394,36 @@ def _repetition(y: np.ndarray, options: DecoderOptions, trials: np.ndarray,
 
 
 def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, site: int,
-                 cw: np.ndarray, trace: bool) -> tuple[np.ndarray, np.ndarray | None]:
+                 cw: np.ndarray, trace: bool,
+                 work: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """MD decisions of first-order blocks via the FHT.
 
     y holds one block per row, (B, w); writes the +/-1 codewords into cw,
     (B, w) in any memory order, and returns (info bits, end values); the
     end value, the winning correlation over the block length, (B, 1), is
     computed only under `trace` (None otherwise).  The info bits and the
-    codeword are read off the winner (see the module docstring).
+    codeword are read off the winner (see the module docstring).  The
+    transform, its magnitudes and the gathered rows of a narrow node's
+    codewords run in `work`, 2*B*w free float64 elements.
     """
-    width = y.shape[1]
+    rows, width = y.shape
     a, b, h_a, h_b = _hadamard_factors(width)
-    corr = hadamard_transform(y)  # the module binding, which benchmarks/tracer.py wraps
-    best = np.abs(corr).argmax(axis=1)  # first (lowest-index) maximum wins
-    winning = corr.take(np.arange(0, corr.size, width) + best)[:, None]
+    buffers = work[:2 * rows * width].reshape(2, rows, width)
+    corr, scratch = buffers[0], buffers[1]  # indexed: unpacking is slower
+    # the module binding, which benchmarks/tracer.py wraps
+    hadamard_transform(y, out=corr, scratch=scratch)
+    best = np.abs(corr, out=scratch).argmax(axis=1)  # first (lowest-index) maximum wins
+    winning = corr[np.arange(rows), best][:, None]
     sign = _signs(winning, options, trials, site)
     # .take gathers rows several times faster than fancy indexing
     bits = _first_order_bits(width).take(2 * best + np.signbit(sign[:, 0]), axis=0)
-    np.multiply((sign * h_a.take(best >> (b.bit_length() - 1), axis=0))[:, :, None],
-                h_b.take(best & (b - 1), axis=0)[:, None, :],
-                out=cw.reshape(-1, a, b))  # splitting an axis is always a view
+    if width <= 128:  # rows of H_w, at most 128 KiB, gathered into scratch (mode
+        # "clip" writes there directly; no index needs clipping): two calls, not nine
+        np.multiply(_hadamard_matrix(width).take(best, 0, scratch, "clip"), sign, out=cw)
+    else:
+        np.multiply((sign * h_a.take(best >> (b.bit_length() - 1), axis=0))[:, :, None],
+                    h_b.take(best & (b - 1), axis=0)[:, None, :],
+                    out=cw.reshape(-1, a, b))  # splitting an axis is always a view
     return bits, winning * sign / width if trace else None
 
 
@@ -389,9 +441,9 @@ def md_biorthogonal(z: np.ndarray, g: int, options: DecoderOptions | None = None
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (1 << (g + 1),):
         raise ValueError(f"block length must be 2^(g+1)={1 << (g + 1)}")
-    cw = np.empty((1, z.shape[0]))
+    cw, work = np.empty((1, len(z))), np.empty(2 * len(z))
     info, _ = _first_order(z[None, :], options or DecoderOptions(),
-                           np.array([trial], dtype=np.uint64), 0, cw, trace=False)
+                           np.array([trial], dtype=np.uint64), 0, cw, False, work)
     return cw[0].astype(np.int8), info[0]
 
 
@@ -412,6 +464,21 @@ def _op_count(m: int, r: int, first_order_ends: bool, u_rule: str, v_rule: str) 
         return width  # width signs, or width-1 additions plus the sign
 
     return sum(node_ops(node) for node in plotkin_tree(m, r, first_order_ends).nodes)
+
+
+# .array: the calling thread's kept workspace, grown as needed, which its
+# decodes use one after another; simulate._row_blocks sets it on each thread
+# that runs blocks, for the life of a run, and a thread's goes when it ends
+_kept = threading.local()
+
+
+def _workspace(size: int) -> np.ndarray:
+    """`size` float64 elements for one decode's temporaries: the front of
+    the calling thread's kept workspace, or a fresh array if none is kept."""
+    kept = getattr(_kept, "array", None)
+    if kept is not None and kept.size < size:
+        kept = _kept.array = np.empty(size)
+    return np.empty(size) if kept is None else kept[:size]
 
 
 def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
@@ -441,19 +508,24 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
     if trace:
         values = np.empty((y.shape[0], params.k))
 
-    def walk(node, y: np.ndarray, cw: np.ndarray) -> None:
+    def walk(node, y: np.ndarray, cw: np.ndarray, free: np.ndarray) -> None:
         # decodes the symbol-first view y, (2^length_log, B), into the view
-        # cw and the node's info columns
+        # cw and the node's info columns; its temporaries go into `free`, the
+        # flat rest of the workspace
         if node.kind == SPLIT:
             v, u = node.children
-            half = y.shape[0] // 2
-            y1, y2 = y[:half], y[half:]
-            walk(v, _v_step(y1, y2, options.v_rule), cw[half:])
-            walk(u, _u_step(y1, y2, cw[half:], options.u_rule), cw[:half])
-            cw[half:] *= cw[:half]  # symbol re-assembly (u, u*v), uncounted
+            half, rows = y.shape[0] // 2, y.shape[1]
+            y1, y2, cw1, cw2 = y[:half], y[half:], cw[:half], cw[half:]
+            # one (half, B) slot, laid out like the batch, for the v and then
+            # the u estimate; the children's temporaries go after it
+            slot, free = free[:half * rows], free[half * rows:]
+            slot = slot.reshape(half, rows) if order == "F" else slot.reshape(rows, half).T
+            walk(v, _v_step(y1, y2, options.v_rule, slot, cw), cw2, free)
+            walk(u, _u_step(y1, y2, cw2, options.u_rule, slot), cw1, free)
+            cw2 *= cw1  # symbol re-assembly (u, u*v), uncounted
             return
         if node.kind == FIRST_ORDER:
-            bits, value = _first_order(y.T, options, trials, node.site, cw.T, trace)
+            bits, value = _first_order(y.T, options, trials, node.site, cw.T, trace, free)
         else:
             if node.kind == RIGHT_END:
                 cw.T[:], value = _signs(y.T, options, trials, node.site), y.T
@@ -466,10 +538,17 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             values[:, node.info] = value
 
     cw = np.empty(y.shape, order=order)
+    # the split nodes above a node of width w take n/2 + n/4 + ... + w, less
+    # than n, and a first-order node 2*w more; the widest, {m-r+1, 1}, lies
+    # r-1 v steps below the root
+    work = _workspace(len(y) * (params.n + (2 << params.m - params.r if phi else 0)))
     # unscaled intermediates may reach inf, and inf - inf is NaN; the
     # callers that must refuse NaN check the decoded symbols
     with np.errstate(over="ignore", invalid="ignore"):
-        walk(plotkin_tree(params.m, params.r, phi).root, y.T, cw.T)
+        walk(plotkin_tree(params.m, params.r, phi).root, y.T, cw.T, work)
+    # the walk refers to itself; deleted, it frees what it holds now, not
+    # at the next garbage collection
+    del walk
     ops = _op_count(params.m, params.r, phi, options.u_rule, options.v_rule)
     return info, cw, ops, values if trace else None
 

@@ -52,6 +52,7 @@ from .decoder import (
     ALG_PHI,
     ALG_PSI,
     DecoderOptions,
+    _kept,
     _support_nodes,
     decode_batch,
     genie_batch,
@@ -305,11 +306,13 @@ _MIN_BLOCK_SYMBOLS = 1 << 18
 # 31.9 ms as one block and 22.1 ms as 128-row (2^19-symbol) blocks, and
 # drawing and decoding 2048 rows of {10,2} with phi 69.1 ms as one block
 # and 44.4-45.1 ms as blocks of 2^18-2^20 symbols.  A symbol-major (psi)
-# block decodes slower per row when larger, as the walk's larger
-# temporaries fault in afresh: a {8,2} decode of 8192 rows took about 1.6
-# times as long per row as one of 4096 rows (2^20 symbols), with 1.7 times
-# the page faults per row; 2^18-2^19-symbol blocks were not consistently
-# faster.
+# block of 2^20 symbols (4096 rows of {8,2}) keeps a thread's decoder
+# workspace at 8 MiB.  While the walk allocated its temporaries node by node,
+# larger blocks were slower per row because those faulted in afresh: 8192
+# rows took about 1.6 times as long per row as 4096, with 1.7 times the page
+# faults per row.  In a kept workspace one thread decoded 8192 rows no slower
+# per row than 4096, and 16384 rows about 1.5 times slower; 2^18-2^19-symbol
+# blocks were not consistently faster.
 _MAX_BLOCK_SYMBOLS = {"C": 1 << 19, "F": 1 << 20}
 
 
@@ -323,10 +326,13 @@ def _row_blocks(work, trials: int, size: int, n: int, order: str = "C"):
     more rows holds more than _MAX_BLOCK_SYMBOLS[order] symbols, `order`
     being the memory order ("C" or "F") the blocks are drawn in.  A
     batch's blocks run inline when it has one block or there is one
-    worker, and a run of such batches starts no thread pool.
+    worker, and a run of such batches starts no thread pool.  Each thread
+    that runs blocks, the calling one included, keeps one decoder
+    workspace for the whole run (see :mod:`rmrec.decoder`).
     """
     workers = _workers()
     pool = None
+    _kept.array = np.empty(0)  # for the blocks run inline, grown as needed
     try:
         for start in range(0, trials, size):
             rows = min(size, trials - start)
@@ -342,9 +348,18 @@ def _row_blocks(work, trials: int, size: int, n: int, order: str = "C"):
                 # imported here: with the logging it pulls in, it would add
                 # about 10 ms to every `import rmrec`
                 from concurrent.futures import ThreadPoolExecutor
-                pool = ThreadPoolExecutor(workers)
+                # a workspace per pool thread, 2n symbols per row of the
+                # largest block, which holds any decode's.  Allocated here,
+                # in this thread's arena, it reuses memory that earlier runs
+                # left mapped; grown in a new pool thread's arena, it faulted
+                # in about 1900 fresh pages per 2-thread {8,2} psi run.  A
+                # pool thread's goes when the thread ends, at the shutdown
+                spares = [np.empty(2 * n * len(blocks[-1])) for _ in range(workers)]
+                pool = ThreadPoolExecutor(workers, initializer=lambda: setattr(
+                    _kept, "array", spares.pop()))
             yield list(pool.map(work, blocks))
     finally:
+        _kept.array = None
         if pool is not None:
             pool.shutdown()
 

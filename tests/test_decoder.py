@@ -1,3 +1,4 @@
+import threading
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -601,6 +602,55 @@ def test_rows_independent_of_memory_order(m, r):
     if params.k > 1:  # a (B, 1) block is C- and F-contiguous at once
         assert encoded_f.flags.f_contiguous and not encoded_f.flags.c_contiguous
     assert np.array_equal(encoded_f, encode_batch(bits, params))
+
+
+def test_decode_independent_of_earlier_decodes():
+    # A Monte Carlo run keeps one workspace per thread (simulate._row_blocks),
+    # so a decode finds whatever the decodes before it left there.  Decode a
+    # shuffled sequence of codes, batch sizes, memory orders, rules and trace
+    # flags in one thread, then each one alone in a fresh thread.  The root of
+    # {6,1} under phi is a first-order node as wide as the code.
+    rng = np.random.default_rng(21)
+    cases = []
+    for params, algorithm in ((CodeParams(6, 1), "phi"), (CodeParams(10, 2), "phi"),
+                              (CodeParams(8, 2), "psi")):
+        for rows in (1, 7, 512):
+            y = rng.normal(size=(rows, params.n))
+            y[rng.uniform(size=y.shape) < 0.05] = 0.0  # ties
+            for batch in (np.ascontiguousarray(y), np.asfortranarray(y)):
+                for u_rule in (SCALED, UNSCALED):
+                    for v_rule in (PRODUCT, MIN_SUM):
+                        for trace in (False, True):
+                            cases.append((batch, params, algorithm,
+                                          DecoderOptions(u_rule, v_rule, tie_seed=4), trace))
+
+    def decode(case):
+        batch, params, algorithm, options, trace = case
+        return decoder._decode(batch, params, algorithm, options, None, trace)
+
+    def alone(case):
+        result = []
+        thread = threading.Thread(target=lambda: result.append(decode(case)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        return result[0]
+
+    order = rng.permutation(len(cases))
+    decoder._kept.array = np.empty(0)
+    try:
+        reused = [decode(cases[i]) for i in order]
+    finally:
+        decoder._kept.array = None
+    for i, (info, cw, ops, values) in zip(order, reused):
+        info_1, cw_1, ops_1, values_1 = alone(cases[i])
+        assert ops == ops_1 and np.array_equal(info, info_1)
+        assert cw.flags.f_contiguous == cw_1.flags.f_contiguous
+        assert np.array_equal(cw.view(np.int64), cw_1.view(np.int64))
+        if cases[i][-1]:  # the end values, to the bit and the sign of zero
+            assert np.array_equal(values.view(np.int64), values_1.view(np.int64))
+        else:
+            assert values is None and values_1 is None
 
 
 @pytest.mark.parametrize("length_log", range(13))

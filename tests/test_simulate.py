@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -330,6 +332,36 @@ def test_row_blocks_cut_batches_in_order(monkeypatch):
     monkeypatch.setattr(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", 1)
     cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 3, 2, 64))
     assert cut == [[range(0, 1), range(1, 2)], [range(2, 3)]]
+
+
+def test_no_workspace_outlives_its_call(monkeypatch):
+    # A direct decode's workspace lives for the call, a run's for the run,
+    # on every thread that ran blocks: what a call leaves allocated is its
+    # returned arrays and a few KiB of Python objects, against a workspace of
+    # 24 MiB for the decode and 8 MiB per pool thread for the run.
+    params = CodeParams(12, 2)
+    y = np.where(np.random.default_rng(5).random((512, params.n)) < 0.3, -1.0, 1.0)
+    config = _config(m=10, r=2, p=0.27, algorithm="phi", trials=2048)
+    decode_batch(y[:2], params, "phi")
+    for workers in (1, 2):  # caches, and the thread pool's imports
+        monkeypatch.setattr(rmrec.simulate, "_workers", lambda: workers)
+        run_wer(dataclasses.replace(config, trials=1024))
+    slack = 4096
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        info, cw, _ = decode_batch(y, params, "phi")
+        held = tracemalloc.get_traced_memory()[0] - start
+        assert held <= sys.getsizeof(info) + sys.getsizeof(cw) + slack
+        del info, cw
+        for workers in (1, 2):
+            monkeypatch.setattr(rmrec.simulate, "_workers", lambda: workers)
+            start = tracemalloc.get_traced_memory()[0]
+            report = run_wer(config)
+            assert tracemalloc.get_traced_memory()[0] - start <= slack
+            assert report.trials == config.trials
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("batch", (1, 7, 0))
