@@ -17,9 +17,11 @@ first bit most significant.  Codeword positions are indexed the same way:
 position p has coordinates x_1..x_m with x_1 the most significant bit.
 
 The tree is built once per code by :func:`plotkin_tree` and shared by
-every walk in the package: the encoder here, both decoders (which also
-read a clean codeword's info bits) and the genie-aided recursion in
-:mod:`rmrec.decoder`, and the error predictions in :mod:`rmrec.analysis`.
+every walk in the package: the encoder here and the decoders' walk in
+:mod:`rmrec.decoder`, the two Plotkin descents, and the error predictions
+in :mod:`rmrec.analysis`.  The decoders' walk runs psi and phi, reads a
+clean codeword's info bits and, forced to decide +1, runs the
+genie-aided recursion.
 It fixes the shape of the descent, the info columns each node owns and
 the decoder's tie sites.
 """

@@ -16,7 +16,10 @@ stops at the first-order nodes), and run the same kernels: the v step, the
 u step, the sign with tie resolution, and the repetition and first-order
 decisions.  The info bits of a clean codeword are read by the same walk:
 :func:`extract_info_batch` is a psi decode that checks the decoded word
-against its input.
+against its input.  So is the genie-aided recursion: :func:`genie_batch`
+is a psi decode forced to decide +1 at every end node, through the same
+walk, kernels and workspace, which records the traced end values and
+makes no decision.
 
 Memory order: the walk slices the symbol axis of a symbol-first (n, B)
 view, the transpose of the (B, n) batch a caller passes.  For a row-major
@@ -49,9 +52,10 @@ rows (w = a*b, see :func:`hadamard_transform`) and the signs of a
 full-space node, at most 2^r symbols wide.  No step reads an element that an earlier
 step of the same decode has not written, so what a workspace held before
 never enters a result.  A direct call of :func:`decode_batch`,
-:func:`decode_psi` or :func:`decode_phi` allocates its workspace once and
-frees it on return.  A Monte Carlo run keeps one workspace, grown as
-needed, on each thread that runs its blocks (see
+:func:`decode_psi`, :func:`decode_phi` or :func:`genie_batch` allocates its
+workspace once and frees it on return.  A Monte Carlo run, genie runs
+included, keeps one workspace, grown as needed, on each thread that runs
+its blocks (see
 :func:`rmrec.simulate._row_blocks`), so that from its second block on a
 thread allocates no temporaries of the block's size and faults in no
 fresh pages for them.
@@ -69,8 +73,8 @@ row 2*best + s.  The node's codeword, those bits encoded through the
 best >> log2(b) of H_a and row best & (b - 1) of H_b; the decoder writes it
 from the transform's cached factors and walks no {L, 1} tree.  End
 values, the winning correlation over w here and the block mean at a
-repetition node, exist only for traces: an untraced decode does not
-compute them.
+repetition node, exist only for traces and forced decodes: an untraced
+decode does not compute them.
 
 Operation counting: every real addition, multiplication, comparison and
 sign evaluation costs one unit.  A Hadamard butterfly stage costs two per
@@ -254,12 +258,13 @@ def _v_step(y1: np.ndarray, y2: np.ndarray, v_rule: str, out: np.ndarray,
     return np.multiply(out, np.minimum(np.abs(y1, out=a1), np.abs(y2, out=a2), out=a1), out=out)
 
 
-def _u_step(y1: np.ndarray, y2: np.ndarray, v_hat: np.ndarray, u_rule: str,
+def _u_step(y1: np.ndarray, y2: np.ndarray, v_hat: np.ndarray | None, u_rule: str,
             out: np.ndarray) -> np.ndarray:
-    """Writes the u estimate of the halves y1, y2, given v_hat, into out."""
+    """Writes the u estimate of the halves y1, y2, given v_hat, into out;
+    v_hat None stands for all +1, as y2*1 rounds to y2."""
     # y2*v_hat + y1 rounds as y1 + y2*v_hat, IEEE addition being exactly
     # commutative
-    np.add(np.multiply(y2, v_hat, out=out), y1, out=out)
+    np.add(y2 if v_hat is None else np.multiply(y2, v_hat, out=out), y1, out=out)
     return np.multiply(out, 0.5, out=out) if u_rule == SCALED else out
 
 
@@ -384,15 +389,6 @@ def _block_sums(y: np.ndarray) -> np.ndarray:
     return total[0] + 0.0
 
 
-def _repetition(y: np.ndarray, options: DecoderOptions, trials: np.ndarray,
-                site: int, trace: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """MD decisions of the repetition blocks of a symbol-first (w, B) view:
-    (+/-1 decisions, block means), (B, 1) each; the means only under
-    `trace`, None otherwise."""
-    total = _block_sums(y)[:, None]
-    return _signs(total, options, trials, site), total / y.shape[0] if trace else None
-
-
 def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, site: int,
                  cw: np.ndarray, trace: bool,
                  work: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -481,13 +477,29 @@ def _workspace(size: int) -> np.ndarray:
     return np.empty(size) if kept is None else kept[:size]
 
 
+def _workspace_width(params: CodeParams, algorithm: str) -> int:
+    """Workspace elements per row of one decode.  The split nodes above a
+    node of width w take n/2 + n/4 + ... + w, less than n, and a first-order
+    node 2*w more; the widest, {m-r+1, 1}, lies r-1 v steps below the root."""
+    return params.n + (2 << params.m - params.r if algorithm == ALG_PHI else 0)
+
+
 def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             options: DecoderOptions | None, trials: np.ndarray | None,
-            trace: bool = False) -> tuple[np.ndarray, np.ndarray, int, np.ndarray | None]:
+            trace: bool = False, supports: list | None = None,
+            ) -> tuple[np.ndarray | None, np.ndarray | None, int, np.ndarray | None]:
     """Validate, then walk the tree: (info, codewords, op count, trace).
 
     The trace, when asked for, holds the (B, k) end values per info column.
+    A list passed as `supports` makes the decode forced, the genie's: every
+    decision is taken to be +1, so the walk evaluates no sign, writes and
+    allocates no codeword, and returns (None, None, op count, trace); it
+    appends the (B,) support sum of each order-1 split node, the sum of its
+    input's second half, in pre-order.  A forced decode runs psi under the
+    product v rule.
     """
+    forced = supports is not None
+    trace = trace or forced
     options = options or DecoderOptions()
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if y.shape[1] != params.n:
@@ -504,48 +516,53 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             raise ValueError("trials must hold one index per row")
     phi = algorithm == ALG_PHI
     order = _memory_order(y)
-    info = np.empty((y.shape[0], params.k), dtype=np.uint8, order=order)
+    info = None if forced else np.empty((y.shape[0], params.k), dtype=np.uint8, order=order)
     if trace:
         values = np.empty((y.shape[0], params.k))
 
-    def walk(node, y: np.ndarray, cw: np.ndarray, free: np.ndarray) -> None:
+    def walk(node, y: np.ndarray, cw: np.ndarray | None, free: np.ndarray) -> None:
         # decodes the symbol-first view y, (2^length_log, B), into the view
         # cw and the node's info columns; its temporaries go into `free`, the
-        # flat rest of the workspace
+        # flat rest of the workspace.  A forced decode passes no cw, which
+        # the u step reads as an all +1 v_hat
         if node.kind == SPLIT:
             v, u = node.children
             half, rows = y.shape[0] // 2, y.shape[1]
-            y1, y2, cw1, cw2 = y[:half], y[half:], cw[:half], cw[half:]
+            y1, y2 = y[:half], y[half:]
+            cw1, cw2 = (None, None) if forced else (cw[:half], cw[half:])
             # one (half, B) slot, laid out like the batch, for the v and then
             # the u estimate; the children's temporaries go after it
             slot, free = free[:half * rows], free[half * rows:]
             slot = slot.reshape(half, rows) if order == "F" else slot.reshape(rows, half).T
+            if forced and node.order == 1:
+                supports.append(_block_sums(y2))
             walk(v, _v_step(y1, y2, options.v_rule, slot, cw), cw2, free)
             walk(u, _u_step(y1, y2, cw2, options.u_rule, slot), cw1, free)
-            cw2 *= cw1  # symbol re-assembly (u, u*v), uncounted
+            if not forced:
+                cw2 *= cw1  # symbol re-assembly (u, u*v), uncounted
             return
         if node.kind == FIRST_ORDER:
             bits, value = _first_order(y.T, options, trials, node.site, cw.T, trace, free)
         else:
-            if node.kind == RIGHT_END:
-                cw.T[:], value = _signs(y.T, options, trials, node.site), y.T
-            else:
-                signs, value = _repetition(y, options, trials, node.site, trace)
-                cw[:] = signs.T
-            bits = cw[:len(node.paths)].T < 0
-        info[:, node.info] = bits
+            # a full space decides on its symbols, a repetition node on its
+            # (B, 1) block sums, whose end value is the block mean
+            value = y.T if node.kind == RIGHT_END else _block_sums(y)[:, None]
+            if not forced:
+                cw.T[:] = _signs(value, options, trials, node.site)
+                bits = cw[:len(node.paths)].T < 0
+            if trace and node.kind == LEFT_END:
+                value = value / y.shape[0]
+        if not forced:
+            info[:, node.info] = bits
         if trace:
             values[:, node.info] = value
 
-    cw = np.empty(y.shape, order=order)
-    # the split nodes above a node of width w take n/2 + n/4 + ... + w, less
-    # than n, and a first-order node 2*w more; the widest, {m-r+1, 1}, lies
-    # r-1 v steps below the root
-    work = _workspace(len(y) * (params.n + (2 << params.m - params.r if phi else 0)))
+    cw = None if forced else np.empty(y.shape, order=order)
+    work = _workspace(len(y) * _workspace_width(params, algorithm))
     # unscaled intermediates may reach inf, and inf - inf is NaN; the
     # callers that must refuse NaN check the decoded symbols
     with np.errstate(over="ignore", invalid="ignore"):
-        walk(plotkin_tree(params.m, params.r, phi).root, y.T, cw.T, work)
+        walk(plotkin_tree(params.m, params.r, phi).root, y.T, None if forced else cw.T, work)
     # the walk refers to itself; deleted, it frees what it holds now, not
     # at the next garbage collection
     del walk
@@ -652,37 +669,18 @@ def genie_batch(y: np.ndarray, params: CodeParams) -> tuple[np.ndarray, np.ndarr
 
     Every decoded constituent is replaced by its true (all-ones) value, so
     the recursion degenerates to pure dataflow: products on v steps and
-    midpoints on u steps.  Returns the (B, k) end values y(path) in path
-    (lexicographic) order and the (B, s) half-block support sums, one
-    column per order-1 split node in pre-order (see :func:`_support_nodes`).
+    midpoints on u steps.  This is a psi decode forced to decide +1
+    everywhere, through the decoder's walk and workspace (see
+    :func:`_decode`).  Returns the (B, k) end values y(path) in path
+    (lexicographic) order, as a traced decode records them, and the (B, s)
+    half-block support sums, one column per order-1 split node in
+    pre-order (see :func:`_support_nodes`).  The support sum of the node's
+    codeword that flips the second half has the law of any other balanced
+    support of that first-order node.
     """
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if y.shape[1] != params.n:
-        raise ValueError(f"blocks must have length n={params.n}")
-    values = np.empty((y.shape[0], params.k))
-    sums = []  # the walk reaches the support nodes in pre-order
-
-    def walk(node, y: np.ndarray) -> None:
-        if node.kind == LEFT_END:
-            values[:, node.info] = y.sum(axis=1, keepdims=True) / y.shape[1]
-        elif node.kind == RIGHT_END:
-            values[:, node.info] = y
-        else:
-            half = y.shape[1] // 2
-            y1, y2 = y[:, :half], y[:, half:]
-            if node.order == 1:
-                # Support sum of the codeword flipping the second half: same
-                # law as any other balanced support of this first-order node.
-                sums.append(y2.sum(axis=1))
-            v, u = node.children
-            walk(v, y1 * y2)
-            walk(u, (y1 + y2) * 0.5)
-
-    walk(plotkin_tree(params.m, params.r).root, y)
-    # Allocated after the walk: allocated before it, this array made the
-    # walk's large temporaries fault in afresh on every call, which more than
-    # doubled the page faults of a path_statistics run on {12,1}.
-    supports = np.empty((y.shape[0], len(_support_nodes(params.m, params.r))))
+    sums = []
+    _, _, _, values = _decode(y, params, ALG_PSI, None, None, supports=sums)
+    supports = np.empty((len(values), len(sums)))
     for j, column in enumerate(sums):
         supports[:, j] = column
     return values, supports

@@ -26,7 +26,10 @@ thread).  phi and genie blocks stay row-major: phi's FHT reads rows,
 which are strided in a symbol-major block, and the genie
 recursion's sums are wide; drawn and decoded symbol-major, a {10,2} phi
 block of 2048 rows ran at about 0.67 times and a {12,1} genie block of
-512 rows at about 0.85 times the row-major speed (one thread).  A cap
+512 rows at about 0.83 times the row-major speed (one thread; draw and
+genie with a kept workspace, 26.2-27.0 against 21.4-22.7 ms, and 256-row
+symbol-major blocks 23.1-24.3 against 19.3-19.6 ms for 128-row
+row-major ones).  A cap
 of 2^19 symbols per row-major block (128 rows of {12,1}, 512 rows of
 {10,2}) lets a worker consume the word it draws while it is still in
 its core's cache.  The order never enters a result.
@@ -54,6 +57,7 @@ from .decoder import (
     DecoderOptions,
     _kept,
     _support_nodes,
+    _workspace_width,
     decode_batch,
     genie_batch,
 )
@@ -316,7 +320,7 @@ _MIN_BLOCK_SYMBOLS = 1 << 18
 _MAX_BLOCK_SYMBOLS = {"C": 1 << 19, "F": 1 << 20}
 
 
-def _row_blocks(work, trials: int, size: int, n: int, order: str = "C"):
+def _row_blocks(work, trials: int, size: int, n: int, order: str = "C", width: int = 0):
     """Per batch of up to `size` consecutive trials, in order: the results
     of work(rows) on its contiguous row blocks, in row order.
 
@@ -328,7 +332,10 @@ def _row_blocks(work, trials: int, size: int, n: int, order: str = "C"):
     batch's blocks run inline when it has one block or there is one
     worker, and a run of such batches starts no thread pool.  Each thread
     that runs blocks, the calling one included, keeps one decoder
-    workspace for the whole run (see :mod:`rmrec.decoder`).
+    workspace for the whole run (see :mod:`rmrec.decoder`); a pool thread's
+    starts with `width` elements per row of the largest block, the
+    workspace width (:func:`rmrec.decoder._workspace_width`) of the decode
+    that work(rows) runs, and grows only past it.
     """
     workers = _workers()
     pool = None
@@ -348,13 +355,16 @@ def _row_blocks(work, trials: int, size: int, n: int, order: str = "C"):
                 # imported here: with the logging it pulls in, it would add
                 # about 10 ms to every `import rmrec`
                 from concurrent.futures import ThreadPoolExecutor
-                # a workspace per pool thread, 2n symbols per row of the
-                # largest block, which holds any decode's.  Allocated here,
-                # in this thread's arena, it reuses memory that earlier runs
-                # left mapped; grown in a new pool thread's arena, it faulted
-                # in about 1900 fresh pages per 2-thread {8,2} psi run.  A
-                # pool thread's goes when the thread ends, at the shutdown
-                spares = [np.empty(2 * n * len(blocks[-1])) for _ in range(workers)]
+                # a workspace per pool thread, sized for the largest block:
+                # the rows of one array, allocated here, in this thread's
+                # arena, where it reuses memory that earlier runs left mapped.
+                # Grown in a new pool thread's arena, the workspaces faulted
+                # in about 1900 fresh pages per 2-thread {8,2} psi run; as
+                # one array each, allocated here, they faulted in 2049 per
+                # 2-thread {12,1} genie run of 1024 trials, against 4 as
+                # rows of one.  A pool thread's goes when the thread ends,
+                # at the shutdown
+                spares = list(np.empty((workers, width * len(blocks[-1]))))
                 pool = ThreadPoolExecutor(workers, initializer=lambda: setattr(
                     _kept, "array", spares.pop()))
             yield list(pool.map(work, blocks))
@@ -404,7 +414,7 @@ def run_wer(config: SimConfig, per_path: bool = False) -> SimReport:
     ops = 0
     path_errors = np.zeros(k, dtype=np.int64)
     for blocks in _row_blocks(count_errors, config.trials, config.effective_batch(), n,
-                              order):
+                              order, _workspace_width(params, config.algorithm)):
         for block_words, block_paths, ops in blocks:
             word_errors += block_words
             path_errors += block_paths
@@ -487,7 +497,7 @@ def path_statistics(config: SimConfig) -> GenieReport:
         return values / path_norm, supports / node_norm
 
     for blocks in _row_blocks(normalized, config.trials, config.effective_batch(),
-                              params.n):
+                              params.n, "C", _workspace_width(params, ALG_PSI)):
         # one add per batch, on the rows in order: the same float sums for
         # any number of blocks
         path_acc.add(np.concatenate([values for values, _ in blocks]))

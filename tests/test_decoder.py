@@ -609,7 +609,8 @@ def test_decode_independent_of_earlier_decodes():
     # so a decode finds whatever the decodes before it left there.  Decode a
     # shuffled sequence of codes, batch sizes, memory orders, rules and trace
     # flags in one thread, then each one alone in a fresh thread.  The root of
-    # {6,1} under phi is a first-order node as wide as the code.
+    # {6,1} under phi is a first-order node as wide as the code.  The genie's
+    # forced decodes run in the same workspace, between the others.
     rng = np.random.default_rng(21)
     cases = []
     for params, algorithm in ((CodeParams(6, 1), "phi"), (CodeParams(10, 2), "phi"),
@@ -618,6 +619,7 @@ def test_decode_independent_of_earlier_decodes():
             y = rng.normal(size=(rows, params.n))
             y[rng.uniform(size=y.shape) < 0.05] = 0.0  # ties
             for batch in (np.ascontiguousarray(y), np.asfortranarray(y)):
+                cases.append((batch, params, "genie", None, True))
                 for u_rule in (SCALED, UNSCALED):
                     for v_rule in (PRODUCT, MIN_SUM):
                         for trace in (False, True):
@@ -626,6 +628,9 @@ def test_decode_independent_of_earlier_decodes():
 
     def decode(case):
         batch, params, algorithm, options, trace = case
+        if algorithm == "genie":  # its end values, and supports in the place of cw
+            values, supports = genie_batch(batch, params)
+            return None, supports, 0, values
         return decoder._decode(batch, params, algorithm, options, None, trace)
 
     def alone(case):
@@ -777,14 +782,33 @@ def test_genie_noiseless_fixed_point():
 
 def test_genie_matches_trace_when_decisions_correct():
     # values close to +1 keep every decision at +1, so the real decoder's
-    # recursion coincides with the genie-aided one
+    # recursion coincides with the genie-aided one, to the bit; {m,0} and
+    # {m,m} roots among the codes
     rng = np.random.default_rng(14)
-    params = CodeParams(6, 2)
-    y = 1.0 - 0.05 * rng.uniform(size=params.n)
-    traced, decisions = _traced(y, params, DecoderOptions())
-    values, _ = genie_batch(y[None, :], params)
-    assert np.all(decisions == 1)
-    np.testing.assert_allclose(traced, values[0], rtol=1e-12)
+    for m, r in ((1, 0), (1, 1), (3, 1), (5, 0), (5, 5), (6, 2), (7, 3), (8, 0), (8, 2),
+                 (8, 8)):
+        params = CodeParams(m, r)
+        y = 1.0 - 0.05 * rng.uniform(size=params.n)
+        traced, decisions = _traced(y, params, DecoderOptions())
+        values, _ = genie_batch(y[None, :], params)
+        assert np.all(decisions == 1)
+        assert np.array_equal(traced.view(np.int64), values[0].view(np.int64))
+
+
+def test_genie_batch_independent_of_memory_order():
+    # the same batch, row-major and symbol-major, gives the same end values
+    # and support sums, to the bit and to the sign of zero
+    rng = np.random.default_rng(17)
+    for params in (CodeParams(5, 0), CodeParams(6, 2), CodeParams(8, 3), CodeParams(4, 4),
+                   CodeParams(10, 1)):
+        for rows in (1, 3, 64):
+            y = rng.normal(size=(rows, params.n))
+            y[rng.uniform(size=y.shape) < 0.2] = 0.0
+            y[rng.uniform(size=y.shape) < 0.1] = -0.0
+            values, supports = genie_batch(np.ascontiguousarray(y), params)
+            values_f, supports_f = genie_batch(np.asfortranarray(y), params)
+            assert np.array_equal(values_f.view(np.int64), values.view(np.int64))
+            assert np.array_equal(supports_f.view(np.int64), supports.view(np.int64))
 
 
 def test_genie_batch_column_order():

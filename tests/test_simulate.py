@@ -364,6 +364,30 @@ def test_no_workspace_outlives_its_call(monkeypatch):
         tracemalloc.stop()
 
 
+def test_pool_workspaces_fit_their_decodes(monkeypatch):
+    # A pool thread starts with a workspace as wide as the decode of the
+    # run's largest block needs: no pooled run grows one, and the largest
+    # block's decode fills its thread's.  Every batch of 32 rows here goes
+    # out as two blocks, so no block runs in the calling thread.
+    monkeypatch.setattr(rmrec.simulate, "_workers", lambda: 2)
+    monkeypatch.setattr(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", 1)
+    workspace, requests = rmrec.decoder._workspace, []
+
+    def recording(size):
+        requests.append((size, rmrec.decoder._kept.array.size))
+        return workspace(size)
+
+    monkeypatch.setattr(rmrec.decoder, "_workspace", recording)
+    for run in (lambda config: run_wer(dataclasses.replace(config, algorithm="psi")),
+                lambda config: run_wer(dataclasses.replace(config, algorithm="phi")),
+                path_statistics):
+        requests.clear()
+        run(_config(m=7, r=2, p=0.15, trials=96, batch_size=32))
+        assert len(requests) == 6
+        assert all(size <= kept for size, kept in requests)
+        assert any(size == kept for size, kept in requests)
+
+
 @pytest.mark.parametrize("batch", (1, 7, 0))
 @pytest.mark.parametrize("run", sorted(_INVARIANCE_RUNS))
 def test_reports_independent_of_worker_count(monkeypatch, run, batch):
