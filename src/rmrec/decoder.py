@@ -38,8 +38,9 @@ transform's matrix products round as they would a contiguous row.  The
 output is therefore bit-identical for any memory order of the input, and
 comes back in the input's order.
 
-Workspace: a decode's temporaries live in one flat float64 workspace of
-B*(n + w) elements, w being the widest first-order node (0 under psi).
+Workspace: a decode's temporaries live in one flat workspace of B*(n + w)
+elements in the decode's dtype, w being the widest first-order node (0
+under psi).
 A split node of width w keeps its v estimate, and once the v child is
 decoded its u estimate, in one (w/2, B) slot after its ancestors' slots,
 laid out like the batch; a first-order node of width w runs its
@@ -59,6 +60,17 @@ its blocks (see
 :func:`rmrec.simulate._row_blocks`), so that from its second block on a
 thread allocates no temporaries of the block's size and faults in no
 fresh pages for them.
+
+Dtype: every decode casts its input to float64 and runs in float64,
+float32 input included, except the blocks of a Monte Carlo run.  Those
+are +/-1 words by construction, and the run says so through a private
+argument; no data is scanned.  On a tree that the static bit budget
+(:func:`_bit_budget`) certifies, at most 24 bits, every value, product
+and partial sum of such a decode is a multiple of its node's grid that
+float32 holds exactly, in any summation order.  The decode, its
+workspace, its codewords and its transform's factors are then float32,
+and every sign, tie, argmax, decision, end value and support sum equals
+float64's to the bit.  Traced and direct decodes stay float64.
 
 First-order map: the FHT winner of a node {L, 1} is a pattern index
 `best` in [0, 2^L) and a sign.  Its L+1 info bits, in the node's path
@@ -287,16 +299,19 @@ def hadamard_transform(x: np.ndarray, *, out: np.ndarray | None = None,
     it can differ from a butterfly's in the last bits.
 
     As in numpy, `out` receives the result and is returned, and `scratch`
-    receives the first product; each is a C-contiguous float64 array of x's
-    shape, allocated when left None.
+    receives the first product; each is a C-contiguous array of x's shape
+    in the transform's dtype, allocated when left None.  The transform runs
+    in out's dtype (float32 in a certified decode of +/-1 words, see the
+    module docstring), and in float64 when `out` is None.
     """
-    x = np.asarray(x, dtype=np.float64)
+    dtype = np.float64 if out is None else out.dtype.type
+    x = np.asarray(x, dtype=dtype)
     width = x.shape[-1]
     if width < 1 or width & (width - 1):
         raise ValueError(f"length must be a power of two, got {width}")
-    a, b, h_a, h_b = _hadamard_factors(width)
-    out = np.empty(x.shape) if out is None else out
-    scratch = np.empty(x.shape) if scratch is None else scratch
+    a, b, h_a, h_b = _hadamard_factors(width, dtype)
+    out = np.empty(x.shape, dtype) if out is None else out
+    scratch = np.empty(x.shape, dtype) if scratch is None else scratch
     # splitting the last axis of a C-contiguous array is always a view
     np.matmul(h_a, np.matmul(x.reshape(-1, a, b), h_b, out=scratch.reshape(-1, a, b)),
               out=out.reshape(-1, a, b))
@@ -316,21 +331,24 @@ def biorthogonal_codeword(pattern: np.ndarray | int, width: int) -> np.ndarray:
 
 
 @cache
-def _hadamard_matrix(width: int) -> np.ndarray:
-    """The read-only width x width Hadamard matrix, width a power of two."""
-    matrix = biorthogonal_codeword(np.arange(width), width)
+def _hadamard_matrix(width: int, dtype: type = np.float64) -> np.ndarray:
+    """The read-only width x width Hadamard matrix, width a power of two,
+    in `dtype` (float64 or float32)."""
+    matrix = biorthogonal_codeword(np.arange(width), width).astype(dtype, copy=False)
     matrix.flags.writeable = False
     return matrix
 
 
 @cache
-def _hadamard_factors(width: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+def _hadamard_factors(width: int,
+                      dtype: type = np.float64) -> tuple[int, int, np.ndarray, np.ndarray]:
     """(a, b, H_a, H_b) of :func:`hadamard_transform` at one power-of-two
     width w = a * b, a = 2^floor(log2(w) / 2): the split and its read-only
-    a x a and b x b Hadamard factors, at most 64 x 64 for widths up to 2^12.
+    a x a and b x b Hadamard factors in `dtype`, at most 64 x 64 for widths
+    up to 2^12.
     """
     a = 1 << ((width.bit_length() - 1) // 2)
-    return a, width // a, _hadamard_matrix(a), _hadamard_matrix(width // a)
+    return a, width // a, _hadamard_matrix(a, dtype), _hadamard_matrix(width // a, dtype)
 
 
 @cache
@@ -400,10 +418,10 @@ def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, sit
     computed only under `trace` (None otherwise).  The info bits and the
     codeword are read off the winner (see the module docstring).  The
     transform, its magnitudes and the gathered rows of a narrow node's
-    codewords run in `work`, 2*B*w free float64 elements.
+    codewords run in `work`, 2*B*w free elements of y's dtype, which is
+    also cw's.
     """
     rows, width = y.shape
-    a, b, h_a, h_b = _hadamard_factors(width)
     buffers = work[:2 * rows * width].reshape(2, rows, width)
     corr, scratch = buffers[0], buffers[1]  # indexed: unpacking is slower
     # the module binding, which benchmarks/tracer.py wraps
@@ -415,8 +433,10 @@ def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, sit
     bits = _first_order_bits(width).take(2 * best + np.signbit(sign[:, 0]), axis=0)
     if width <= 128:  # rows of H_w, at most 128 KiB, gathered into scratch (mode
         # "clip" writes there directly; no index needs clipping): two calls, not nine
-        np.multiply(_hadamard_matrix(width).take(best, 0, scratch, "clip"), sign, out=cw)
+        np.multiply(_hadamard_matrix(width, y.dtype.type).take(best, 0, scratch, "clip"), sign,
+                    out=cw)
     else:
+        a, b, h_a, h_b = _hadamard_factors(width, y.dtype.type)
         np.multiply((sign * h_a.take(best >> (b.bit_length() - 1), axis=0))[:, :, None],
                     h_b.take(best & (b - 1), axis=0)[:, None, :],
                     out=cw.reshape(-1, a, b))  # splitting an axis is always a view
@@ -462,19 +482,59 @@ def _op_count(m: int, r: int, first_order_ends: bool, u_rule: str, v_rule: str) 
     return sum(node_ops(node) for node in plotkin_tree(m, r, first_order_ends).nodes)
 
 
+_FLOAT32_BITS = 24  # float32 holds every integer of at most 2^24 in magnitude
+
+
+@cache
+def _bit_budget(m: int, r: int, first_order_ends: bool, v_rule: str) -> int:
+    """Bits that one block's decode of a +/-1 word needs: a static maximum
+    over the tree's end nodes, the same under either u rule.
+
+    A value at a node with e bits is k/2^e (scaled u rule) or k (unscaled)
+    with |k| <= 2^e.  The root has e = 0; a product v step maps e to 2e, a
+    min-sum v step keeps it, and a u step maps it to e + 1.  A full-space
+    node needs e bits, and a repetition sum or an FHT of width 2^L needs
+    e + L, as every partial sum, in any order, is bounded by the sum of the
+    magnitudes.  The genie's support sum at an order-1 split node {L, 1}
+    with e bits adds 2^(L-1) values: e + L - 1 bits, within the 2e + L - 1
+    that its v child, the repetition node {L-1, 0}, needs under the product
+    rule the genie runs.  Within _FLOAT32_BITS every value, product and
+    partial sum of such a decode, forced or not, is exact in float32.
+    """
+
+    def bits(node: PlotkinNode) -> int:
+        e = 0
+        for step in node.prefix:  # 1 a u step, 0 a v step
+            if step:
+                e += 1
+            elif v_rule == PRODUCT:
+                e *= 2
+        return e if node.kind == RIGHT_END else e + node.length_log
+
+    return max(bits(node) for node in plotkin_tree(m, r, first_order_ends).leaves)
+
+
+def _pm1_dtype(params: CodeParams, algorithm: str, v_rule: str) -> type:
+    """The dtype of a decode of +/-1 words: float32 on a tree that the bit
+    budget certifies, float64 otherwise."""
+    bits = _bit_budget(params.m, params.r, algorithm == ALG_PHI, v_rule)
+    return np.float32 if bits <= _FLOAT32_BITS else np.float64
+
+
 # .array: the calling thread's kept workspace, grown as needed, which its
 # decodes use one after another; simulate._row_blocks sets it on each thread
 # that runs blocks, for the life of a run, and a thread's goes when it ends
 _kept = threading.local()
 
 
-def _workspace(size: int) -> np.ndarray:
-    """`size` float64 elements for one decode's temporaries: the front of
-    the calling thread's kept workspace, or a fresh array if none is kept."""
+def _workspace(size: int, dtype: type) -> np.ndarray:
+    """`size` elements of `dtype` for one decode's temporaries: the front of
+    the calling thread's kept workspace, or a fresh array if none is kept.
+    A kept workspace of another dtype, or too small, is replaced."""
     kept = getattr(_kept, "array", None)
-    if kept is not None and kept.size < size:
-        kept = _kept.array = np.empty(size)
-    return np.empty(size) if kept is None else kept[:size]
+    if kept is not None and (kept.size < size or kept.dtype != dtype):
+        kept = _kept.array = np.empty(size, dtype)
+    return np.empty(size, dtype) if kept is None else kept[:size]
 
 
 def _workspace_width(params: CodeParams, algorithm: str) -> int:
@@ -486,7 +546,7 @@ def _workspace_width(params: CodeParams, algorithm: str) -> int:
 
 def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             options: DecoderOptions | None, trials: np.ndarray | None,
-            trace: bool = False, supports: list | None = None,
+            trace: bool = False, supports: list | None = None, pm1: bool = False,
             ) -> tuple[np.ndarray | None, np.ndarray | None, int, np.ndarray | None]:
     """Validate, then walk the tree: (info, codewords, op count, trace).
 
@@ -496,18 +556,22 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
     allocates no codeword, and returns (None, None, op count, trace); it
     appends the (B,) support sum of each order-1 split node, the sum of its
     input's second half, in pre-order.  A forced decode runs psi under the
-    product v rule.
+    product v rule.  `pm1` is the caller's promise that every entry of y is
+    +/-1, which nothing checks; the decode then runs in :func:`_pm1_dtype`,
+    float32 on a certified tree.  The trace and the supports are float64
+    in either dtype.
     """
     forced = supports is not None
     trace = trace or forced
     options = options or DecoderOptions()
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if y.shape[1] != params.n:
-        raise ValueError(f"blocks must have length n={params.n}, got {y.shape[1]}")
     if algorithm not in (ALG_PSI, ALG_PHI):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == ALG_PHI and params.r == 0:
         raise ValueError("phi requires r >= 1; use psi for repetition codes")
+    dtype = _pm1_dtype(params, algorithm, options.v_rule) if pm1 else np.float64
+    y = np.atleast_2d(np.asarray(y, dtype=dtype))
+    if y.shape[1] != params.n:
+        raise ValueError(f"blocks must have length n={params.n}, got {y.shape[1]}")
     if trials is None:
         trials = np.arange(y.shape[0], dtype=np.uint64)
     else:
@@ -557,8 +621,8 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
         if trace:
             values[:, node.info] = value
 
-    cw = None if forced else np.empty(y.shape, order=order)
-    work = _workspace(len(y) * _workspace_width(params, algorithm))
+    cw = None if forced else np.empty(y.shape, dtype, order=order)
+    work = _workspace(len(y) * _workspace_width(params, algorithm), dtype)
     # unscaled intermediates may reach inf, and inf - inf is NaN; the
     # callers that must refuse NaN check the decoded symbols
     with np.errstate(over="ignore", invalid="ignore"):
@@ -572,7 +636,7 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
 
 def decode_batch(y: np.ndarray, params: CodeParams, algorithm: str = ALG_PSI,
                  options: DecoderOptions | None = None,
-                 trials: np.ndarray | None = None,
+                 trials: np.ndarray | None = None, *, _pm1: bool = False,
                  ) -> tuple[np.ndarray, np.ndarray, int]:
     """Decode a (B, n) batch of real blocks; rows are independent trials.
 
@@ -582,9 +646,10 @@ def decode_batch(y: np.ndarray, params: CodeParams, algorithm: str = ALG_PSI,
     `trials` supplies the per-row trial indices for the tie coin.  Nothing
     checks the output here: a row whose intermediates overflow to inf and
     then NaN yields NaN symbols, which :func:`decode_psi` and :func:`decode_phi`
-    refuse.
+    refuse.  `_pm1` is private to the Monte Carlo harness (see
+    :func:`_decode`).
     """
-    info, cw, ops, _ = _decode(y, params, algorithm, options, trials)
+    info, cw, ops, _ = _decode(y, params, algorithm, options, trials, pm1=_pm1)
     return info, cw, ops
 
 
@@ -664,7 +729,8 @@ def _support_nodes(m: int, r: int) -> tuple[PlotkinNode, ...]:
                  if node.kind == SPLIT and node.order == 1)
 
 
-def genie_batch(y: np.ndarray, params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
+def genie_batch(y: np.ndarray, params: CodeParams, *,
+                _pm1: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Genie-aided recursion over a (B, n) batch, all-ones transmission.
 
     Every decoded constituent is replaced by its true (all-ones) value, so
@@ -676,10 +742,12 @@ def genie_batch(y: np.ndarray, params: CodeParams) -> tuple[np.ndarray, np.ndarr
     half-block support sums, one column per order-1 split node in
     pre-order (see :func:`_support_nodes`).  The support sum of the node's
     codeword that flips the second half has the law of any other balanced
-    support of that first-order node.
+    support of that first-order node.  Both are float64, whatever the
+    decode's dtype; `_pm1` is private to the Monte Carlo harness (see
+    :func:`_decode`).
     """
     sums = []
-    _, _, _, values = _decode(y, params, ALG_PSI, None, None, supports=sums)
+    _, _, _, values = _decode(y, params, ALG_PSI, None, None, supports=sums, pm1=_pm1)
     supports = np.empty((len(values), len(sums)))
     for j, column in enumerate(sums):
         supports[:, j] = column

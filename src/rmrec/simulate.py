@@ -34,6 +34,16 @@ of 2^19 symbols per row-major block (128 rows of {12,1}, 512 rows of
 {10,2}) lets a worker consume the word it draws while it is still in
 its core's cache.  The order never enters a result.
 
+Dtype: every Monte Carlo word is +/-1: the drawn word by construction,
+its product with a random codeword, and the awgn-hard word, which is a
+BSC's.  Blocks are therefore drawn and decoded in float32 wherever the
+decoder's static bit budget certifies the tree (see :mod:`rmrec.decoder`;
+psi {8,2}, phi {10,2} and the {12,1} genie tree among them), and in
+float64 elsewhere, psi {9,2} for one.  A certified float32 decode gives
+the float64 bits, and the genie's end values and support sums come back
+in float64 before they are normalised, so the dtype never enters a result
+either.
+
 Channels are binary symmetric: either with an explicit crossover p or as
 the hard-decision image of an AWGN channel with deviation sigma, whose
 crossover is Q(1/sigma).  By symmetry of the decoders' arithmetic the
@@ -45,6 +55,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,8 +65,10 @@ from .core import CodeParams, Path, encode_batch, enumerate_paths
 from .decoder import (
     ALG_PHI,
     ALG_PSI,
+    PRODUCT,
     DecoderOptions,
     _kept,
+    _pm1_dtype,
     _support_nodes,
     _workspace_width,
     decode_batch,
@@ -250,36 +263,54 @@ def _threshold(p: float) -> np.uint64:
 _HALF = np.uint64(1 << 63)  # raw < 2^63 exactly when its uniform is below 0.5
 
 
-# Symbols per chunk of a symbol-major received block: each chunk of rows is
-# drawn row-major and transposed into place, so its draw buffer stays small.
+# Symbols per chunk of a received block: each chunk of rows is drawn into
+# one raw buffer of this size and written into the block, so that no raw
+# buffer of the block's size exists.  On one thread of a 2-core Xeon
+# (numpy 2.4), 4096 rows of {8,2} drew in float32 in a minimum of 7.6 ms
+# symbol-major and 5.8 ms row-major (float64: 7.7 and 6.1 ms), and in
+# 13.6-14.4 ms symbol-major when copysign wrote through the strided block;
+# chunks of 2^15-2^17 symbols were within 6 % of each other in either
+# order, 2^13 and 2^18 slower.
 _CHUNK_SYMBOLS = 1 << 16
+
+# Index of the high 32-bit half of a 64-bit word seen as two float32s.
+_HIGH_HALF = 1 if sys.byteorder == "little" else 0
 
 
 def _received(channel: Channel, master_seed: int, n: int, rows: range,
-              order: str = "C") -> np.ndarray:
+              order: str = "C", dtype: type = np.float64) -> np.ndarray:
     """The all-ones word through the channel for trials `rows`, (len, n)
-    +/-1 reals in memory order `order` ("C" row-major, "F" symbol-major): a
-    symbol flips when its uniform is below the crossover.
+    +/-1 values of `dtype` (float64 or float32) in memory order `order`
+    ("C" row-major, "F" symbol-major): a symbol flips when its uniform is
+    below the crossover.
 
-    A row-major block is built in place over the raw words.  With
-    x = raw >> 11 < 2^53 and t = _threshold(p) <= 2^52, the wrapped
-    difference x - t has its top bit set exactly when x < t; that bit is the
-    sign copysign reads.  A symbol-major block is built the same way in
-    chunks of rows, each transposed into an (n, len) array, so that no
-    second buffer of the block's size exists.
+    The block is written chunk by chunk of rows, each from one buffer of
+    raw words; a symbol-major chunk is built row-major in a second buffer
+    of the chunk's size and transposed into place.  With x = raw >> 11 <
+    2^53 and t = _threshold(p) <= 2^52, the wrapped difference x - t has
+    its top bit set exactly when x < t.  That bit is the sign copysign
+    reads, of the word seen as a float64 or of its high 32-bit half seen as
+    a float32, so both dtypes hold the same symbols.
     """
-    if order == "C":
-        raw = _stream_raw(master_seed, PURPOSE_CHANNEL, rows.start, len(rows), n)
-        raw >>= np.uint64(11)
-        raw -= _threshold(channel.crossover)
-        signs = raw.view(np.float64)
-        return np.copysign(1.0, signs, out=signs)
-    out = np.empty((n, len(rows)))
+    out = np.empty((len(rows), n) if order == "C" else (n, len(rows)), dtype)
+    block = out if order == "C" else out.T
+    threshold = _threshold(channel.crossover)
     step = max(1, _CHUNK_SYMBOLS // n)
+    buffer = None if order == "C" else np.empty((min(step, len(rows)), n), dtype)
     for start in range(0, len(rows), step):
-        chunk = range(rows.start + start, min(rows.start + start + step, rows.stop))
-        out[:, start:start + len(chunk)] = _received(channel, master_seed, n, chunk).T
-    return out.T
+        stop = min(start + step, len(rows))
+        raw = _stream_raw(master_seed, PURPOSE_CHANNEL, rows.start + start, stop - start, n)
+        raw >>= np.uint64(11)
+        raw -= threshold
+        if dtype == np.float64:
+            signs = raw.view(np.float64)
+        else:
+            signs = raw.view(np.float32)[:, _HIGH_HALF::2]
+        if order == "C":
+            np.copysign(1.0, signs, out=block[start:stop])
+        else:
+            block[start:stop] = np.copysign(1.0, signs, out=buffer[:stop - start])
+    return block
 
 
 def apply_channel(codeword: np.ndarray, channel: Channel,
@@ -320,7 +351,8 @@ _MIN_BLOCK_SYMBOLS = 1 << 18
 _MAX_BLOCK_SYMBOLS = {"C": 1 << 19, "F": 1 << 20}
 
 
-def _row_blocks(work, trials: int, size: int, n: int, order: str = "C", width: int = 0):
+def _row_blocks(work, trials: int, size: int, n: int, order: str = "C", width: int = 0,
+                dtype: type = np.float64):
     """Per batch of up to `size` consecutive trials, in order: the results
     of work(rows) on its contiguous row blocks, in row order.
 
@@ -335,7 +367,7 @@ def _row_blocks(work, trials: int, size: int, n: int, order: str = "C", width: i
     workspace for the whole run (see :mod:`rmrec.decoder`); a pool thread's
     starts with `width` elements per row of the largest block, the
     workspace width (:func:`rmrec.decoder._workspace_width`) of the decode
-    that work(rows) runs, and grows only past it.
+    that work(rows) runs, in that decode's dtype, and grows only past it.
     """
     workers = _workers()
     pool = None
@@ -364,7 +396,7 @@ def _row_blocks(work, trials: int, size: int, n: int, order: str = "C", width: i
                 # 2-thread {12,1} genie run of 1024 trials, against 4 as
                 # rows of one.  A pool thread's goes when the thread ends,
                 # at the shutdown
-                spares = list(np.empty((workers, width * len(blocks[-1]))))
+                spares = list(np.empty((workers, width * len(blocks[-1])), dtype))
                 pool = ThreadPoolExecutor(workers, initializer=lambda: setattr(
                     _kept, "array", spares.pop()))
             yield list(pool.map(work, blocks))
@@ -394,9 +426,10 @@ def run_wer(config: SimConfig, per_path: bool = False) -> SimReport:
     """
     params, n, k = config.params, config.params.n, config.params.k
     order = "F" if config.algorithm == ALG_PSI else "C"
+    dtype = _pm1_dtype(params, config.algorithm, config.options.v_rule)
 
     def count_errors(rows: range) -> tuple[int, np.ndarray, int]:
-        received = _received(config.channel, config.master_seed, n, rows, order)
+        received = _received(config.channel, config.master_seed, n, rows, order, dtype)
         if config.transmitted == ALL_ONES:
             info_true = np.zeros((len(rows), k), dtype=np.uint8)
         else:
@@ -406,7 +439,7 @@ def run_wer(config: SimConfig, per_path: bool = False) -> SimReport:
             received *= encode_batch(info_true, params)
         trials_idx = np.arange(rows.start, rows.stop, dtype=np.uint64)
         info_hat, _, ops = decode_batch(received, params, config.algorithm,
-                                        config.options, trials_idx)
+                                        config.options, trials_idx, _pm1=True)
         wrong = info_hat != info_true
         return int(np.count_nonzero(wrong.any(axis=1))), wrong.sum(axis=0), ops
 
@@ -414,7 +447,7 @@ def run_wer(config: SimConfig, per_path: bool = False) -> SimReport:
     ops = 0
     path_errors = np.zeros(k, dtype=np.int64)
     for blocks in _row_blocks(count_errors, config.trials, config.effective_batch(), n,
-                              order, _workspace_width(params, config.algorithm)):
+                              order, _workspace_width(params, config.algorithm), dtype):
         for block_words, block_paths, ops in blocks:
             word_errors += block_words
             path_errors += block_paths
@@ -491,13 +524,17 @@ def path_statistics(config: SimConfig) -> GenieReport:
     path_acc = _MomentAccumulator(len(paths))
     node_acc = _MomentAccumulator(len(nodes))
 
+    dtype = _pm1_dtype(params, ALG_PSI, PRODUCT)  # the genie's forced decode
+
     def normalized(rows: range) -> tuple[np.ndarray, np.ndarray]:
+        # the end values and supports come back float64, in either dtype
         values, supports = genie_batch(
-            _received(config.channel, config.master_seed, params.n, rows), params)
+            _received(config.channel, config.master_seed, params.n, rows, "C", dtype), params,
+            _pm1=True)
         return values / path_norm, supports / node_norm
 
     for blocks in _row_blocks(normalized, config.trials, config.effective_batch(),
-                              params.n, "C", _workspace_width(params, ALG_PSI)):
+                              params.n, "C", _workspace_width(params, ALG_PSI), dtype):
         # one add per batch, on the rows in order: the same float sums for
         # any number of blocks
         path_acc.add(np.concatenate([values for values, _ in blocks]))

@@ -685,24 +685,41 @@ def _sign(value) -> int:
     return (value > 0) - (value < 0)
 
 
-def _exact_decode(y, node, options):
+def _grid_bits(values) -> int:
+    """Bits that a set of dyadic rationals needs on their common grid: the
+    least b with |x| * 2^g <= 2^b for all x, 2^-g the finest denominator.
+    float32 holds every such x exactly when b <= 24, float64 when b <= 53."""
+    g = max(value.denominator.bit_length() - 1 for value in values)
+    top = max(abs(value.numerator) << (g - value.denominator.bit_length() + 1)
+              for value in values)
+    return max(top - 1, 0).bit_length()
+
+
+def _exact_decode(y, node, options, bits):
     """The +/-1 codeword of a decode of the Fraction list y at `node`, with
-    ties to +1, in exact arithmetic."""
+    ties to +1, in exact arithmetic.  Appends to `bits` the grid bits of
+    every node's input and of each magnitude sum that bounds, in any order,
+    the partial sums of a repetition node, a first-order node or a genie
+    support sum (the second half of an order-1 split node's input)."""
+    bits.append(_grid_bits(y))
     if node.kind == SPLIT:
         v, u = node.children
         half = len(y) // 2
         y1, y2 = y[:half], y[half:]
+        if node.order == 1:
+            bits.append(_grid_bits([sum(abs(value) for value in y2)]))
         if options.v_rule == PRODUCT:
             y_v = [a * b for a, b in zip(y1, y2)]
         else:
             y_v = [_sign(a) * _sign(b) * min(abs(a), abs(b)) for a, b in zip(y1, y2)]
-        v_hat = _exact_decode(y_v, v, options)
+        v_hat = _exact_decode(y_v, v, options, bits)
         scale = Fraction(1, 2) if options.u_rule == SCALED else 1
         u_hat = _exact_decode([(a + b * s) * scale for a, b, s in zip(y1, y2, v_hat)],
-                              u, options)
+                              u, options, bits)
         return u_hat + [a * b for a, b in zip(u_hat, v_hat)]
     if node.kind == RIGHT_END:
         return [1 if value >= 0 else -1 for value in y]
+    bits.append(_grid_bits([sum(abs(value) for value in y)]))
     if node.kind == LEFT_END:
         return [1 if sum(y) >= 0 else -1] * len(y)
     corr, h = list(y), 1  # the butterfly FHT
@@ -722,7 +739,8 @@ _EXACT_RULES = [DecoderOptions(u_rule=u, v_rule=v, tie_rule=TIE_POSITIVE)
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_pm1_decodes_match_exact_arithmetic(m):
-    # the float decode of +/-1 words equals their decode in exact arithmetic
+    # the float decode of +/-1 words equals their decode in exact arithmetic,
+    # which needs no more bits than the static budget
     rng = np.random.default_rng(40 + m)
     n = 1 << m
     index = np.arange(n)
@@ -734,10 +752,95 @@ def test_pm1_decodes_match_exact_arithmetic(m):
         for algorithm in ("psi", "phi") if r >= 1 else ("psi",):
             root = plotkin_tree(m, r, algorithm == "phi").root
             for options in _EXACT_RULES:
+                budget = decoder._bit_budget(m, r, algorithm == "phi", options.v_rule)
                 _, cw, _ = decode_batch(words, params, algorithm, options)
                 for word, decoded in zip(words, cw):
-                    exact = _exact_decode([Fraction(int(s)) for s in word], root, options)
+                    bits = []
+                    exact = _exact_decode([Fraction(int(s)) for s in word], root, options, bits)
                     assert exact == decoded.tolist()
+                    assert max(bits) <= budget
+
+
+def test_bit_budget_reference_values():
+    # (m, r, phi): bits under the product and the min-sum v rule; the
+    # float32 limit is 24 bits
+    expect = {(8, 2, False): (21, 6), (10, 2, True): (16, 9), (12, 2, True): (20, 11),
+              (12, 1, False): (21, 11), (9, 2, False): (25, 7), (10, 2, False): (29, 8),
+              (11, 3, False): (57, 8)}
+    for (m, r, phi), (product, min_sum) in expect.items():
+        assert decoder._bit_budget(m, r, phi, PRODUCT) == product
+        assert decoder._bit_budget(m, r, phi, MIN_SUM) == min_sum
+        algorithm = "phi" if phi else "psi"
+        dtype = decoder._pm1_dtype(CodeParams(m, r), algorithm, PRODUCT)
+        assert dtype == (np.float32 if product <= 24 else np.float64)
+        assert decoder._pm1_dtype(CodeParams(m, r), algorithm, MIN_SUM) == np.float32
+
+
+def _certified(max_m: int, v_rule: str):
+    """(params, algorithm) of every code with m <= max_m whose tree the bit
+    budget certifies for float32 under `v_rule`."""
+    return [(CodeParams(m, r), algorithm)
+            for m in range(1, max_m + 1) for r in range(m + 1)
+            for algorithm in (("psi", "phi") if r >= 1 else ("psi",))
+            if decoder._pm1_dtype(CodeParams(m, r), algorithm, v_rule) == np.float32]
+
+
+_DTYPE_RULES = [DecoderOptions(u_rule=u, v_rule=v, tie_seed=6)
+                for u in (SCALED, UNSCALED) for v in (PRODUCT, MIN_SUM)]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_float32_decodes_match_float64(m):
+    # a +/-1 batch on a certified tree decodes in float32 to the bits of its
+    # float64 decode, in either memory order; the channel words of random
+    # codewords at crossovers 0.1 and 0.4 meet ties at every kind of end node
+    rng = np.random.default_rng(70 + m)
+    for options in _DTYPE_RULES:
+        certified = [case for case in _certified(m, options.v_rule) if case[0].m == m]
+        assert certified
+        for params, algorithm in certified:
+            bits = rng.integers(0, 2, size=(48, params.k), dtype=np.uint8)
+            p = np.repeat([0.1, 0.4], 24)[:, None]
+            y = encode_batch(bits, params) * np.where(rng.random((48, params.n)) < p, -1.0, 1.0)
+            trials = np.arange(48, dtype=np.uint64) + 500
+            for batch in (np.ascontiguousarray(y), np.asfortranarray(y)):
+                info, cw, ops = decode_batch(batch, params, algorithm, options, trials)
+                info_32, cw_32, ops_32 = decode_batch(batch, params, algorithm, options, trials,
+                                                      _pm1=True)
+                assert cw.dtype == np.float64 and cw_32.dtype == np.float32
+                assert cw_32.flags.f_contiguous == batch.flags.f_contiguous
+                assert ops_32 == ops and np.array_equal(info_32, info)
+                assert np.array_equal(cw_32, cw)
+
+
+def test_float32_genie_matches_float64():
+    # the genie's forced decode of +/-1 words in float32 gives the float64
+    # end values and support sums, to the bit and the sign of zero
+    rng = np.random.default_rng(80)
+    codes = [params for params, algorithm in _certified(8, PRODUCT) if algorithm == "psi"]
+    for params in codes + [CodeParams(12, 1)]:
+        rows = 3 if params.n > 256 else 40
+        y = np.where(rng.random((rows, params.n)) < 0.4, -1.0, 1.0)
+        for batch in (np.ascontiguousarray(y), np.asfortranarray(y)):
+            values, supports = genie_batch(batch, params)
+            values_32, supports_32 = genie_batch(batch.astype(np.float32), params, _pm1=True)
+            assert values_32.dtype == supports_32.dtype == np.float64
+            assert np.array_equal(values_32.view(np.int64), values.view(np.int64))
+            assert np.array_equal(supports_32.view(np.int64), supports.view(np.int64))
+
+
+def test_float32_input_decodes_as_float64():
+    # a real float32 batch is cast to float64, as any other input: only the
+    # Monte Carlo harness's +/-1 words decode in float32
+    rng = np.random.default_rng(81)
+    for params, algorithm in ((CodeParams(8, 2), "psi"), (CodeParams(10, 2), "phi")):
+        y = rng.normal(size=(32, params.n)).astype(np.float32)
+        y[rng.uniform(size=y.shape) < 0.05] = 0.0
+        info, cw, _ = decode_batch(y, params, algorithm, DecoderOptions(tie_seed=2))
+        info_64, cw_64, _ = decode_batch(y.astype(np.float64), params, algorithm,
+                                         DecoderOptions(tie_seed=2))
+        assert cw.dtype == np.float64
+        assert np.array_equal(info, info_64) and np.array_equal(cw, cw_64)
 
 
 def test_phi_first_order_is_one_biorthogonal_call():

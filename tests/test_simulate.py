@@ -66,6 +66,46 @@ def test_apply_channel_noiseless_and_flip_rate():
     assert abs(np.mean(awgn < 0) - q_function(1.0)) < 1.5e-3
 
 
+@pytest.mark.parametrize("order", "CF")
+def test_received_float32_matches_float64(monkeypatch, order):
+    # the float32 draw reads the sign bit of each word's high half: the
+    # same symbols as the float64 draw, in the same memory order, whether
+    # or not the chunks of rows divide the block
+    channel = Channel.bsc(0.3)
+    for n, rows, chunk_rows in ((64, range(5, 28), 4), (16, range(0, 24), 8),
+                                (256, range(3, 4), 1)):
+        monkeypatch.setattr(rmrec.simulate, "_CHUNK_SYMBOLS", chunk_rows * n)
+        double = rmrec.simulate._received(channel, 12, n, rows, order)
+        single = rmrec.simulate._received(channel, 12, n, rows, order, np.float32)
+        assert double.dtype == np.float64 and single.dtype == np.float32
+        assert single.shape == double.shape == (len(rows), n)
+        flag = "C_CONTIGUOUS" if order == "C" else "F_CONTIGUOUS"
+        assert single.flags[flag] and double.flags[flag]
+        assert np.array_equal(single, double)
+        assert set(np.unique(single)) == {-1.0, 1.0}
+        monkeypatch.setattr(rmrec.simulate, "_CHUNK_SYMBOLS", 1 << 20)  # one chunk
+        assert np.array_equal(rmrec.simulate._received(channel, 12, n, rows, order), double)
+
+
+def test_monte_carlo_decodes_run_float32_only_on_certified_trees(monkeypatch):
+    # run_wer and path_statistics decode in float32 where the bit budget
+    # certifies the tree, and in float64 elsewhere: psi {9,2} needs 25 bits
+    workspace, dtypes = rmrec.decoder._workspace, []
+
+    def recording(size, dtype):
+        dtypes.append(dtype)
+        return workspace(size, dtype)
+
+    monkeypatch.setattr(rmrec.decoder, "_workspace", recording)
+    for run, m, r, algorithm, expect in (
+            (run_wer, 8, 2, "psi", np.float32), (run_wer, 9, 2, "psi", np.float64),
+            (run_wer, 9, 2, "phi", np.float32), (path_statistics, 12, 1, "psi", np.float32),
+            (path_statistics, 9, 2, "psi", np.float64)):
+        dtypes.clear()
+        run(_config(m=m, r=r, p=0.2, algorithm=algorithm, trials=40))
+        assert dtypes and all(dtype == expect for dtype in dtypes)
+
+
 def test_apply_channel_rejects_batches():
     with pytest.raises(ValueError):  # one trial's flips would repeat on every row
         apply_channel(np.ones((4, 8)), Channel.bsc(0.3))
@@ -373,9 +413,9 @@ def test_pool_workspaces_fit_their_decodes(monkeypatch):
     monkeypatch.setattr(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", 1)
     workspace, requests = rmrec.decoder._workspace, []
 
-    def recording(size):
+    def recording(size, *args):
         requests.append((size, rmrec.decoder._kept.array.size))
-        return workspace(size)
+        return workspace(size, *args)
 
     monkeypatch.setattr(rmrec.decoder, "_workspace", recording)
     for run in (lambda config: run_wer(dataclasses.replace(config, algorithm="psi")),
@@ -484,10 +524,10 @@ def test_capped_psi_blocks_match_row_recount(monkeypatch, m, r, transmitted, wor
     monkeypatch.setitem(rmrec.simulate._MAX_BLOCK_SYMBOLS, "F", 3 << m)
     blocks = []
 
-    def recorded(y, *args):
+    def recorded(y, *args, **kwargs):
         assert y.flags.f_contiguous
         blocks.append(len(y))
-        return decode_batch(y, *args)
+        return decode_batch(y, *args, **kwargs)
 
     monkeypatch.setattr(rmrec.simulate, "decode_batch", recorded)
     p, trials = _RECOUNT_RUNS[m, r]
