@@ -12,7 +12,10 @@ conditional bit error rates.
 
 The variance is maximized by the leftmost path of each node family, which
 yields closed forms, the decoding-threshold residuals of both algorithms,
-and the channel points where the weakest path starts to fail.
+and the channel points where the weakest path starts to fail.  The weakest
+paths are read off the code's :func:`~rmrec.core.plotkin_tree` as the
+paths of its leftmost leaves of each kind and size, and the error
+predictions walk its leaves once, one prediction per end node.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
-from .core import FIRST_ORDER, LEFT_END, CodeParams, Path, classify_path, plotkin_tree
+from .core import FIRST_ORDER, LEFT_END, CodeParams, Path, PlotkinNode, plotkin_tree
 from .decoder import ALG_PHI, ALG_PSI
 
 LN4 = math.log(4.0)
@@ -191,44 +194,53 @@ def moments_for_path(params: CodeParams, path: Path, epsilon: float) -> PathMome
 
 # --- weakest paths -----------------------------------------------------------
 
+def _leftmost(params: CodeParams, kind: str, length_log: int | None = None) -> PlotkinNode:
+    """The first end node of `kind`, of 2^length_log symbols if given, in
+    the tree that stops at such nodes (phi's for FIRST_ORDER)."""
+    for leaf in plotkin_tree(params.m, params.r, kind == FIRST_ORDER).leaves:
+        if leaf.kind == kind and length_log in (None, leaf.length_log):
+            return leaf
+    size = "" if length_log is None else f" of length 2^{length_log}"
+    raise ValueError(f"the tree of {params} has no {kind} node{size}")
+
+
 def weakest_path(params: CodeParams) -> Path:
-    """The variance-maximizing path: r zeros followed by m-r ones."""
-    bits = (0,) * params.r + (1,) * (params.m - params.r)
-    return classify_path(params, bits)
+    """The variance-maximizing path, the tree's first: r zeros, then m-r ones."""
+    return plotkin_tree(params.m, params.r).paths[0]
 
 
 def weakest_path_at_node(params: CodeParams, g: int) -> Path:
-    """Leftmost (variance-maximizing) path through the repetition node {g,0}."""
-    m, r = params.m, params.r
-    if not 1 <= g <= m - r:
-        raise ValueError(f"g must lie in [1, {m - r}], got {g}")
-    if r == 0:
-        if g != m:
-            raise ValueError("a repetition code has only the node {m,0}")
-        return weakest_path(params)
-    bits = (0,) * (r - 1) + (1,) * (m - r - g) + (0,) + (1,) * g
-    return classify_path(params, bits)
+    """Leftmost (variance-maximizing) path through a repetition node {g,0}:
+    that of the first such node of the tree."""
+    return _leftmost(params, LEFT_END, g).paths[0]
 
 
 def phi_weakest_prefix(params: CodeParams) -> tuple[int, ...]:
     """Weakest analysis prefix of the biorthogonal-stopping decoder.
 
-    r-1 zeros reach the first-order node {m-r+1, 1}; the trailing m-r
-    ones stand for the averaging implied by its half-block support sum.
+    r-1 zeros reach the first first-order node {m-r+1, 1}; the trailing m-r
+    ones stand for the averaging implied by its half-block support sum.  A
+    code without first-order nodes, r = 0 or r = m, raises ValueError.
     """
-    if params.r < 1:
-        raise ValueError("the biorthogonal analysis requires r >= 1")
-    return (0,) * (params.r - 1) + (1,) * (params.m - params.r)
+    node = _leftmost(params, FIRST_ORDER)
+    return node.prefix + (1,) * (node.length_log - 1)
 
 
 def phi_node_prefix(params: CodeParams, g: int) -> tuple[int, ...]:
-    """Weakest analysis prefix through the first-order node {g+1, 1}."""
-    m, r = params.m, params.r
-    if r < 2:
-        raise ValueError("per-node biorthogonal prefixes require r >= 2")
-    if not 1 <= g <= m - r:
-        raise ValueError(f"g must lie in [1, {m - r}], got {g}")
-    return (0,) * (r - 2) + (1,) * (m - r - g) + (0,) + (1,) * g
+    """Weakest analysis prefix through the first-order node {g+1, 1}: the
+    descent to the first such node, then g ones for its support sum."""
+    _check_phi_order(params, 2)
+    return _leftmost(params, FIRST_ORDER, g + 1).prefix + (1,) * g
+
+
+def _check_phi_order(params: CodeParams, least: int) -> None:
+    if params.r < least:
+        raise ValueError(f"the biorthogonal analysis requires r >= {least}")
+
+
+def _check_node(params: CodeParams, g: int) -> None:
+    if not 1 <= g <= params.m - params.r:
+        raise ValueError(f"g must lie in [1, {params.m - params.r}], got {g}")
 
 
 def _pow2(x: float) -> float:
@@ -257,10 +269,8 @@ def weakest_variance(params: CodeParams, epsilon: float) -> float:
 def node_weakest_variance(params: CodeParams, epsilon: float, g: int) -> float:
     """Closed form 2^-g (((eps^-2^r - 1) 2^(r+g-m) + 1)^2 - 1)."""
     _check_epsilon(epsilon)
-    m, r = params.m, params.r
-    if not 1 <= g <= m - r:
-        raise ValueError(f"g must lie in [1, {m - r}], got {g}")
-    return _node_form(params, epsilon, r, g)
+    _check_node(params, g)
+    return _node_form(params, epsilon, params.r, g)
 
 
 def _scaled_power(epsilon: float, level: int, shift: int) -> float:
@@ -280,20 +290,16 @@ def _node_form(params: CodeParams, epsilon: float, level: int, g: int) -> float:
 def phi_weakest_variance(params: CodeParams, epsilon: float) -> float:
     """Weakest normalized support-sum variance 2^-(m-r) (eps^-2^r - 1)."""
     _check_epsilon(epsilon)
-    if params.r < 1:
-        raise ValueError("the biorthogonal analysis requires r >= 1")
+    _check_phi_order(params, 1)
     return _scaled_power(epsilon, params.r, params.r - params.m)
 
 
 def phi_node_weakest_variance(params: CodeParams, epsilon: float, g: int) -> float:
     """Variance along :func:`phi_node_prefix`, in closed form."""
     _check_epsilon(epsilon)
-    m, r = params.m, params.r
-    if r < 2:
-        raise ValueError("per-node biorthogonal variances require r >= 2")
-    if not 1 <= g <= m - r:
-        raise ValueError(f"g must lie in [1, {m - r}], got {g}")
-    return _node_form(params, epsilon, r - 1, g)
+    _check_phi_order(params, 2)
+    _check_node(params, g)
+    return _node_form(params, epsilon, params.r - 1, g)
 
 
 def node_variance_asymptote(params: CodeParams, g: int) -> float | None:
@@ -304,9 +310,8 @@ def node_variance_asymptote(params: CodeParams, g: int) -> float | None:
     2^-(m-r-2)/2 (2 r ln m)^-1/2 near the root (small g); between the two
     regimes None is returned.
     """
+    _check_node(params, g)
     m, r = params.m, params.r
-    if not 1 <= g <= m - r:
-        raise ValueError(f"g must lie in [1, {m - r}], got {g}")
     mid = (m - r) / 2.0
     span = math.log(m)
     if g > mid + span:
@@ -399,31 +404,30 @@ def predict_errors(params: CodeParams, epsilon: float, algorithm: str = ALG_PSI,
     _check_epsilon(epsilon)
     if algorithm not in (ALG_PSI, ALG_PHI):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if algorithm == ALG_PHI and params.r < 1:
-        raise ValueError("biorthogonal stopping requires r >= 1")
+    phi = algorithm == ALG_PHI
+    _check_phi_order(params, 1 if phi else 0)
     gate = gaussian_gate(params.m)
-    tree = plotkin_tree(params.m, params.r, algorithm == ALG_PHI)
+    tree = plotkin_tree(params.m, params.r, phi)
     predictions: dict[Path, PathPrediction] = {}
-    if algorithm == ALG_PSI:
-        for path in tree.paths:
-            mu = moments_for_path(params, path, epsilon).variance
-            gated = path.kind == LEFT_END and path.end_size >= gate
+    for leaf in tree.leaves:
+        if leaf.kind == LEFT_END:  # its forced ones are averaging steps
+            mu = path_variance(leaf.paths[0].bits, epsilon)
+            gated = leaf.length_log >= gate
             p = _gaussian_tail(mu) if gated else min(mu, 1.0)
-            predictions[path] = PathPrediction(mu, p, p, gated)
-    else:
-        for node in tree.leaves:
-            mu = path_variance(node.prefix, epsilon)
-            if node.kind == FIRST_ORDER:
-                g = node.length_log - 1
-                mu *= 2.0 ** -g
-                gated = g >= gate
-                single = _gaussian_tail(mu) if gated else min(mu, 1.0)
-                upper = min(1.0, (2.0 ** (g + 2) - 1.0) * single)
-                prediction = PathPrediction(mu, _gaussian_tail(mu), upper, gated)
-            else:  # a full space met before any first-order node
-                prediction = PathPrediction(mu, 0.0, min(mu, 1.0), False)
-            predictions.update(dict.fromkeys(node.paths, prediction))
-    first = min(predictions)  # lexicographically first = weakest path
+            prediction = PathPrediction(mu, p, p, gated)
+        elif leaf.kind == FIRST_ORDER:
+            g = leaf.length_log - 1
+            mu = path_variance(leaf.prefix, epsilon) * 2.0 ** -g
+            gated = g >= gate
+            single = _gaussian_tail(mu) if gated else min(mu, 1.0)
+            upper = min(1.0, (2.0 ** (g + 2) - 1.0) * single)
+            prediction = PathPrediction(mu, _gaussian_tail(mu), upper, gated)
+        else:  # a full space; under phi, met before any first-order node
+            mu = path_variance(leaf.prefix, epsilon)
+            p = min(mu, 1.0)
+            prediction = PathPrediction(mu, 0.0 if phi else p, p, False)
+        predictions.update(dict.fromkeys(leaf.paths, prediction))
+    first = tree.paths[0]  # the weakest path
     block_lower = predictions[first].p_low
     block_upper = min(1.0, sum(p.p_high for p in predictions.values()))
     return predictions, block_lower, block_upper

@@ -17,13 +17,15 @@ first bit most significant.  Codeword positions are indexed the same way:
 position p has coordinates x_1..x_m with x_1 the most significant bit.
 
 The tree is built once per code by :func:`plotkin_tree` and shared by
-every walk in the package: the encoder here and the decoders' walk in
-:mod:`rmrec.decoder`, the two Plotkin descents, and the error predictions
-in :mod:`rmrec.analysis`.  The decoders' walk runs psi and phi, reads a
-clean codeword's info bits and, forced to decide +1, runs the
+every walk in the package: the encoder here, the decoders' walk in
+:mod:`rmrec.decoder`, the two Plotkin descents, and :mod:`rmrec.analysis`,
+which reads its weakest paths from the tree's leftmost leaves and predicts
+errors in one pass over its leaves.  The decoders' walk runs psi and phi,
+reads a clean codeword's info bits and, forced to decide +1, runs the
 genie-aided recursion.
 It fixes the shape of the descent, the info columns each node owns and
-the decoder's tie sites.
+the decoder's tie sites.  Every entry point that takes blocks reads them
+through :func:`_rows`: a 1-D block is one row, a 2-D one a batch of rows.
 """
 
 from __future__ import annotations
@@ -261,6 +263,18 @@ def _memory_order(block: np.ndarray) -> str:
     return "F" if block.flags.f_contiguous and not block.flags.c_contiguous else "C"
 
 
+def _rows(block: np.ndarray, width: int, what: str, dtype: type | None = None,
+          single: bool = False) -> np.ndarray:
+    """`block` as a (B, width) array of `dtype` (its own if None), a 1-D
+    block being one row; a `single` block must be 1-D.  Raises ValueError,
+    naming the block `what`, for any other shape."""
+    block = np.asarray(block, dtype=dtype)
+    if block.ndim not in ((1,) if single else (1, 2)) or block.shape[-1] != width:
+        rows = "" if single else f" or (B, {width})"
+        raise ValueError(f"{what} must be 1-D of length {width}{rows}, not shape {block.shape}")
+    return block[None] if block.ndim == 1 else block
+
+
 def _encode(node: PlotkinNode, info: np.ndarray, out: np.ndarray) -> None:
     # writes the +/-1 codeword of the node's info columns into the
     # symbol-first view out, (2^length_log, B)
@@ -275,16 +289,14 @@ def _encode(node: PlotkinNode, info: np.ndarray, out: np.ndarray) -> None:
 
 
 def encode_batch(info: np.ndarray, params: CodeParams) -> np.ndarray:
-    """Encode a (B, k) block of information bits into (B, n) +/-1 symbols.
+    """Encode a (B, k) block of information bits, or one 1-D row, into
+    (B, n) +/-1 symbols.
 
     The codewords come back in the memory order of the info block: an
     F-ordered (symbol-major) block gives F-ordered codewords, anything
     else C-ordered ones.
     """
-    info = np.atleast_2d(np.asarray(info))
-    if info.shape[1] != params.k:
-        raise ValueError(f"info block must have k={params.k} bits per row, "
-                         f"got {info.shape[1]}")
+    info = _rows(info, params.k, "an info block")
     if info.size and not np.all((info == 0) | (info == 1)):
         raise ValueError("info bits must be 0 or 1")
     out = np.empty((info.shape[0], params.n), order=_memory_order(info))
@@ -294,10 +306,8 @@ def encode_batch(info: np.ndarray, params: CodeParams) -> np.ndarray:
 
 def encode(info: np.ndarray, params: CodeParams) -> np.ndarray:
     """Encode k information bits (lexicographic path order) into n +/-1 symbols."""
-    info = np.asarray(info)
-    if info.ndim != 1:
-        raise ValueError("encode expects a 1-D info block; see encode_batch")
-    return encode_batch(info[None, :], params)[0].astype(np.int8)
+    info = _rows(info, params.k, "an info block", single=True)
+    return encode_batch(info, params)[0].astype(np.int8)
 
 
 def encode_op_count(params: CodeParams) -> int:

@@ -125,6 +125,7 @@ from .core import (
     Path,
     PlotkinNode,
     _memory_order,
+    _rows,
     enumerate_paths,
     plotkin_tree,
 )
@@ -432,7 +433,9 @@ def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, sit
     # .take gathers rows several times faster than fancy indexing
     bits = _first_order_bits(width).take(2 * best + np.signbit(sign[:, 0]), axis=0)
     if width <= 128:  # rows of H_w, at most 128 KiB, gathered into scratch (mode
-        # "clip" writes there directly; no index needs clipping): two calls, not nine
+        # "clip" writes there directly; no index needs clipping): two calls, not
+        # nine, which pays on single blocks (decode-single-12-2) and leaves
+        # wer-phi-10-2 level
         np.multiply(_hadamard_matrix(width, y.dtype.type).take(best, 0, scratch, "clip"), sign,
                     out=cw)
     else:
@@ -454,16 +457,26 @@ def md_biorthogonal(z: np.ndarray, g: int, options: DecoderOptions | None = None
     """
     if g < 0:
         raise ValueError("g must be nonnegative")
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (1 << (g + 1),):
-        raise ValueError(f"block length must be 2^(g+1)={1 << (g + 1)}")
-    cw, work = np.empty((1, len(z))), np.empty(2 * len(z))
-    info, _ = _first_order(z[None, :], options or DecoderOptions(),
-                           np.array([trial], dtype=np.uint64), 0, cw, False, work)
+    z = _rows(z, 1 << (g + 1), "a first-order block", np.float64, single=True)
+    cw, work = np.empty(z.shape), np.empty(2 * z.size)
+    info, _ = _first_order(z, options or DecoderOptions(), _trial_indices([trial], 1), 0,
+                           cw, False, work)
     return cw[0].astype(np.int8), info[0]
 
 
 # --- the decoders' walk -------------------------------------------------------
+
+def _trial_indices(trials, rows: int) -> np.ndarray:
+    """The (rows,) uint64 trial indices of the tie coin: one non-negative
+    integer per row, or arange(rows) for None."""
+    if trials is None:
+        return np.arange(rows, dtype=np.uint64)
+    trials = np.asarray(trials)
+    if trials.shape != (rows,) or trials.dtype.kind not in "iu" or np.any(trials < 0):
+        raise ValueError(f"trials must hold one non-negative integer index per row, "
+                         f"{rows} in all")
+    return trials.astype(np.uint64, copy=False)
+
 
 @cache
 def _op_count(m: int, r: int, first_order_ends: bool, u_rule: str, v_rule: str) -> int:
@@ -569,15 +582,8 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
     if algorithm == ALG_PHI and params.r == 0:
         raise ValueError("phi requires r >= 1; use psi for repetition codes")
     dtype = _pm1_dtype(params, algorithm, options.v_rule) if pm1 else np.float64
-    y = np.atleast_2d(np.asarray(y, dtype=dtype))
-    if y.shape[1] != params.n:
-        raise ValueError(f"blocks must have length n={params.n}, got {y.shape[1]}")
-    if trials is None:
-        trials = np.arange(y.shape[0], dtype=np.uint64)
-    else:
-        trials = np.asarray(trials, dtype=np.uint64)
-        if trials.shape != (y.shape[0],):
-            raise ValueError("trials must hold one index per row")
+    y = _rows(y, params.n, "a received block", dtype)
+    trials = _trial_indices(trials, len(y))
     phi = algorithm == ALG_PHI
     order = _memory_order(y)
     info = None if forced else np.empty((y.shape[0], params.k), dtype=np.uint8, order=order)
@@ -638,12 +644,14 @@ def decode_batch(y: np.ndarray, params: CodeParams, algorithm: str = ALG_PSI,
                  options: DecoderOptions | None = None,
                  trials: np.ndarray | None = None, *, _pm1: bool = False,
                  ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Decode a (B, n) batch of real blocks; rows are independent trials.
+    """Decode a (B, n) batch of real blocks, or one 1-D block; rows are
+    independent trials.
 
     Returns (info bits (B, k), codewords (B, n), op count per block),
     both in y's memory order: an F-ordered (symbol-major) batch decodes
     fastest, to the same bits (see the module docstring).
-    `trials` supplies the per-row trial indices for the tie coin.  Nothing
+    `trials` supplies the per-row trial indices for the tie coin,
+    non-negative integers; None stands for 0, 1, ..., B-1.  Nothing
     checks the output here: a row whose intermediates overflow to inf and
     then NaN yields NaN symbols, which :func:`decode_psi` and :func:`decode_phi`
     refuse.  `_pm1` is private to the Monte Carlo harness (see
@@ -656,11 +664,8 @@ def decode_batch(y: np.ndarray, params: CodeParams, algorithm: str = ALG_PSI,
 def _decode_single(y: np.ndarray, params: CodeParams, algorithm: str,
                    options: DecoderOptions | None, trial: int) -> DecodeResult:
     options = options or DecoderOptions()
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (params.n,):
-        raise ValueError(f"received block must have length n={params.n}")
-    info, cw, ops, values = _decode(y[None, :], params, algorithm, options,
-                                    np.array([trial], dtype=np.uint64), options.trace)
+    y = _rows(y, params.n, "a received block", single=True)
+    info, cw, ops, values = _decode(y, params, algorithm, options, [trial], options.trace)
     if np.isnan(cw).any():
         raise ValueError("the decoder's intermediates overflowed: decoded symbols "
                          "are NaN; scale the received word down")
@@ -691,7 +696,7 @@ def extract_info_batch(codewords: np.ndarray, params: CodeParams) -> np.ndarray:
     ValueError unless every row decodes to itself, that is, unless every
     row is a codeword.
     """
-    codewords = np.atleast_2d(np.asarray(codewords, dtype=np.float64))
+    codewords = _rows(codewords, params.n, "a codeword", np.float64)
     info, decoded, _, _ = _decode(codewords, params, ALG_PSI, None, None)
     if not np.array_equal(decoded, codewords):
         raise ValueError(f"not a +/-1 codeword of {params}")
@@ -701,10 +706,7 @@ def extract_info_batch(codewords: np.ndarray, params: CodeParams) -> np.ndarray:
 def codeword_to_info(codeword: np.ndarray, params: CodeParams) -> np.ndarray:
     """The k info bits of one clean +/-1 codeword of the code; raises
     ValueError for any other word."""
-    codeword = np.asarray(codeword)
-    if codeword.shape != (params.n,):
-        raise ValueError(f"codeword must have length n={params.n}")
-    return extract_info_batch(codeword[None, :], params)[0]
+    return extract_info_batch(_rows(codeword, params.n, "a codeword", single=True), params)[0]
 
 
 def decode_op_bound(params: CodeParams, algorithm: str = ALG_PSI,

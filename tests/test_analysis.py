@@ -103,6 +103,15 @@ def test_weakest_path_forms():
     assert phi_node_prefix(CodeParams(6, 3), 2) == (0, 1, 0, 1, 1)
 
 
+def test_phi_weakest_prefix_needs_a_first_order_node():
+    # phi's tree of a repetition code or a full space has no first-order node
+    for m in range(1, 6):
+        for r in (0, m):
+            with pytest.raises(ValueError, match="first-order"):
+                phi_weakest_prefix(CodeParams(m, r))
+    assert phi_weakest_prefix(CodeParams(2, 1)) == (1,)
+
+
 @pytest.mark.parametrize("m", range(2, 11))
 def test_weakest_path_maximizes_variance(m):
     rng = np.random.default_rng(m)

@@ -34,6 +34,7 @@ from rmrec.decoder import (
     _hadamard_factors,
     _tie_signs,
     biorthogonal_codeword,
+    codeword_to_info,
     extract_info_batch,
     genie_batch,
 )
@@ -150,6 +151,56 @@ def test_md_full_space():
             coins = _tie_signs(5, np.full(params.n, trial, dtype=np.uint64),
                                np.arange(params.n, dtype=np.uint64))
             assert np.array_equal(got, np.where(z == 0, coins, np.sign(z)))
+
+
+# entry point: (block width, whether it takes one 1-D block only, call);
+# the encoders take {3,1} info bits, the decoders its received words
+_P31 = CodeParams(3, 1)
+_ENTRIES = {
+    "encode_batch": (4, False, lambda x: encode_batch(x, _P31)),
+    "encode": (4, True, lambda x: encode(x, _P31)),
+    "decode_batch": (8, False, lambda x: decode_batch(x, _P31, "phi")),
+    "decode_psi": (8, True, lambda x: decode_psi(x, _P31)),
+    "decode_phi": (8, True, lambda x: decode_phi(x, _P31)),
+    "genie_batch": (8, False, lambda x: genie_batch(x, _P31)),
+    "extract_info_batch": (8, False, lambda x: extract_info_batch(x, _P31)),
+    "codeword_to_info": (8, True, lambda x: codeword_to_info(x, _P31)),
+    "md_biorthogonal": (8, True, lambda x: md_biorthogonal(x, 2)),
+}
+_SHAPES = {"(B, n, 1)": lambda n: (2, n, 1), "0-D": lambda n: (), "(1, n)": lambda n: (1, n)}
+
+
+@pytest.mark.parametrize("entry, shape", [(entry, shape) for entry in _ENTRIES for shape in _SHAPES
+                                          if _ENTRIES[entry][1] or shape != "(1, n)"])
+def test_entry_points_take_rows_or_one_block(entry, shape):
+    # every entry point reads a 1-D block as one row; a batch entry takes
+    # (B, n) rows and a single-block entry nothing else, whatever its values
+    width, single, call = _ENTRIES[entry]
+    fill = 0 if entry.startswith("encode") else 1.0
+    call(np.full(width, fill))
+    if not single:
+        call(np.full((3, width), fill))
+    with pytest.raises(ValueError, match="length"):
+        call(np.full(_SHAPES[shape](width), fill))
+
+
+def test_trial_indices_are_non_negative_integers():
+    y = np.ones((2, 8))
+    for trials in ([-1, 0], [0.5, 1.0], [0], [0, 1, 2], [[0, 1]]):
+        with pytest.raises(ValueError, match="trials"):
+            decode_batch(y, _P31, "phi", trials=np.array(trials))
+    for trial in (-1, 0.5, 2 ** 64, [0, 1]):
+        with pytest.raises(ValueError, match="trials"):
+            decode_psi(y[0], _P31, trial=trial)
+        with pytest.raises(ValueError, match="trials"):
+            md_biorthogonal(y[0], 2, trial=trial)
+    # the largest index is a trial like any other, and a row's default
+    # index is its own; an all-zero word leaves the tie coin its sign
+    zero = np.zeros((2, 8))
+    _, codewords, _ = decode_batch(zero, _P31, "phi", trials=np.array([0, 2 ** 64 - 1], np.uint64))
+    assert np.array_equal(codewords[1], decode_phi(zero[1], _P31, trial=2 ** 64 - 1).codeword)
+    _, codewords, _ = decode_batch(zero, _P31, "phi")
+    assert np.array_equal(codewords[1], decode_phi(zero[1], _P31, trial=1).codeword)
 
 
 def test_md_end_nodes_reject_batches():

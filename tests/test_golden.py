@@ -5,8 +5,8 @@ The JSON files in ``tests/golden/`` hold outputs recorded by
 requires it to match exactly: integer counters as integers, floats as
 hex strings.  The grid covers the decoder rules the benchmark fingerprints
 do not: both u rules, both v rules, both tie rules, all-ones and random
-codewords, and several batch sizes, plus the single-block trace and the
-genie statistics.
+codewords, and several batch sizes, plus the single-block trace, the
+genie statistics and the analysis's weakest paths and error predictions.
 
 Re-record only at a commit whose outputs are known good; a refactor or
 speed-up must leave every entry unchanged.
@@ -14,6 +14,7 @@ speed-up must leave every entry unchanged.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -30,6 +31,16 @@ from rmrec import (
     decode_psi,
     path_statistics,
     run_wer,
+)
+from rmrec.analysis import (
+    phi_node_prefix,
+    phi_weakest_prefix,
+    predict_errors,
+    residual_phi,
+    residual_psi,
+    threshold_report,
+    weakest_path,
+    weakest_path_at_node,
 )
 from rmrec.decoder import (
     MIN_SUM,
@@ -57,6 +68,9 @@ TRACE_CODES = ((1, 1), (3, 3), (4, 1), (5, 0), (5, 2), (6, 3))
 STATS_CODE = (8, 2)
 STATS_CROSSOVER = 0.2
 STATS_TRIALS = 1000
+
+ANALYSIS_CODES = tuple((m, r) for m in range(2, 13) for r in range(1, m))
+ANALYSIS_EPSILONS = (0.3, 0.7, None)  # None: the algorithm's own threshold
 
 
 def _options(u_rule: str, v_rule: str, tie_rule: str) -> DecoderOptions:
@@ -150,7 +164,65 @@ def stats_entry(case: dict) -> dict:
             "nodes": {bits(pre): _stats(s) for pre, s in report.node_stats.items()}}
 
 
+# --- analysis predictions and weakest paths ---------------------------------
+
+def analysis_cases() -> list[dict]:
+    return [dict(m=m, r=r, algorithm=algorithm, epsilon=epsilon)
+            for (m, r), algorithm, epsilon in itertools.product(
+                ANALYSIS_CODES, ("psi", "phi"), ANALYSIS_EPSILONS)]
+
+
+def _outcome(call, record):
+    """record(call()), or what the call raised."""
+    try:
+        value = call()
+    except (ValueError, ArithmeticError) as error:
+        return {"raised": type(error).__name__}
+    return record(value)
+
+
+def _bits(bits) -> str:
+    return "".join(str(b) for b in bits)
+
+
+def analysis_entry(case: dict) -> dict:
+    params = CodeParams(case["m"], case["r"])
+    algorithm, epsilon = case["algorithm"], case["epsilon"]
+    if epsilon is None:
+        epsilon = residual_psi(params) if algorithm == "psi" else residual_phi(params)
+
+    def report(rep) -> dict:
+        return {"epsilon": rep.epsilon.hex(),
+                "weakest_variance": rep.weakest_variance.hex(),
+                "node_variances": {str(g): mu.hex()
+                                   for g, mu in rep.node_variances.items()},
+                "block_lower": rep.block_lower.hex(), "block_upper": rep.block_upper.hex()}
+
+    def predictions(result) -> dict:
+        per_path, lower, upper = result
+        rows = [(_bits(path.bits), p.variance.hex(), p.p_low.hex(), p.p_high.hex(),
+                 p.gaussian) for path, p in sorted(per_path.items())]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        return {"paths": digest, "block_lower": lower.hex(), "block_upper": upper.hex()}
+
+    if algorithm == "psi":
+        weakest, at_node = (lambda: weakest_path(params).bits,
+                            lambda g: weakest_path_at_node(params, g).bits)
+    else:
+        weakest, at_node = (lambda: phi_weakest_prefix(params),
+                            lambda g: phi_node_prefix(params, g))
+    return {"case": case,
+            "report": _outcome(lambda: threshold_report(params, epsilon, algorithm=algorithm),
+                               report),
+            "predictions": _outcome(lambda: predict_errors(params, epsilon, algorithm),
+                                    predictions),
+            "weakest": _outcome(weakest, _bits),
+            "at_node": {str(g): _outcome(lambda: at_node(g), _bits)
+                        for g in range(1, params.m - params.r + 1)}}
+
+
 FIXTURES = {
+    "analysis": (analysis_cases, analysis_entry),
     "run_wer": (wer_cases, wer_entry),
     "trace": (trace_cases, trace_entry),
     "path_statistics": (stats_cases, stats_entry),
