@@ -78,7 +78,7 @@ def q_inverse(p: float) -> float:
     """Inverse of :func:`q_function` on (0, 1), Newton-polished."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"tail probability must lie in (0, 1), got {p}")
-    x = NormalDist().inv_cdf(1.0 - p)
+    x = -NormalDist().inv_cdf(p)  # 1 - p would round for tiny p
     for _ in range(2):
         density = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         if density == 0.0:
@@ -250,13 +250,6 @@ def _pow2(x: float) -> float:
         return math.inf
 
 
-def _expm1_safe(x: float) -> float:
-    try:
-        return math.expm1(x)
-    except OverflowError:
-        return math.inf
-
-
 def weakest_variance(params: CodeParams, epsilon: float) -> float:
     """Closed form 2^-(m-r) (eps^-2^(r+1) - 1) for the weakest path.
 
@@ -277,7 +270,7 @@ def _scaled_power(epsilon: float, level: int, shift: int) -> float:
     # (eps^-2^level - 1) * 2^shift without intermediate overflow
     exponent = float(2 ** level) * -math.log(epsilon)
     if exponent < 700.0:
-        return _expm1_safe(exponent) * 2.0 ** shift
+        return math.expm1(exponent) * 2.0 ** shift
     return _pow2(exponent / math.log(2.0) + shift)
 
 
@@ -288,9 +281,13 @@ def _node_form(params: CodeParams, epsilon: float, level: int, g: int) -> float:
 
 
 def phi_weakest_variance(params: CodeParams, epsilon: float) -> float:
-    """Weakest normalized support-sum variance 2^-(m-r) (eps^-2^r - 1)."""
+    """Weakest normalized support-sum variance 2^-(m-r) (eps^-2^r - 1).
+
+    A code without first-order nodes, r = 0 or r = m, raises ValueError.
+    """
     _check_epsilon(epsilon)
-    _check_phi_order(params, 1)
+    if not 1 <= params.r < params.m:  # phi_weakest_prefix's test, without a tree of 2^m
+        raise ValueError(f"the tree of {params} has no {FIRST_ORDER} node")
     return _scaled_power(epsilon, params.r, params.r - params.m)
 
 

@@ -285,12 +285,12 @@ def _encode(node: PlotkinNode, info: np.ndarray, out: np.ndarray) -> None:
         _encode(u, info, out[:half])
         out[half:] *= out[:half]  # (u, u*v)
     else:  # a repetition node broadcasts its single bit
-        out[:] = 1.0 - 2.0 * info[:, node.info].T
+        out[:] = 1 - 2 * info[:, node.info].T
 
 
 def encode_batch(info: np.ndarray, params: CodeParams) -> np.ndarray:
     """Encode a (B, k) block of information bits, or one 1-D row, into
-    (B, n) +/-1 symbols.
+    (B, n) int8 +/-1 symbols.
 
     The codewords come back in the memory order of the info block: an
     F-ordered (symbol-major) block gives F-ordered codewords, anything
@@ -299,15 +299,17 @@ def encode_batch(info: np.ndarray, params: CodeParams) -> np.ndarray:
     info = _rows(info, params.k, "an info block")
     if info.size and not np.all((info == 0) | (info == 1)):
         raise ValueError("info bits must be 0 or 1")
-    out = np.empty((info.shape[0], params.n), order=_memory_order(info))
+    info = info.astype(np.int8, copy=False)  # keeps the memory order
+    out = np.empty((info.shape[0], params.n), np.int8, order=_memory_order(info))
     _encode(plotkin_tree(params.m, params.r).root, info, out.T)
     return out
 
 
 def encode(info: np.ndarray, params: CodeParams) -> np.ndarray:
-    """Encode k information bits (lexicographic path order) into n +/-1 symbols."""
+    """Encode k information bits (lexicographic path order) into n int8
+    +/-1 symbols."""
     info = _rows(info, params.k, "an info block", single=True)
-    return encode_batch(info, params)[0].astype(np.int8)
+    return encode_batch(info, params)[0]
 
 
 def encode_op_count(params: CodeParams) -> int:

@@ -52,25 +52,27 @@ winners and bits per row, the a + b symbols of a wide winner's factor
 rows (w = a*b, see :func:`hadamard_transform`) and the signs of a
 full-space node, at most 2^r symbols wide.  No step reads an element that an earlier
 step of the same decode has not written, so what a workspace held before
-never enters a result.  A direct call of :func:`decode_batch`,
-:func:`decode_psi`, :func:`decode_phi` or :func:`genie_batch` allocates its
-workspace once and frees it on return.  A Monte Carlo run, genie runs
-included, keeps one workspace, grown as needed, on each thread that runs
-its blocks (see
+never enters a result.  The caller passes the workspace, and the decoder
+keeps none: beyond its read-only caches, nothing outlives a call.  A
+direct call of :func:`decode_batch`, :func:`decode_psi`, :func:`decode_phi`
+or :func:`genie_batch` allocates its workspace for the call.  A Monte
+Carlo run, genie runs included, allocates one workspace per pool thread
+for the whole run and passes each block's decode its thread's (see
 :func:`rmrec.simulate._row_blocks`), so that from its second block on a
 thread allocates no temporaries of the block's size and faults in no
 fresh pages for them.
 
-Dtype: every decode casts its input to float64 and runs in float64,
-float32 input included, except the blocks of a Monte Carlo run.  Those
-are +/-1 words by construction, and the run says so through a private
-argument; no data is scanned.  On a tree that the static bit budget
-(:func:`_bit_budget`) certifies, at most 24 bits, every value, product
-and partial sum of such a decode is a multiple of its node's grid that
-float32 holds exactly, in any summation order.  The decode, its
-workspace, its codewords and its transform's factors are then float32,
-and every sign, tie, argmax, decision, end value and support sum equals
-float64's to the bit.  Traced and direct decodes stay float64.
+Dtype: a decode runs in its workspace's dtype.  Every decode casts its
+input to float64 and runs in float64, float32 input included, except the
+blocks of a Monte Carlo run.  Those are +/-1 words by construction, and
+the run says so by passing a float32 workspace; no data is scanned.  On
+a tree that the static bit budget (:func:`_bit_budget`) certifies, at
+most 24 bits, every value, product and partial sum of such a decode is a
+multiple of its node's grid that float32 holds exactly, in any summation
+order.  The decode, its codewords and its transform's factors are then
+float32, and every sign, tie, argmax, decision, end value and support sum
+equals float64's to the bit.  A float32 workspace on any other tree is
+refused.  Traced and direct decodes stay float64.
 
 First-order map: the FHT winner of a node {L, 1} is a pattern index
 `best` in [0, 2^L) and a sign.  Its L+1 info bits, in the node's path
@@ -110,7 +112,6 @@ under any batching.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cache
 
@@ -534,22 +535,6 @@ def _pm1_dtype(params: CodeParams, algorithm: str, v_rule: str) -> type:
     return np.float32 if bits <= _FLOAT32_BITS else np.float64
 
 
-# .array: the calling thread's kept workspace, grown as needed, which its
-# decodes use one after another; simulate._row_blocks sets it on each thread
-# that runs blocks, for the life of a run, and a thread's goes when it ends
-_kept = threading.local()
-
-
-def _workspace(size: int, dtype: type) -> np.ndarray:
-    """`size` elements of `dtype` for one decode's temporaries: the front of
-    the calling thread's kept workspace, or a fresh array if none is kept.
-    A kept workspace of another dtype, or too small, is replaced."""
-    kept = getattr(_kept, "array", None)
-    if kept is not None and (kept.size < size or kept.dtype != dtype):
-        kept = _kept.array = np.empty(size, dtype)
-    return np.empty(size, dtype) if kept is None else kept[:size]
-
-
 def _workspace_width(params: CodeParams, algorithm: str) -> int:
     """Workspace elements per row of one decode.  The split nodes above a
     node of width w take n/2 + n/4 + ... + w, less than n, and a first-order
@@ -559,7 +544,7 @@ def _workspace_width(params: CodeParams, algorithm: str) -> int:
 
 def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             options: DecoderOptions | None, trials: np.ndarray | None,
-            trace: bool = False, supports: list | None = None, pm1: bool = False,
+            trace: bool = False, supports: list | None = None, work: np.ndarray | None = None,
             ) -> tuple[np.ndarray | None, np.ndarray | None, int, np.ndarray | None]:
     """Validate, then walk the tree: (info, codewords, op count, trace).
 
@@ -569,10 +554,12 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
     allocates no codeword, and returns (None, None, op count, trace); it
     appends the (B,) support sum of each order-1 split node, the sum of its
     input's second half, in pre-order.  A forced decode runs psi under the
-    product v rule.  `pm1` is the caller's promise that every entry of y is
-    +/-1, which nothing checks; the decode then runs in :func:`_pm1_dtype`,
-    float32 on a certified tree.  The trace and the supports are float64
-    in either dtype.
+    product v rule.  `work` is the decode's workspace, a flat array of at
+    least B * :func:`_workspace_width` elements, allocated for the call when
+    None; the decode runs in its dtype.  A float32 workspace is the caller's
+    promise that every entry of y is +/-1, which nothing checks, and is
+    refused unless :func:`_pm1_dtype` certifies the tree.  The trace and
+    the supports are float64 in either dtype.
     """
     forced = supports is not None
     trace = trace or forced
@@ -581,7 +568,10 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == ALG_PHI and params.r == 0:
         raise ValueError("phi requires r >= 1; use psi for repetition codes")
-    dtype = _pm1_dtype(params, algorithm, options.v_rule) if pm1 else np.float64
+    dtype = np.float64 if work is None else work.dtype.type
+    if dtype != np.float64 and dtype != _pm1_dtype(params, algorithm, options.v_rule):
+        raise ValueError(f"the bit budget does not certify {algorithm} on {params} "
+                         f"for a {np.dtype(dtype).name} workspace")
     y = _rows(y, params.n, "a received block", dtype)
     trials = _trial_indices(trials, len(y))
     phi = algorithm == ALG_PHI
@@ -628,7 +618,8 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             values[:, node.info] = value
 
     cw = None if forced else np.empty(y.shape, dtype, order=order)
-    work = _workspace(len(y) * _workspace_width(params, algorithm), dtype)
+    size = len(y) * _workspace_width(params, algorithm)
+    work = np.empty(size, dtype) if work is None else work[:size]
     # unscaled intermediates may reach inf, and inf - inf is NaN; the
     # callers that must refuse NaN check the decoded symbols
     with np.errstate(over="ignore", invalid="ignore"):
@@ -642,7 +633,7 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
 
 def decode_batch(y: np.ndarray, params: CodeParams, algorithm: str = ALG_PSI,
                  options: DecoderOptions | None = None,
-                 trials: np.ndarray | None = None, *, _pm1: bool = False,
+                 trials: np.ndarray | None = None, *, _work: np.ndarray | None = None,
                  ) -> tuple[np.ndarray, np.ndarray, int]:
     """Decode a (B, n) batch of real blocks, or one 1-D block; rows are
     independent trials.
@@ -654,10 +645,10 @@ def decode_batch(y: np.ndarray, params: CodeParams, algorithm: str = ALG_PSI,
     non-negative integers; None stands for 0, 1, ..., B-1.  Nothing
     checks the output here: a row whose intermediates overflow to inf and
     then NaN yields NaN symbols, which :func:`decode_psi` and :func:`decode_phi`
-    refuse.  `_pm1` is private to the Monte Carlo harness (see
-    :func:`_decode`).
+    refuse.  `_work`, the decode's workspace, is private to the Monte
+    Carlo harness (see :func:`_decode`).
     """
-    info, cw, ops, _ = _decode(y, params, algorithm, options, trials, pm1=_pm1)
+    info, cw, ops, _ = _decode(y, params, algorithm, options, trials, work=_work)
     return info, cw, ops
 
 
@@ -732,7 +723,7 @@ def _support_nodes(m: int, r: int) -> tuple[PlotkinNode, ...]:
 
 
 def genie_batch(y: np.ndarray, params: CodeParams, *,
-                _pm1: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                _work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Genie-aided recursion over a (B, n) batch, all-ones transmission.
 
     Every decoded constituent is replaced by its true (all-ones) value, so
@@ -745,11 +736,11 @@ def genie_batch(y: np.ndarray, params: CodeParams, *,
     pre-order (see :func:`_support_nodes`).  The support sum of the node's
     codeword that flips the second half has the law of any other balanced
     support of that first-order node.  Both are float64, whatever the
-    decode's dtype; `_pm1` is private to the Monte Carlo harness (see
-    :func:`_decode`).
+    decode's dtype; `_work`, the decode's workspace, is private to the
+    Monte Carlo harness (see :func:`_decode`).
     """
     sums = []
-    _, _, _, values = _decode(y, params, ALG_PSI, None, None, supports=sums, pm1=_pm1)
+    _, _, _, values = _decode(y, params, ALG_PSI, None, None, supports=sums, work=_work)
     supports = np.empty((len(values), len(sums)))
     for j, column in enumerate(sums):
         supports[:, j] = column

@@ -9,12 +9,14 @@ Identical configurations therefore produce bit-identical reports.
 Trials run in batches of a fixed size, in order.  The rows of a batch are
 cut into contiguous blocks, at most one per available core unless a
 block would then exceed its memory order's cap (2^19 symbols row-major,
-2^20 symbol-major); the blocks draw, decode and count on worker threads.
-Neither the worker count nor the block boundaries enter the results:
-integer counters are summed, and the genie statistics of a batch are put
-back together in row order and accumulated once, as one array.  The
-batch size does enter them, because floating-point accumulators are
-combined batch by batch.
+2^20 symbol-major).  The blocks draw, decode and count on one thread
+pool, opened for the run with one thread per core.  The run allocates one
+decoder workspace per pool thread, and a thread passes its own to every
+block it decodes.  Neither the worker count nor the block boundaries
+enter the results: integer counters are summed, and the genie statistics
+of a batch are put back together in row order and accumulated once, as
+one array.  The batch size does enter them, because floating-point
+accumulators are combined batch by batch.
 
 Memory order is fixed per algorithm.  psi blocks run symbol-major: the
 received word is built as an (n, rows) array, random codewords are encoded
@@ -27,7 +29,7 @@ which are strided in a symbol-major block, and the genie
 recursion's sums are wide; drawn and decoded symbol-major, a {10,2} phi
 block of 2048 rows ran at about 0.67 times and a {12,1} genie block of
 512 rows at about 0.83 times the row-major speed (one thread; draw and
-genie with a kept workspace, 26.2-27.0 against 21.4-22.7 ms, and 256-row
+genie with a reused workspace, 26.2-27.0 against 21.4-22.7 ms, and 256-row
 symbol-major blocks 23.1-24.3 against 19.3-19.6 ms for 128-row
 row-major ones).  A cap
 of 2^19 symbols per row-major block (128 rows of {12,1}, 512 rows of
@@ -56,6 +58,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,7 +70,6 @@ from .decoder import (
     ALG_PSI,
     PRODUCT,
     DecoderOptions,
-    _kept,
     _pm1_dtype,
     _support_nodes,
     _workspace_width,
@@ -143,7 +145,7 @@ class Channel:
         """AWGN deviation matching this crossover (0.0 for a noiseless channel)."""
         if self.kind == AWGN_HARD:
             return self.param
-        if self.param == 0.0:
+        if self.residual == 1.0:  # p = 0, or so small that 1 - 2p rounds to 1
             return 0.0
         return analysis.sigma_from_epsilon(self.residual)
 
@@ -345,7 +347,7 @@ _MIN_BLOCK_SYMBOLS = 1 << 18
 # workspace at 8 MiB.  While the walk allocated its temporaries node by node,
 # larger blocks were slower per row because those faulted in afresh: 8192
 # rows took about 1.6 times as long per row as 4096, with 1.7 times the page
-# faults per row.  In a kept workspace one thread decoded 8192 rows no slower
+# faults per row.  In a reused workspace one thread decoded 8192 rows no slower
 # per row than 4096, and 16384 rows about 1.5 times slower; 2^18-2^19-symbol
 # blocks were not consistently faster.
 _MAX_BLOCK_SYMBOLS = {"C": 1 << 19, "F": 1 << 20}
@@ -354,56 +356,49 @@ _MAX_BLOCK_SYMBOLS = {"C": 1 << 19, "F": 1 << 20}
 def _row_blocks(work, trials: int, size: int, n: int, order: str = "C", width: int = 0,
                 dtype: type = np.float64):
     """Per batch of up to `size` consecutive trials, in order: the results
-    of work(rows) on its contiguous row blocks, in row order.
+    of work(rows, workspace) on its contiguous row blocks, in row order.
 
     A batch of rows of n symbols is cut into at most one block per worker
     thread, each of at least _MIN_BLOCK_SYMBOLS symbols when there are two
     or more.  Blocks are cut further where needed, so that none of two or
     more rows holds more than _MAX_BLOCK_SYMBOLS[order] symbols, `order`
-    being the memory order ("C" or "F") the blocks are drawn in.  A
-    batch's blocks run inline when it has one block or there is one
-    worker, and a run of such batches starts no thread pool.  Each thread
-    that runs blocks, the calling one included, keeps one decoder
-    workspace for the whole run (see :mod:`rmrec.decoder`); a pool thread's
-    starts with `width` elements per row of the largest block, the
-    workspace width (:func:`rmrec.decoder._workspace_width`) of the decode
-    that work(rows) runs, in that decode's dtype, and grows only past it.
+    being the memory order ("C" or "F") the blocks are drawn in.  Every
+    block runs on one thread pool, opened for the whole run with one
+    thread per worker.  Each pool thread holds one decoder workspace for
+    the run and passes it to every work(rows, workspace) it runs (see
+    :mod:`rmrec.decoder`): `width` elements of `dtype` per row of the
+    run's largest block, the workspace width
+    (:func:`rmrec.decoder._workspace_width`) of the decode that work runs,
+    in that decode's dtype.
     """
     workers = _workers()
-    pool = None
-    _kept.array = np.empty(0)  # for the blocks run inline, grown as needed
-    try:
+
+    def cut(start: int, rows: int) -> list[range]:
+        count = min(workers, rows * n // _MIN_BLOCK_SYMBOLS)
+        count = max(count, -(-rows * n // _MAX_BLOCK_SYMBOLS[order]))
+        count = max(1, min(count, rows))
+        bounds = [start + rows * i // count for i in range(count + 1)]
+        return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+    # the largest block is the last of a full batch or of the final one,
+    # which may run as one block where a full batch runs as two.  The
+    # workspaces are the rows of one array, allocated here, in this
+    # thread's arena, where it reuses memory that earlier runs left mapped.
+    # Grown in a new pool thread's arena, the workspaces faulted in about
+    # 1900 fresh pages per 2-thread {8,2} psi run; as one array each,
+    # allocated here, they faulted in 2049 per 2-thread {12,1} genie run of
+    # 1024 trials, against 4 as rows of one
+    largest = max(len(cut(0, min(size, trials))[-1]), len(cut(0, trials % size or size)[-1]))
+    spares = list(np.empty((workers, width * largest), dtype))
+    bound = threading.local()  # .array: a pool thread's workspace, for the run
+    # imported here: with the logging it pulls in, it would add about 10 ms
+    # to every `import rmrec`
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers, initializer=lambda: setattr(
+            bound, "array", spares.pop())) as pool:
         for start in range(0, trials, size):
-            rows = min(size, trials - start)
-            count = min(workers, rows * n // _MIN_BLOCK_SYMBOLS)
-            count = max(count, -(-rows * n // _MAX_BLOCK_SYMBOLS[order]))
-            count = max(1, min(count, rows))
-            bounds = [start + rows * i // count for i in range(count + 1)]
-            blocks = [range(a, b) for a, b in zip(bounds, bounds[1:])]
-            if count == 1 or workers == 1:
-                yield [work(block) for block in blocks]
-                continue
-            if pool is None:
-                # imported here: with the logging it pulls in, it would add
-                # about 10 ms to every `import rmrec`
-                from concurrent.futures import ThreadPoolExecutor
-                # a workspace per pool thread, sized for the largest block:
-                # the rows of one array, allocated here, in this thread's
-                # arena, where it reuses memory that earlier runs left mapped.
-                # Grown in a new pool thread's arena, the workspaces faulted
-                # in about 1900 fresh pages per 2-thread {8,2} psi run; as
-                # one array each, allocated here, they faulted in 2049 per
-                # 2-thread {12,1} genie run of 1024 trials, against 4 as
-                # rows of one.  A pool thread's goes when the thread ends,
-                # at the shutdown
-                spares = list(np.empty((workers, width * len(blocks[-1])), dtype))
-                pool = ThreadPoolExecutor(workers, initializer=lambda: setattr(
-                    _kept, "array", spares.pop()))
-            yield list(pool.map(work, blocks))
-    finally:
-        _kept.array = None
-        if pool is not None:
-            pool.shutdown()
+            yield list(pool.map(lambda rows: work(rows, bound.array),
+                                cut(start, min(size, trials - start))))
 
 
 def binomial_ci(errors: float, trials: int) -> tuple[float, float]:
@@ -428,7 +423,7 @@ def run_wer(config: SimConfig, per_path: bool = False) -> SimReport:
     order = "F" if config.algorithm == ALG_PSI else "C"
     dtype = _pm1_dtype(params, config.algorithm, config.options.v_rule)
 
-    def count_errors(rows: range) -> tuple[int, np.ndarray, int]:
+    def count_errors(rows: range, work: np.ndarray) -> tuple[int, np.ndarray, int]:
         received = _received(config.channel, config.master_seed, n, rows, order, dtype)
         if config.transmitted == ALL_ONES:
             info_true = np.zeros((len(rows), k), dtype=np.uint8)
@@ -439,7 +434,7 @@ def run_wer(config: SimConfig, per_path: bool = False) -> SimReport:
             received *= encode_batch(info_true, params)
         trials_idx = np.arange(rows.start, rows.stop, dtype=np.uint64)
         info_hat, _, ops = decode_batch(received, params, config.algorithm,
-                                        config.options, trials_idx, _pm1=True)
+                                        config.options, trials_idx, _work=work)
         wrong = info_hat != info_true
         return int(np.count_nonzero(wrong.any(axis=1))), wrong.sum(axis=0), ops
 
@@ -526,11 +521,11 @@ def path_statistics(config: SimConfig) -> GenieReport:
 
     dtype = _pm1_dtype(params, ALG_PSI, PRODUCT)  # the genie's forced decode
 
-    def normalized(rows: range) -> tuple[np.ndarray, np.ndarray]:
+    def normalized(rows: range, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the end values and supports come back float64, in either dtype
         values, supports = genie_batch(
             _received(config.channel, config.master_seed, params.n, rows, "C", dtype), params,
-            _pm1=True)
+            _work=work)
         return values / path_norm, supports / node_norm
 
     for blocks in _row_blocks(normalized, config.trials, config.effective_batch(),

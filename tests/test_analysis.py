@@ -112,6 +112,20 @@ def test_phi_weakest_prefix_needs_a_first_order_node():
     assert phi_weakest_prefix(CodeParams(2, 1)) == (1,)
 
 
+def test_phi_variance_needs_a_first_order_node():
+    # the phi closed form and report refuse a code without first-order
+    # nodes, as phi_weakest_prefix does; the phi prediction of a full space
+    # is its full-space bound
+    for m in range(2, 6):
+        for r in (0, m):
+            with pytest.raises(ValueError, match="first-order"):
+                phi_weakest_variance(CodeParams(m, r), 0.7)
+        with pytest.raises(ValueError, match="first-order"):
+            threshold_report(CodeParams(m, m), 0.7, algorithm="phi")
+        predictions, lower, upper = predict_errors(CodeParams(m, m), 0.7, "phi")
+        assert len(predictions) == 1 << m and lower == 0.0 < upper
+
+
 @pytest.mark.parametrize("m", range(2, 11))
 def test_weakest_path_maximizes_variance(m):
     rng = np.random.default_rng(m)
@@ -149,6 +163,9 @@ def test_closed_forms_match_recursion():
         if r >= 2:
             assert phi_node_weakest_variance(params, eps, g) == pytest.approx(
                 path_variance(phi_node_prefix(params, g), eps), rel=1e-12)
+    for g in (0, 6):  # g lies in [1, m - r]
+        with pytest.raises(ValueError, match="g must"):
+            node_weakest_variance(CodeParams(7, 2), 0.5, g)
 
 
 def test_variance_log_domain():
@@ -218,8 +235,11 @@ def test_q_function_values():
     assert q_function(0.0) == 0.5
     assert q_function(3.0) == pytest.approx(1.3499e-3, rel=1e-4)
     assert q_function(-2.0) + q_function(2.0) == pytest.approx(1.0)
-    for p in (0.4, 0.1, 1e-3, 1e-9):
+    for p in (0.4, 0.1, 1e-3, 1e-9, 6e-17, 1e-20):  # 1 - p rounds at the last two
         assert q_function(q_inverse(p)) == pytest.approx(p, rel=1e-12)
+    for p in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            q_inverse(p)
 
 
 def test_sigma_epsilon_mapping():
@@ -230,6 +250,9 @@ def test_sigma_epsilon_mapping():
         sigma_from_epsilon(1.0)
     with pytest.raises(ValueError):
         crossover_from_sigma(0.0)
+    for sigma in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            epsilon_from_sigma(sigma)
 
 
 def test_gaussian_gate():
@@ -274,6 +297,8 @@ def test_prediction_extremes():
     predictions, lower, upper = predict_errors(params, 1.0, "psi")
     assert lower == 0.0
     assert all(p.p_high == 0.0 for p in predictions.values())
+    with pytest.raises(ValueError, match="algorithm"):
+        predict_errors(params, 0.5, "viterbi")
 
 
 def test_threshold_report_fields():

@@ -40,6 +40,8 @@ def test_parse_word_formats():
     assert np.allclose(parse_word("0.5 -0.25 1 0", 4), [0.5, -0.25, 1.0, 0.0])
     with pytest.raises(ValueError):
         parse_word("++-", 4)
+    with pytest.raises(ValueError, match="n=4 values"):
+        parse_word("0.5 -0.25 1", 4)
 
 
 def test_info_command(capsys):
@@ -175,6 +177,21 @@ def test_simulate_rejects_non_finite_sigma(capsys):
     code, _, err = run_cli(capsys, "simulate", "--m", "6", "--r", "2",
                            "--channel", "awgn:nan", "--trials", "10")
     assert code == 2 and "sigma" in err
+    for spec in ("bsc", "foo:1"):
+        code, _, err = run_cli(capsys, "simulate", "--m", "6", "--r", "2",
+                               "--channel", spec, "--trials", "10")
+        assert code == 2 and "channel" in err
+
+
+def test_simulate_tiny_crossovers(capsys):
+    # 1 - 2p rounds to one below about 5.6e-17: such a channel has no finite
+    # SNR, as bsc:0; just above it the SNR is finite
+    for spec, noiseless in (("bsc:1e-17", True), ("bsc:6e-17", False), ("bsc:0", True)):
+        code, out, _ = run_cli(capsys, "simulate", "--m", "4", "--r", "1",
+                               "--channel", spec, "--trials", "50")
+        assert code == 0
+        row = dict(zip(*csv.reader(io.StringIO(out))))
+        assert (row["snr_db"] == "") == noiseless and row["wer"] == "0.0"
 
 
 def test_simulate_range_grid(capsys):
@@ -184,6 +201,13 @@ def test_simulate_range_grid(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert [r[OUTPUT_KEYS.index("p")] for r in rows[1:]] == ["0.05", "0.1", "0.15"]
+    code, out, _ = run_cli(capsys, "simulate", "--m", "4", "--r", "1",
+                           "--channel", "bsc:0.1", "--grid", "0.1:0.2:1", "--trials", "100")
+    assert code == 0
+    assert [r[OUTPUT_KEYS.index("p")] for r in csv.reader(io.StringIO(out))][1:] == ["0.1"]
+    code, _, err = run_cli(capsys, "simulate", "--m", "4", "--r", "1",
+                           "--channel", "bsc:0.1", "--grid", "0:1:0", "--trials", "100")
+    assert code == 2 and "count" in err
 
 
 def test_simulate_respects_env_seed(capsys, monkeypatch):

@@ -468,6 +468,11 @@ def test_decode_validation():
         decode_phi(np.ones(32), CodeParams(5, 0))
     with pytest.raises(ValueError):
         decode_batch(np.ones((2, 8)), params, "viterbi")
+    with pytest.raises(ValueError, match="algorithm"):
+        decode_op_bound(params, "viterbi")
+    for rule in ("u_rule", "v_rule", "tie_rule"):
+        with pytest.raises(ValueError, match=rule):
+            DecoderOptions(**{rule: "median"})
 
 
 def test_single_decode_refuses_nan_symbols():
@@ -656,12 +661,13 @@ def test_rows_independent_of_memory_order(m, r):
 
 
 def test_decode_independent_of_earlier_decodes():
-    # A Monte Carlo run keeps one workspace per thread (simulate._row_blocks),
-    # so a decode finds whatever the decodes before it left there.  Decode a
-    # shuffled sequence of codes, batch sizes, memory orders, rules and trace
-    # flags in one thread, then each one alone in a fresh thread.  The root of
-    # {6,1} under phi is a first-order node as wide as the code.  The genie's
-    # forced decodes run in the same workspace, between the others.
+    # A Monte Carlo run passes every decode on a pool thread that thread's
+    # workspace (simulate._row_blocks), so a decode finds whatever the decodes
+    # before it left there.  Decode a shuffled sequence of codes, batch sizes,
+    # memory orders, rules and trace flags into one shared workspace, then
+    # each one alone, with a workspace of its own, in a fresh thread.  The
+    # root of {6,1} under phi is a first-order node as wide as the code.  The
+    # genie's forced decodes run in the same workspace, between the others.
     rng = np.random.default_rng(21)
     cases = []
     for params, algorithm in ((CodeParams(6, 1), "phi"), (CodeParams(10, 2), "phi"),
@@ -677,12 +683,12 @@ def test_decode_independent_of_earlier_decodes():
                             cases.append((batch, params, algorithm,
                                           DecoderOptions(u_rule, v_rule, tie_seed=4), trace))
 
-    def decode(case):
+    def decode(case, work=None):
         batch, params, algorithm, options, trace = case
         if algorithm == "genie":  # its end values, and supports in the place of cw
-            values, supports = genie_batch(batch, params)
+            values, supports = genie_batch(batch, params, _work=work)
             return None, supports, 0, values
-        return decoder._decode(batch, params, algorithm, options, None, trace)
+        return decoder._decode(batch, params, algorithm, options, None, trace, work=work)
 
     def alone(case):
         result = []
@@ -693,11 +699,9 @@ def test_decode_independent_of_earlier_decodes():
         return result[0]
 
     order = rng.permutation(len(cases))
-    decoder._kept.array = np.empty(0)
-    try:
-        reused = [decode(cases[i]) for i in order]
-    finally:
-        decoder._kept.array = None
+    work = np.empty(max(len(batch) * decoder._workspace_width(params, "phi")
+                        for batch, params, *_ in cases))
+    reused = [decode(cases[i], work) for i in order]
     for i, (info, cw, ops, values) in zip(order, reused):
         info_1, cw_1, ops_1, values_1 = alone(cases[i])
         assert ops == ops_1 and np.array_equal(info, info_1)
@@ -854,10 +858,11 @@ def test_float32_decodes_match_float64(m):
             p = np.repeat([0.1, 0.4], 24)[:, None]
             y = encode_batch(bits, params) * np.where(rng.random((48, params.n)) < p, -1.0, 1.0)
             trials = np.arange(48, dtype=np.uint64) + 500
+            work = np.empty(48 * decoder._workspace_width(params, algorithm), np.float32)
             for batch in (np.ascontiguousarray(y), np.asfortranarray(y)):
                 info, cw, ops = decode_batch(batch, params, algorithm, options, trials)
                 info_32, cw_32, ops_32 = decode_batch(batch, params, algorithm, options, trials,
-                                                      _pm1=True)
+                                                      _work=work)
                 assert cw.dtype == np.float64 and cw_32.dtype == np.float32
                 assert cw_32.flags.f_contiguous == batch.flags.f_contiguous
                 assert ops_32 == ops and np.array_equal(info_32, info)
@@ -872,12 +877,28 @@ def test_float32_genie_matches_float64():
     for params in codes + [CodeParams(12, 1)]:
         rows = 3 if params.n > 256 else 40
         y = np.where(rng.random((rows, params.n)) < 0.4, -1.0, 1.0)
+        work = np.empty(rows * decoder._workspace_width(params, "psi"), np.float32)
         for batch in (np.ascontiguousarray(y), np.asfortranarray(y)):
             values, supports = genie_batch(batch, params)
-            values_32, supports_32 = genie_batch(batch.astype(np.float32), params, _pm1=True)
+            values_32, supports_32 = genie_batch(batch.astype(np.float32), params, _work=work)
             assert values_32.dtype == supports_32.dtype == np.float64
             assert np.array_equal(values_32.view(np.int64), values.view(np.int64))
             assert np.array_equal(supports_32.view(np.int64), supports.view(np.int64))
+
+
+def test_float32_workspace_needs_a_certified_tree():
+    # psi {9,2} needs 25 bits, one more than float32 holds: a float32
+    # workspace is refused there, decoding or forced, and taken under
+    # min-sum, which needs far fewer
+    params = CodeParams(9, 2)
+    y = np.ones((2, params.n), np.float32)
+    work = np.empty(2 * decoder._workspace_width(params, "psi"), np.float32)
+    with pytest.raises(ValueError, match="certify"):
+        decode_batch(y, params, "psi", _work=work)
+    with pytest.raises(ValueError, match="certify"):
+        genie_batch(y, params, _work=work)
+    info, cw, _ = decode_batch(y, params, "psi", DecoderOptions(v_rule=MIN_SUM), _work=work)
+    assert cw.dtype == np.float32 and not info.any()
 
 
 def test_float32_input_decodes_as_float64():

@@ -53,6 +53,12 @@ def test_awgn_hard_crossover():
     assert channel.residual == pytest.approx(1 - 2 * q_function(1.0))
     assert Channel.bsc(0.1).sigma == pytest.approx(
         Channel.awgn_hard(Channel.bsc(0.1).sigma).param)
+    assert Channel.awgn_hard(0.75).sigma == 0.75
+    # a crossover whose residual rounds to one is as noiseless as p = 0
+    assert Channel.bsc(1e-17).residual == 1.0 and Channel.bsc(1e-17).sigma == 0.0
+    assert Channel.bsc(6e-17).sigma > 0.0
+    assert str(Channel.bsc(0.1)) == "bsc p=0.1"
+    assert str(Channel.awgn_hard(0.75)) == "awgn sigma=0.75"
 
 
 def test_apply_channel_noiseless_and_flip_rate():
@@ -90,13 +96,16 @@ def test_received_float32_matches_float64(monkeypatch, order):
 def test_monte_carlo_decodes_run_float32_only_on_certified_trees(monkeypatch):
     # run_wer and path_statistics decode in float32 where the bit budget
     # certifies the tree, and in float64 elsewhere: psi {9,2} needs 25 bits
-    workspace, dtypes = rmrec.decoder._workspace, []
+    dtypes = []
 
-    def recording(size, dtype):
-        dtypes.append(dtype)
-        return workspace(size, dtype)
+    def recording(function):
+        def recorded(*args, _work, **kwargs):
+            dtypes.append(_work.dtype)
+            return function(*args, _work=_work, **kwargs)
+        return recorded
 
-    monkeypatch.setattr(rmrec.decoder, "_workspace", recording)
+    for name in ("decode_batch", "genie_batch"):
+        monkeypatch.setattr(rmrec.simulate, name, recording(getattr(rmrec.simulate, name)))
     for run, m, r, algorithm, expect in (
             (run_wer, 8, 2, "psi", np.float32), (run_wer, 9, 2, "psi", np.float64),
             (run_wer, 9, 2, "phi", np.float32), (path_statistics, 12, 1, "psi", np.float32),
@@ -340,43 +349,56 @@ _INVARIANCE_RUNS = {
 }
 
 
+def test_workers_are_the_usable_cores(monkeypatch):
+    monkeypatch.setattr(rmrec.simulate.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    assert rmrec.simulate._workers() == 3
+    # where the platform has no affinity mask, every core counts
+    monkeypatch.delattr(rmrec.simulate.os, "sched_getaffinity")
+    monkeypatch.setattr(rmrec.simulate.os, "cpu_count", lambda: 6)
+    assert rmrec.simulate._workers() == 6
+    monkeypatch.setattr(rmrec.simulate.os, "cpu_count", lambda: None)
+    assert rmrec.simulate._workers() == 1
+
+
 def test_row_blocks_cut_batches_in_order(monkeypatch):
     monkeypatch.setattr(rmrec.simulate, "_workers", lambda: 3)
     wide = rmrec.simulate._MIN_BLOCK_SYMBOLS
     caps = rmrec.simulate._MAX_BLOCK_SYMBOLS
     # one block per worker, each of at least _MIN_BLOCK_SYMBOLS symbols
-    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 10, 7, wide // 2))
+    cut = list(rmrec.simulate._row_blocks(lambda rows, _: rows, 10, 7, wide // 2))
     assert cut == [[range(0, 2), range(2, 4), range(4, 7)], [range(7, 10)]]
     # too few symbols for two blocks: one block per batch
-    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 10, 7, wide // 4))
+    cut = list(rmrec.simulate._row_blocks(lambda rows, _: rows, 10, 7, wide // 4))
     assert cut == [[range(0, 7)], [range(7, 10)]]
     # blocks hold at most _MAX_BLOCK_SYMBOLS[order] symbols, more blocks than
     # workers where needed, and never less than a row
     for order in "CF":
         cap = caps[order]
-        cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 12, 10, cap // 2, order))
+        cut = list(rmrec.simulate._row_blocks(lambda rows, _: rows, 12, 10, cap // 2, order))
         assert cut == [[range(0, 2), range(2, 4), range(4, 6), range(6, 8), range(8, 10)],
                        [range(10, 11), range(11, 12)]]
-        cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 3, 3, 4 * cap, order))
+        cut = list(rmrec.simulate._row_blocks(lambda rows, _: rows, 3, 3, 4 * cap, order))
         assert cut == [[range(0, 1), range(1, 2), range(2, 3)]]
     # row-major blocks are capped at fewer symbols than symbol-major ones
-    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 12, 10, caps["F"] // 2))
+    cut = list(rmrec.simulate._row_blocks(lambda rows, _: rows, 12, 10, caps["F"] // 2))
     assert cut == [[range(i, i + 1) for i in range(10)], [range(10, 11), range(11, 12)]]
-    # one worker: a capped batch is still cut, and its blocks run inline
+    # one worker: a capped batch is still cut, and its blocks run one after
+    # another on the pool's one thread
     monkeypatch.setattr(rmrec.simulate, "_workers", lambda: 1)
     for order in "CF":
-        cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 4, 4, caps[order] // 2, order))
+        cut = list(rmrec.simulate._row_blocks(lambda rows, _: rows, 4, 4, caps[order] // 2, order))
         assert cut == [[range(0, 2), range(2, 4)]]
     # never more blocks than rows
     monkeypatch.setattr(rmrec.simulate, "_workers", lambda: 3)
     monkeypatch.setattr(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", 1)
-    cut = list(rmrec.simulate._row_blocks(lambda rows: rows, 3, 2, 64))
+    cut = list(rmrec.simulate._row_blocks(lambda rows, _: rows, 3, 2, 64))
     assert cut == [[range(0, 1), range(1, 2)], [range(2, 3)]]
 
 
 def test_no_workspace_outlives_its_call(monkeypatch):
     # A direct decode's workspace lives for the call, a run's for the run,
-    # on every thread that ran blocks: what a call leaves allocated is its
+    # one per pool thread: what a call leaves allocated is its
     # returned arrays and a few KiB of Python objects, against a workspace of
     # 24 MiB for the decode and 8 MiB per pool thread for the run.
     params = CodeParams(12, 2)
@@ -405,27 +427,39 @@ def test_no_workspace_outlives_its_call(monkeypatch):
 
 
 def test_pool_workspaces_fit_their_decodes(monkeypatch):
-    # A pool thread starts with a workspace as wide as the decode of the
-    # run's largest block needs: no pooled run grows one, and the largest
-    # block's decode fills its thread's.  Every batch of 32 rows here goes
-    # out as two blocks, so no block runs in the calling thread.
+    # A pool thread holds a workspace as wide as the decode of the run's
+    # largest block needs: every decode fits its thread's, and the largest
+    # block's decode fills it.  Every batch of 32 rows here goes out as two
+    # blocks.
     monkeypatch.setattr(rmrec.simulate, "_workers", lambda: 2)
     monkeypatch.setattr(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", 1)
-    workspace, requests = rmrec.decoder._workspace, []
+    requests = []
 
-    def recording(size, *args):
-        requests.append((size, rmrec.decoder._kept.array.size))
-        return workspace(size, *args)
+    def recording(function):
+        def recorded(y, params, *args, _work):
+            algorithm = args[0] if args else "psi"  # the genie's is a forced psi decode
+            requests.append((len(y) * rmrec.decoder._workspace_width(params, algorithm),
+                             _work.size))
+            return function(y, params, *args, _work=_work)
+        return recorded
 
-    monkeypatch.setattr(rmrec.decoder, "_workspace", recording)
+    for name in ("decode_batch", "genie_batch"):
+        monkeypatch.setattr(rmrec.simulate, name, recording(getattr(rmrec.simulate, name)))
     for run in (lambda config: run_wer(dataclasses.replace(config, algorithm="psi")),
                 lambda config: run_wer(dataclasses.replace(config, algorithm="phi")),
                 path_statistics):
         requests.clear()
         run(_config(m=7, r=2, p=0.15, trials=96, batch_size=32))
         assert len(requests) == 6
-        assert all(size <= kept for size, kept in requests)
-        assert any(size == kept for size, kept in requests)
+        assert all(size <= given for size, given in requests)
+        assert any(size == given for size, given in requests)
+    # a final batch too short for two blocks runs as one block, larger than
+    # the blocks of a full batch: the workspaces fit it too
+    monkeypatch.setattr(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", 10 << 7)
+    requests.clear()
+    run_wer(_config(m=7, r=2, p=0.15, trials=39, batch_size=20))
+    width = rmrec.decoder._workspace_width(CodeParams(7, 2), "psi")
+    assert requests == [(10 * width, 19 * width)] * 2 + [(19 * width, 19 * width)]
 
 
 @pytest.mark.parametrize("batch", (1, 7, 0))
