@@ -60,7 +60,13 @@ Carlo run, genie runs included, allocates one workspace per pool thread
 for the whole run and passes each block's decode its thread's (see
 :func:`rmrec.simulate._row_blocks`), so that from its second block on a
 thread allocates no temporaries of the block's size and faults in no
-fresh pages for them.
+fresh pages for them.  A Monte Carlo decode reads only the info bits, and
+runs info-only: a later step reads a node's codeword only when the node
+lies in some ancestor's v subtree, so the decode builds no codeword along
+the root's u chain, the nodes whose descent prefix is all ones.  It skips
+their re-assembly and, at a first-order node there (the root of {m, 1}),
+the codeword build; the codeword buffer stays, as the min-sum v step
+borrows its views.
 
 Dtype: a decode runs in its workspace's dtype.  Every decode casts its
 input to float64 and runs in float64, float32 input included, except the
@@ -72,7 +78,13 @@ multiple of its node's grid that float32 holds exactly, in any summation
 order.  The decode, its codewords and its transform's factors are then
 float32, and every sign, tie, argmax, decision, end value and support sum
 equals float64's to the bit.  A float32 workspace on any other tree is
-refused.  Traced and direct decodes stay float64.
+refused.  Traced and direct decodes stay float64.  An untraced, unforced
+decode in a float32 workspace runs the unscaled u step, whatever the
+options' u rule: every value is exact, and every value of a node carries
+the same power-of-two scale 2^s, where s doubles at a product v step,
+stays at a min-sum v step and grows by one at a u step, so every sign,
+tie, minimum, FHT argmax, info bit and codeword equals the scaled
+decode's.  Its op count is still the options' rule's.
 
 First-order map: the FHT winner of a node {L, 1} is a pattern index
 `best` in [0, 2^L) and a sign.  Its L+1 info bits, in the node's path
@@ -410,18 +422,18 @@ def _block_sums(y: np.ndarray) -> np.ndarray:
 
 
 def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, site: int,
-                 cw: np.ndarray, trace: bool,
+                 cw: np.ndarray | None, trace: bool,
                  work: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """MD decisions of first-order blocks via the FHT.
 
     y holds one block per row, (B, w); writes the +/-1 codewords into cw,
-    (B, w) in any memory order, and returns (info bits, end values); the
-    end value, the winning correlation over the block length, (B, 1), is
-    computed only under `trace` (None otherwise).  The info bits and the
-    codeword are read off the winner (see the module docstring).  The
-    transform, its magnitudes and the gathered rows of a narrow node's
-    codewords run in `work`, 2*B*w free elements of y's dtype, which is
-    also cw's.
+    (B, w) in any memory order, unless cw is None, and returns (info bits,
+    end values); the end value, the winning correlation over the block
+    length, (B, 1), is computed only under `trace` (None otherwise).  The
+    info bits and the codeword are read off the winner (see the module
+    docstring).  The transform, its magnitudes and the gathered rows of a
+    narrow node's codewords run in `work`, 2*B*w free elements of y's
+    dtype, which is also cw's.
     """
     rows, width = y.shape
     buffers = work[:2 * rows * width].reshape(2, rows, width)
@@ -433,6 +445,9 @@ def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, sit
     sign = _signs(winning, options, trials, site)
     # .take gathers rows several times faster than fancy indexing
     bits = _first_order_bits(width).take(2 * best + np.signbit(sign[:, 0]), axis=0)
+    value = winning * sign / width if trace else None
+    if cw is None:  # no later step reads this node's codeword
+        return bits, value
     if width <= 128:  # rows of H_w, at most 128 KiB, gathered into scratch (mode
         # "clip" writes there directly; no index needs clipping): two calls, not
         # nine, which pays on single blocks (decode-single-12-2) and leaves
@@ -444,7 +459,7 @@ def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, sit
         np.multiply((sign * h_a.take(best >> (b.bit_length() - 1), axis=0))[:, :, None],
                     h_b.take(best & (b - 1), axis=0)[:, None, :],
                     out=cw.reshape(-1, a, b))  # splitting an axis is always a view
-    return bits, winning * sign / width if trace else None
+    return bits, value
 
 
 def md_biorthogonal(z: np.ndarray, g: int, options: DecoderOptions | None = None,
@@ -545,6 +560,7 @@ def _workspace_width(params: CodeParams, algorithm: str) -> int:
 def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             options: DecoderOptions | None, trials: np.ndarray | None,
             trace: bool = False, supports: list | None = None, work: np.ndarray | None = None,
+            info_only: bool = False,
             ) -> tuple[np.ndarray | None, np.ndarray | None, int, np.ndarray | None]:
     """Validate, then walk the tree: (info, codewords, op count, trace).
 
@@ -554,12 +570,17 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
     allocates no codeword, and returns (None, None, op count, trace); it
     appends the (B,) support sum of each order-1 split node, the sum of its
     input's second half, in pre-order.  A forced decode runs psi under the
-    product v rule.  `work` is the decode's workspace, a flat array of at
-    least B * :func:`_workspace_width` elements, allocated for the call when
-    None; the decode runs in its dtype.  A float32 workspace is the caller's
+    product v rule.  An `info_only` decode returns no codewords, (info,
+    None, op count, trace), and builds the codeword of no node on the
+    root's u chain, whose descent prefix is all ones: a later step reads a
+    node's codeword only when the node lies in some ancestor's v subtree.
+    `work` is the decode's workspace, a flat array of at least B *
+    :func:`_workspace_width` elements, allocated for the call when None;
+    the decode runs in its dtype.  A float32 workspace is the caller's
     promise that every entry of y is +/-1, which nothing checks, and is
-    refused unless :func:`_pm1_dtype` certifies the tree.  The trace and
-    the supports are float64 in either dtype.
+    refused unless :func:`_pm1_dtype` certifies the tree; untraced and
+    unforced, such a decode runs the unscaled u step (see the module
+    docstring).  The trace and the supports are float64 in either dtype.
     """
     forced = supports is not None
     trace = trace or forced
@@ -572,6 +593,9 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
     if dtype != np.float64 and dtype != _pm1_dtype(params, algorithm, options.v_rule):
         raise ValueError(f"the bit budget does not certify {algorithm} on {params} "
                          f"for a {np.dtype(dtype).name} workspace")
+    # exact values at one power-of-two scale per node: no decision depends
+    # on the halving, only the end values that a trace records
+    u_rule = options.u_rule if trace or dtype == np.float64 else UNSCALED
     y = _rows(y, params.n, "a received block", dtype)
     trials = _trial_indices(trials, len(y))
     phi = algorithm == ALG_PHI
@@ -580,11 +604,12 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
     if trace:
         values = np.empty((y.shape[0], params.k))
 
-    def walk(node, y: np.ndarray, cw: np.ndarray | None, free: np.ndarray) -> None:
-        # decodes the symbol-first view y, (2^length_log, B), into the view
-        # cw and the node's info columns; its temporaries go into `free`, the
-        # flat rest of the workspace.  A forced decode passes no cw, which
-        # the u step reads as an all +1 v_hat
+    def walk(node, y: np.ndarray, cw: np.ndarray | None, keep: bool, free: np.ndarray) -> None:
+        # decodes the symbol-first view y, (2^length_log, B), into the
+        # node's info columns and, when `keep`, into the view cw; its
+        # temporaries go into `free`, the flat rest of the workspace.  A
+        # forced decode passes no cw, which the u step reads as an all +1
+        # v_hat
         if node.kind == SPLIT:
             v, u = node.children
             half, rows = y.shape[0] // 2, y.shape[1]
@@ -596,20 +621,25 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             slot = slot.reshape(half, rows) if order == "F" else slot.reshape(rows, half).T
             if forced and node.order == 1:
                 supports.append(_block_sums(y2))
-            walk(v, _v_step(y1, y2, options.v_rule, slot, cw), cw2, free)
-            walk(u, _u_step(y1, y2, cw2, options.u_rule, slot), cw1, free)
-            if not forced:
+            # the u step reads v's codeword; only this node's re-assembly
+            # reads u's
+            walk(v, _v_step(y1, y2, options.v_rule, slot, cw), cw2, not forced, free)
+            walk(u, _u_step(y1, y2, cw2, u_rule, slot), cw1, keep, free)
+            if keep:
                 cw2 *= cw1  # symbol re-assembly (u, u*v), uncounted
             return
         if node.kind == FIRST_ORDER:
-            bits, value = _first_order(y.T, options, trials, node.site, cw.T, trace, free)
+            bits, value = _first_order(y.T, options, trials, node.site,
+                                       cw.T if keep else None, trace, free)
         else:
             # a full space decides on its symbols, a repetition node on its
             # (B, 1) block sums, whose end value is the block mean
             value = y.T if node.kind == RIGHT_END else _block_sums(y)[:, None]
             if not forced:
-                cw.T[:] = _signs(value, options, trials, node.site)
-                bits = cw[:len(node.paths)].T < 0
+                signs = _signs(value, options, trials, node.site)
+                if keep:
+                    cw.T[:] = signs
+                bits = signs < 0
             if trace and node.kind == LEFT_END:
                 value = value / y.shape[0]
         if not forced:
@@ -617,24 +647,27 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
         if trace:
             values[:, node.info] = value
 
+    # an info-only decode still passes the root a codeword buffer: the
+    # min-sum v step borrows a node's codeword view as scratch
     cw = None if forced else np.empty(y.shape, dtype, order=order)
     size = len(y) * _workspace_width(params, algorithm)
     work = np.empty(size, dtype) if work is None else work[:size]
     # unscaled intermediates may reach inf, and inf - inf is NaN; the
     # callers that must refuse NaN check the decoded symbols
     with np.errstate(over="ignore", invalid="ignore"):
-        walk(plotkin_tree(params.m, params.r, phi).root, y.T, None if forced else cw.T, work)
+        walk(plotkin_tree(params.m, params.r, phi).root, y.T, None if forced else cw.T,
+             not (forced or info_only), work)
     # the walk refers to itself; deleted, it frees what it holds now, not
     # at the next garbage collection
     del walk
     ops = _op_count(params.m, params.r, phi, options.u_rule, options.v_rule)
-    return info, cw, ops, values if trace else None
+    return info, None if info_only else cw, ops, values if trace else None
 
 
 def decode_batch(y: np.ndarray, params: CodeParams, algorithm: str = ALG_PSI,
                  options: DecoderOptions | None = None,
                  trials: np.ndarray | None = None, *, _work: np.ndarray | None = None,
-                 ) -> tuple[np.ndarray, np.ndarray, int]:
+                 _info_only: bool = False) -> tuple[np.ndarray, np.ndarray | None, int]:
     """Decode a (B, n) batch of real blocks, or one 1-D block; rows are
     independent trials.
 
@@ -645,10 +678,12 @@ def decode_batch(y: np.ndarray, params: CodeParams, algorithm: str = ALG_PSI,
     non-negative integers; None stands for 0, 1, ..., B-1.  Nothing
     checks the output here: a row whose intermediates overflow to inf and
     then NaN yields NaN symbols, which :func:`decode_psi` and :func:`decode_phi`
-    refuse.  `_work`, the decode's workspace, is private to the Monte
-    Carlo harness (see :func:`_decode`).
+    refuse.  `_work`, the decode's workspace, and `_info_only`, which
+    returns None for the codewords and skips what only they need, are
+    private to the Monte Carlo harness (see :func:`_decode`).
     """
-    info, cw, ops, _ = _decode(y, params, algorithm, options, trials, work=_work)
+    info, cw, ops, _ = _decode(y, params, algorithm, options, trials, work=_work,
+                               info_only=_info_only)
     return info, cw, ops
 
 

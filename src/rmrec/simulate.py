@@ -44,7 +44,9 @@ psi {8,2}, phi {10,2} and the {12,1} genie tree among them), and in
 float64 elsewhere, psi {9,2} for one.  A certified float32 decode gives
 the float64 bits, and the genie's end values and support sums come back
 in float64 before they are normalised, so the dtype never enters a result
-either.
+either.  A symbol is drawn with one integer compare of its raw Philox word
+against a threshold, written straight into the block's dtype (see
+:func:`_received`), so the draw does not depend on the byte order.
 
 Channels are binary symmetric: either with an explicit crossover p or as
 the hard-decision image of an AWGN channel with deviation sigma, whose
@@ -57,7 +59,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import threading
 from dataclasses import dataclass, field, replace
 
@@ -258,7 +259,8 @@ def stream_uniforms(master_seed: int, purpose: int, first_trial: int,
 def _threshold(p: float) -> np.uint64:
     """t = ceil(p * 2^53), for 0 <= p <= 0.5: the uniform (raw >> 11) * 2^-53
     lies below p exactly when the integer raw >> 11 lies below t, since
-    p * 2^53 and the scaling by 2^-53 are exact."""
+    p * 2^53 and the scaling by 2^-53 are exact; and so exactly when raw
+    lies below t << 11, which is at most 2^63 and fits a uint64."""
     return np.uint64(math.ceil(p * 2.0 ** 53))
 
 
@@ -268,15 +270,16 @@ _HALF = np.uint64(1 << 63)  # raw < 2^63 exactly when its uniform is below 0.5
 # Symbols per chunk of a received block: each chunk of rows is drawn into
 # one raw buffer of this size and written into the block, so that no raw
 # buffer of the block's size exists.  On one thread of a 2-core Xeon
-# (numpy 2.4), 4096 rows of {8,2} drew in float32 in a minimum of 7.6 ms
-# symbol-major and 5.8 ms row-major (float64: 7.7 and 6.1 ms), and in
-# 13.6-14.4 ms symbol-major when copysign wrote through the strided block;
+# (numpy 2.4), the one compare, multiply and add of _received turned the
+# raw words of a 2^16-symbol chunk into float32 symbols in a median of 73
+# us, half the time of shifting them and reading signs off float views of
+# them, and 4096 rows of {8,2} drew in float32 in a minimum of 7.1 ms
+# symbol-major and 5.7 ms row-major (float64: 7.9 and 6.3 ms), most of it
+# Philox.  Symbols written straight through a strided symbol-major block
+# once took nearly twice as long as through the row-major chunk buffer;
 # chunks of 2^15-2^17 symbols were within 6 % of each other in either
 # order, 2^13 and 2^18 slower.
 _CHUNK_SYMBOLS = 1 << 16
-
-# Index of the high 32-bit half of a 64-bit word seen as two float32s.
-_HIGH_HALF = 1 if sys.byteorder == "little" else 0
 
 
 def _received(channel: Channel, master_seed: int, n: int, rows: range,
@@ -288,30 +291,25 @@ def _received(channel: Channel, master_seed: int, n: int, rows: range,
 
     The block is written chunk by chunk of rows, each from one buffer of
     raw words; a symbol-major chunk is built row-major in a second buffer
-    of the chunk's size and transposed into place.  With x = raw >> 11 <
-    2^53 and t = _threshold(p) <= 2^52, the wrapped difference x - t has
-    its top bit set exactly when x < t.  That bit is the sign copysign
-    reads, of the word seen as a float64 or of its high 32-bit half seen as
-    a float32, so both dtypes hold the same symbols.
+    of the chunk's size and transposed into place.  A symbol flips when
+    its raw word lies below _threshold(p) << 11 (see :func:`_threshold`):
+    one compare writes 1 there and 0 elsewhere, in `dtype`, and 1 - 2x
+    makes the +/-1 symbols, exactly, in either dtype.
     """
     out = np.empty((len(rows), n) if order == "C" else (n, len(rows)), dtype)
     block = out if order == "C" else out.T
-    threshold = _threshold(channel.crossover)
+    threshold = _threshold(channel.crossover) << np.uint64(11)
     step = max(1, _CHUNK_SYMBOLS // n)
     buffer = None if order == "C" else np.empty((min(step, len(rows)), n), dtype)
     for start in range(0, len(rows), step):
         stop = min(start + step, len(rows))
         raw = _stream_raw(master_seed, PURPOSE_CHANNEL, rows.start + start, stop - start, n)
-        raw >>= np.uint64(11)
-        raw -= threshold
-        if dtype == np.float64:
-            signs = raw.view(np.float64)
-        else:
-            signs = raw.view(np.float32)[:, _HIGH_HALF::2]
-        if order == "C":
-            np.copysign(1.0, signs, out=block[start:stop])
-        else:
-            block[start:stop] = np.copysign(1.0, signs, out=buffer[:stop - start])
+        symbols = block[start:stop] if order == "C" else buffer[:stop - start]
+        np.less(raw, threshold, out=symbols)
+        symbols *= -2
+        symbols += 1
+        if order == "F":
+            block[start:stop] = symbols
     return block
 
 
@@ -430,11 +428,14 @@ def run_wer(config: SimConfig, per_path: bool = False) -> SimReport:
         else:
             raw = _stream_raw(config.master_seed, PURPOSE_INFO, rows.start, len(rows), k)
             info_true = np.empty((len(rows), k), dtype=np.uint8, order=order)
-            np.less(raw, _HALF, out=info_true)
+            # compared row-major, then copied: the compare writing straight
+            # into the symbol-major block ran about 3 times slower
+            info_true[:] = raw < _HALF
             received *= encode_batch(info_true, params)
         trials_idx = np.arange(rows.start, rows.stop, dtype=np.uint64)
         info_hat, _, ops = decode_batch(received, params, config.algorithm,
-                                        config.options, trials_idx, _work=work)
+                                        config.options, trials_idx, _work=work,
+                                        _info_only=True)
         wrong = info_hat != info_true
         return int(np.count_nonzero(wrong.any(axis=1))), wrong.sum(axis=0), ops
 

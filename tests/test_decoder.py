@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmrec import (
+    Channel,
     CodeParams,
     DecoderOptions,
+    SimConfig,
     decode_batch,
     decode_op_bound,
     decode_phi,
@@ -20,6 +22,8 @@ from rmrec import (
     enumerate_paths,
     hadamard_transform,
     md_biorthogonal,
+    path_statistics,
+    run_wer,
 )
 from rmrec import decoder
 from rmrec.core import FIRST_ORDER, LEFT_END, RIGHT_END, SPLIT, plotkin_tree
@@ -913,6 +917,86 @@ def test_float32_input_decodes_as_float64():
                                          DecoderOptions(tie_seed=2))
         assert cw.dtype == np.float64
         assert np.array_equal(info, info_64) and np.array_equal(cw, cw_64)
+
+
+@pytest.mark.parametrize("m, r, algorithm", [(6, 1, "phi"), (6, 1, "psi"), (8, 2, "phi"),
+                                              (8, 2, "psi"), (7, 3, "phi"), (7, 3, "psi"),
+                                              (5, 0, "psi"), (4, 4, "psi")])
+def test_info_only_decodes_return_the_full_decodes_info_bits(m, r, algorithm):
+    # an info-only decode builds no codeword along the root's u chain (the
+    # whole {6,1} phi root, a first-order node, among them) and returns
+    # none; its info bits are the full decode's under every rule, in either
+    # memory order and, on +/-1 words of a certified tree, in float32 too.
+    # The channel words at crossovers 0.1 and 0.4 are tie-rich; the real
+    # words have ties at 5 % of their entries
+    rng = np.random.default_rng(90 + m + r)
+    params, rows = CodeParams(m, r), 24
+    bits = rng.integers(0, 2, size=(rows, params.k), dtype=np.uint8)
+    p = np.repeat([0.1, 0.4], rows // 2)[:, None]
+    pm1 = encode_batch(bits, params) * np.where(rng.random((rows, params.n)) < p, -1.0, 1.0)
+    real = rng.normal(size=(rows, params.n))
+    real[rng.uniform(size=real.shape) < 0.05] = 0.0
+    trials = np.arange(rows, dtype=np.uint64) + 300
+    width = rows * decoder._workspace_width(params, algorithm)
+    for options in MEMORY_ORDER_RULES:
+        certified = decoder._pm1_dtype(params, algorithm, options.v_rule) == np.float32
+        for y, dtypes in ((pm1, (np.float64, np.float32) if certified else (np.float64,)),
+                          (real, (np.float64,))):
+            for batch in (np.ascontiguousarray(y), np.asfortranarray(y)):
+                info, _, ops = decode_batch(batch, params, algorithm, options, trials)
+                for dtype in dtypes:
+                    info_only, cw, ops_only = decode_batch(
+                        batch, params, algorithm, options, trials, _work=np.empty(width, dtype),
+                        _info_only=True)
+                    assert cw is None and ops_only == ops
+                    assert info_only.flags.f_contiguous == info.flags.f_contiguous
+                    assert np.array_equal(info_only, info)
+
+
+def test_certified_monte_carlo_decodes_run_unscaled(monkeypatch):
+    # an untraced, unforced decode in a float32 workspace runs the unscaled
+    # u step under either rule; a direct decode, a float64 workspace, a
+    # traced decode in a float32 workspace and the genie's forced decode
+    # keep the options' rule, and so do run_wer on a tree the bit budget
+    # does not certify and path_statistics
+    rules = []
+    u_step = decoder._u_step
+
+    def recording(y1, y2, v_hat, u_rule, out):
+        rules.append(u_rule)
+        return u_step(y1, y2, v_hat, u_rule, out)
+
+    def recorded(call) -> set:
+        rules.clear()
+        call()
+        return set(rules)
+
+    monkeypatch.setattr(decoder, "_u_step", recording)
+    params = CodeParams(8, 2)
+    y = np.where(np.random.default_rng(91).random((16, params.n)) < 0.3, -1.0, 1.0)
+    for algorithm in ("psi", "phi"):
+        width = len(y) * decoder._workspace_width(params, algorithm)
+        single, double = np.empty(width, np.float32), np.empty(width)
+        decode = decode_psi if algorithm == "psi" else decode_phi
+        for u_rule in (SCALED, UNSCALED):
+            options = DecoderOptions(u_rule=u_rule)
+            for info_only in (False, True):
+                assert recorded(lambda: decode_batch(y, params, algorithm, options, _work=single,
+                                                     _info_only=info_only)) == {UNSCALED}
+                assert recorded(lambda: decode_batch(y, params, algorithm, options, _work=double,
+                                                     _info_only=info_only)) == {u_rule}
+            assert recorded(lambda: decode_batch(y, params, algorithm, options)) == {u_rule}
+            assert recorded(lambda: decoder._decode(y, params, algorithm, options, None, True,
+                                                    work=single)) == {u_rule}
+            for trace in (False, True):
+                assert recorded(lambda: decode(y[0], params, replace(options, trace=trace))
+                                ) == {u_rule}
+    assert recorded(lambda: genie_batch(y, params, _work=single)) == {SCALED}
+    for (m, r), expect in (((8, 2), {UNSCALED}), ((9, 2), {SCALED})):
+        config = SimConfig(CodeParams(m, r), Channel.bsc(0.2), trials=40)
+        assert recorded(lambda: run_wer(config)) == expect
+    assert recorded(lambda: path_statistics(
+        SimConfig(CodeParams(8, 2), Channel.bsc(0.2), trials=40))) == {SCALED}
 
 
 def test_phi_first_order_is_one_biorthogonal_call():

@@ -74,9 +74,9 @@ def test_apply_channel_noiseless_and_flip_rate():
 
 @pytest.mark.parametrize("order", "CF")
 def test_received_float32_matches_float64(monkeypatch, order):
-    # the float32 draw reads the sign bit of each word's high half: the
-    # same symbols as the float64 draw, in the same memory order, whether
-    # or not the chunks of rows divide the block
+    # the float32 draw writes the same compare in float32: the same
+    # symbols as the float64 draw, in the same memory order, whether or not
+    # the chunks of rows divide the block
     channel = Channel.bsc(0.3)
     for n, rows, chunk_rows in ((64, range(5, 28), 4), (16, range(0, 24), 8),
                                 (256, range(3, 4), 1)):
@@ -157,6 +157,21 @@ def test_channel_threshold_is_exact(monkeypatch, p):
     # the channel itself, fed these words
     monkeypatch.setattr(rmrec.simulate, "_stream_raw", lambda *args: raw[None, :].copy())
     assert np.array_equal(apply_channel(np.ones(raw.size), Channel.bsc(p)) < 0, exact)
+    # and the blocks of a Monte Carlo run, in both dtypes and memory orders,
+    # drawn in chunks of 16 rows of 64 words
+    n = 64
+    words = raw.reshape(-1, n)
+    monkeypatch.setattr(rmrec.simulate, "_stream_raw",
+                        lambda seed, purpose, first, count, _: words[first:first + count].copy())
+    monkeypatch.setattr(rmrec.simulate, "_CHUNK_SYMBOLS", 16 * n)
+    expected = np.where(exact.reshape(-1, n), -1.0, 1.0)
+    for order in "CF":
+        for dtype in (np.float64, np.float32):
+            block = rmrec.simulate._received(Channel.bsc(p), 0, n, range(len(words)), order,
+                                             dtype)
+            assert block.dtype == dtype
+            assert block.flags["C_CONTIGUOUS" if order == "C" else "F_CONTIGUOUS"]
+            assert np.array_equal(block, expected)
 
 
 def test_info_bit_threshold_is_exact():
@@ -436,11 +451,11 @@ def test_pool_workspaces_fit_their_decodes(monkeypatch):
     requests = []
 
     def recording(function):
-        def recorded(y, params, *args, _work):
+        def recorded(y, params, *args, _work, **kwargs):
             algorithm = args[0] if args else "psi"  # the genie's is a forced psi decode
             requests.append((len(y) * rmrec.decoder._workspace_width(params, algorithm),
                              _work.size))
-            return function(y, params, *args, _work=_work)
+            return function(y, params, *args, _work=_work, **kwargs)
         return recorded
 
     for name in ("decode_batch", "genie_batch"):
