@@ -168,16 +168,12 @@ def path_variance(prefix: tuple[int, ...], epsilon: float) -> float:
 class PathMoments:
     """First two moments of the normalized end value along a step prefix."""
 
-    bits: tuple[int, ...]
-    weight: int
     mean: float
     variance: float
 
 
 def path_moments(prefix: tuple[int, ...], epsilon: float) -> PathMoments:
-    return PathMoments(tuple(prefix), sum(prefix),
-                       path_mean(tuple(prefix), epsilon),
-                       path_variance(tuple(prefix), epsilon))
+    return PathMoments(path_mean(tuple(prefix), epsilon), path_variance(tuple(prefix), epsilon))
 
 
 def moments_for_path(params: CodeParams, path: Path, epsilon: float) -> PathMoments:
@@ -187,9 +183,7 @@ def moments_for_path(params: CodeParams, path: Path, epsilon: float) -> PathMome
     averaging steps and is iterated; the free suffix of a right-end path
     only selects a coordinate and contributes nothing.
     """
-    steps = path.bits if path.kind == LEFT_END else path.descent
-    inner = path_moments(steps, epsilon)
-    return PathMoments(path.bits, path.weight, inner.mean, inner.variance)
+    return path_moments(path.bits if path.kind == LEFT_END else path.descent, epsilon)
 
 
 # --- weakest paths -----------------------------------------------------------

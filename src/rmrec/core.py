@@ -114,26 +114,9 @@ class Path:
     end_size: int = field(compare=False)  # g of the {g,0} end, or h of the {h,h} end
 
     @property
-    def weight(self) -> int:
-        return sum(self.bits)
-
-    @property
     def descent(self) -> tuple[int, ...]:
         """The prefix of genuine tree steps, up to (excluding) the end node."""
         return self.bits[: len(self.bits) - self.end_size]
-
-    @property
-    def suffix(self) -> tuple[int, ...]:
-        """Trailing bits at the end node: forced ones (left) or free (right)."""
-        return self.bits[len(self.bits) - self.end_size :]
-
-    @property
-    def suffix_index(self) -> int:
-        """Free suffix read as an integer; selects the bit within a {h,h} node."""
-        idx = 0
-        for b in self.suffix:
-            idx = (idx << 1) | b
-        return idx
 
     def node_label(self) -> str:
         return f"{{{self.end_size},0}}" if self.kind == LEFT_END else f"{{{self.end_size},{self.end_size}}}"

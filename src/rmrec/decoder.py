@@ -164,7 +164,6 @@ __all__ = [
     "TIE_POSITIVE",
     "DecoderOptions",
     "DecodeResult",
-    "PathTrace",
     "md_biorthogonal",
     "hadamard_transform",
     "biorthogonal_codeword",
@@ -193,7 +192,7 @@ class DecoderOptions:
     tie_rule: TIE_RANDOM draws a seeded +/-1 coin for sign(0); TIE_POSITIVE
         resolves to +1 (deterministic mode for reproducible unit tests).
     tie_seed: seed of the tie coin; combined with the per-call trial index.
-    trace: record end values, decisions, and decision order per path.
+    trace: record each path's end value.
     """
 
     u_rule: str = SCALED
@@ -212,22 +211,17 @@ class DecoderOptions:
 
 
 @dataclass
-class PathTrace:
-    """End value, +/-1 decision, and finalization rank of one path."""
-
-    value: float
-    decision: int
-    order: int
-
-
-@dataclass
 class DecodeResult:
-    """Decoded info bits, the matching codeword, and the operation count."""
+    """Decoded info bits, the matching codeword, and the operation count.
+
+    trace, when DecoderOptions.trace is set, maps each path, in path order,
+    to its end value; path j's decision is 1 - 2 * info[j].
+    """
 
     info: np.ndarray
     codeword: np.ndarray
     op_count: int
-    trace: dict[Path, PathTrace] | None = None
+    trace: dict[Path, float] | None = None
 
 
 # --- tie randomness ---------------------------------------------------------
@@ -695,10 +689,7 @@ def _decode_single(y: np.ndarray, params: CodeParams, algorithm: str,
     if np.isnan(cw).any():
         raise ValueError("the decoder's intermediates overflowed: decoded symbols "
                          "are NaN; scale the received word down")
-    trace = None
-    if values is not None:  # decode order is the lexicographic path order
-        trace = {path: PathTrace(float(values[0, j]), 1 - 2 * int(info[0, j]), j)
-                 for j, path in enumerate(enumerate_paths(params))}
+    trace = None if values is None else dict(zip(enumerate_paths(params), values[0].tolist()))
     return DecodeResult(info[0], cw[0].astype(np.int8), ops, trace)
 
 

@@ -346,8 +346,11 @@ _MIN_BLOCK_SYMBOLS = 1 << 18
 # larger blocks were slower per row because those faulted in afresh: 8192
 # rows took about 1.6 times as long per row as 4096, with 1.7 times the page
 # faults per row.  In a reused workspace one thread decoded 8192 rows no slower
-# per row than 4096, and 16384 rows about 1.5 times slower; 2^18-2^19-symbol
-# blocks were not consistently faster.
+# per row than 4096, and 16384 rows about 1.5 times slower.  One 2^19 cap
+# for both orders (8 symbol-major blocks per wer-psi-8-2 batch, not 4) was
+# slower in the benchmark: 180.6k-187.1k trials/s against 204.8k-215.8k
+# (x0.88, 3 of 3 alternating 8 s pairs, seeds 41-43, all passing their
+# fingerprints), though peak RSS fell to 52.6-53.2 from 66.7-67.6 MiB.
 _MAX_BLOCK_SYMBOLS = {"C": 1 << 19, "F": 1 << 20}
 
 

@@ -39,7 +39,7 @@ def generator_rows(params: CodeParams) -> np.ndarray:
                 row &= coord[i - 1]
         if path.kind == RIGHT_END:
             h = path.end_size
-            for t, bit in enumerate(path.suffix, start=m - h + 1):
+            for t, bit in enumerate(path.bits[m - h:], start=m - h + 1):
                 row &= (coord[t - 1] == bit).astype(np.uint8)
         rows.append(row)
     return np.array(rows)

@@ -121,10 +121,13 @@ def test_path_accessors():
     params = CodeParams(5, 2)
     left = classify_path(params, (0, 1, 0, 1, 1))
     assert left.kind == LEFT_END and left.end_size == 2
-    assert left.descent == (0, 1, 0) and left.suffix == (1, 1)
+    assert left.descent == (0, 1, 0) and left.bits[len(left.bits) - left.end_size:] == (1, 1)
     right = classify_path(params, (1, 1, 1, 0, 1))
     assert right.kind == RIGHT_END and right.end_size == 2
-    assert right.suffix == (0, 1) and right.suffix_index == 1
+    assert right.descent == (1, 1, 1) and right.bits[len(right.bits) - right.end_size:] == (0, 1)
+    # the free suffix 01 selects column 1 of its full-space leaf
+    leaf = next(leaf for leaf in plotkin_tree(5, 2).leaves if right in leaf.paths)
+    assert enumerate_paths(params).index(right) - leaf.info.start == 1
 
 
 def test_encode_zero_and_monomial():

@@ -50,10 +50,9 @@ DET = DecoderOptions(tie_rule=TIE_POSITIVE)
 
 def _traced(y, params, options=DET, decode=decode_psi, trial=0):
     """(end values, decisions) of one traced decode, in path order."""
-    trace = decode(np.asarray(y, dtype=np.float64), params, replace(options, trace=True),
-                   trial=trial).trace
-    return (np.array([trace[path].value for path in enumerate_paths(params)]),
-            np.array([trace[path].decision for path in enumerate_paths(params)]))
+    result = decode(np.asarray(y, dtype=np.float64), params, replace(options, trace=True),
+                    trial=trial)
+    return np.array(list(result.trace.values())), 1 - 2 * result.info.astype(np.int64)
 
 
 def _steps(y1, y2, options=DET):
@@ -558,14 +557,21 @@ def test_decode_order_lemma(monkeypatch):
 
 
 def test_trace_decisions_match_info():
+    # psi decides every path by the sign of its end value, the tie coin
+    # only where that value is zero; ternary words make zeros common
     rng = np.random.default_rng(9)
-    for (m, r), decode in [((6, 3), decode_psi), ((6, 2), decode_phi), ((7, 3), decode_phi)]:
+    zeros, seen = 0, set()
+    for m, r in [(6, 3), (6, 2), (7, 3), (5, 0), (4, 4)]:
         params = CodeParams(m, r)
-        y = rng.uniform(-1, 1, params.n)
-        result = decode(y, params, DecoderOptions(trace=True))
-        assert set(result.info) == {0, 1}
-        for j, path in enumerate(enumerate_paths(params)):
-            assert result.trace[path].decision == 1 - 2 * int(result.info[j])
+        for y in (rng.uniform(-1, 1, params.n), rng.integers(-1, 2, params.n).astype(float)):
+            result = decode_psi(y, params, DecoderOptions(trace=True))
+            values = np.array(list(result.trace.values()))
+            decisions = 1 - 2 * result.info.astype(np.int64)
+            nonzero = values != 0
+            assert np.array_equal(np.sign(values[nonzero]), decisions[nonzero])
+            zeros += int((~nonzero).sum())
+            seen |= set(decisions[nonzero].tolist())
+    assert zeros > 0 and seen == {-1, 1}
 
 
 def test_codeword_is_reencoded_info():

@@ -137,8 +137,8 @@ def trace_entry(case: dict) -> dict:
             "info": "".join(str(int(b)) for b in result.info),
             "codeword": "".join("+" if s > 0 else "-" for s in result.codeword),
             "op_count": result.op_count,
-            "trace": [[str(path), rec.value.hex(), rec.decision, rec.order]
-                      for path, rec in sorted(result.trace.items())]}
+            "trace": [[str(path), value.hex(), 1 - 2 * int(result.info[j]), j]
+                      for j, (path, value) in enumerate(result.trace.items())]}
 
 
 # --- genie path statistics ---------------------------------------------------

@@ -25,7 +25,18 @@ from rmrec import (
     sweep,
 )
 from rmrec.analysis import moments_for_path, phi_weakest_variance, q_function, weakest_path
-from rmrec.simulate import PURPOSE_INFO, binomial_ci, stream_uniforms
+from rmrec.core import RIGHT_END, plotkin_tree
+from rmrec.decoder import (
+    ALG_PSI,
+    PRODUCT,
+    SCALED,
+    TIE_POSITIVE,
+    TIE_RANDOM,
+    UNSCALED,
+    _tie_signs,
+    genie_batch,
+)
+from rmrec.simulate import PURPOSE_INFO, _received, binomial_ci, stream_uniforms
 
 
 def _config(m=7, r=2, p=0.12, **kw):
@@ -292,6 +303,37 @@ def test_genie_weakest_path_dominates():
     best = report.path_stats[star]
     for stats in report.path_stats.values():
         assert stats.error_rate - stats.error_half_width <= best.error_rate + best.error_half_width
+
+
+_IDENTITY_RUNS = {(8, 2): (0.15, 2000), (6, 2): (0.12, 4000), (5, 0): (0.3, 4000),
+                  (6, 6): (0.01, 4000), (4, 1): (0.2, 4000)}
+
+
+@pytest.mark.parametrize("tie_rule", (TIE_POSITIVE, TIE_RANDOM))
+@pytest.mark.parametrize("u_rule", (SCALED, UNSCALED))
+@pytest.mark.parametrize("m, r", sorted(_IDENTITY_RUNS))
+def test_genie_predicts_every_psi_word_error(m, r, u_rule, tie_rule):
+    # with every earlier decision right, psi's end values are the genie's:
+    # its first wrong decision is the genie's first column that is negative,
+    # or zero with the tie coin -1 at the column's own site
+    params, (p, trials) = CodeParams(m, r), _IDENTITY_RUNS[m, r]
+    options = DecoderOptions(u_rule=u_rule, v_rule=PRODUCT, tie_rule=tie_rule, tie_seed=11)
+    received = _received(Channel.bsc(p), 11, params.n, range(trials), "C", np.float64)
+    values, _ = genie_batch(received, params)
+    sites = np.empty(params.k, dtype=np.uint64)
+    for leaf in plotkin_tree(m, r).leaves:  # a full space's column c ties at site + c
+        sites[leaf.info] = leaf.site + (np.arange(len(leaf.paths)) if leaf.kind == RIGHT_END else 0)
+    predicted = values < 0
+    if tie_rule == TIE_RANDOM:
+        rows, cols = np.nonzero(values == 0)
+        predicted[rows, cols] = _tie_signs(11, rows, sites[cols]) < 0
+    trial_idx = np.arange(trials, dtype=np.uint64)
+    wrong = decode_batch(received, params, ALG_PSI, options, trial_idx)[0] != 0
+    errs = predicted.any(axis=1)
+    assert np.array_equal(errs, wrong.any(axis=1)) and errs.any()
+    assert np.array_equal(predicted[errs].argmax(axis=1), wrong[errs].argmax(axis=1))
+    config = SimConfig(params, Channel.bsc(p), ALG_PSI, options, trials, master_seed=11)
+    assert run_wer(config).word_errors == int(errs.sum())
 
 
 def test_sweep_single_point_equals_run():
