@@ -173,7 +173,8 @@ class PathMoments:
 
 
 def path_moments(prefix: tuple[int, ...], epsilon: float) -> PathMoments:
-    return PathMoments(path_mean(tuple(prefix), epsilon), path_variance(tuple(prefix), epsilon))
+    return PathMoments(path_mean(tuple(prefix), epsilon),
+                       path_variance(tuple(prefix), epsilon))
 
 
 def moments_for_path(params: CodeParams, path: Path, epsilon: float) -> PathMoments:
@@ -183,7 +184,8 @@ def moments_for_path(params: CodeParams, path: Path, epsilon: float) -> PathMome
     averaging steps and is iterated; the free suffix of a right-end path
     only selects a coordinate and contributes nothing.
     """
-    return path_moments(path.bits if path.kind == LEFT_END else path.descent, epsilon)
+    steps = path.bits if path.kind == LEFT_END else path.descent
+    return path_moments(steps, epsilon)
 
 
 # --- weakest paths -----------------------------------------------------------

@@ -689,7 +689,9 @@ def _decode_single(y: np.ndarray, params: CodeParams, algorithm: str,
     if np.isnan(cw).any():
         raise ValueError("the decoder's intermediates overflowed: decoded symbols "
                          "are NaN; scale the received word down")
-    trace = None if values is None else dict(zip(enumerate_paths(params), values[0].tolist()))
+    trace = None
+    if values is not None:  # decode order is the lexicographic path order
+        trace = dict(zip(enumerate_paths(params), values[0].tolist()))
     return DecodeResult(info[0], cw[0].astype(np.int8), ops, trace)
 
 

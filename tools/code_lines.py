@@ -4,13 +4,12 @@ A code line is a non-blank line that is neither a `#` comment nor part of
 a docstring; docstrings are the leading string statements of the module,
 its classes and its functions, found through `ast`.
 
-    python3 tools/code_lines.py [source directory, default src/rmrec]
+    python3 tools/code_lines.py
 """
 
 from __future__ import annotations
 
 import ast
-import sys
 from pathlib import Path
 
 _SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -34,16 +33,15 @@ def code_lines(source: str) -> int:
                if number not in skip and line.strip() and not line.lstrip().startswith("#"))
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src/rmrec"
+def main() -> None:
+    root = Path(__file__).resolve().parents[1] / "src/rmrec"
     total = 0
     for module in sorted(root.glob("*.py")):
         count = code_lines(module.read_text())
         total += count
         print(f"{module.name:16} {count:5}")
     print(f"{'total':16} {total:5}")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    main()
