@@ -38,53 +38,60 @@ transform's matrix products round as they would a contiguous row.  The
 output is therefore bit-identical for any memory order of the input, and
 comes back in the input's order.
 
-Workspace: a decode's temporaries live in one flat workspace of B*(n + w)
-elements in the decode's dtype, w being the widest first-order node (0
-under psi).
-A split node of width w keeps its v estimate, and once the v child is
-decoded its u estimate, in one (w/2, B) slot after its ancestors' slots,
-laid out like the batch; a first-order node of width w runs its
-transform's two products and their magnitudes in the 2*B*w elements after
-those, and the min-sum v step borrows the node's own codeword view, which
-nothing has written yet.  Those steps write with `out=`.  Beside the
-decode's outputs, the walk allocates only small arrays at end nodes: sums,
-winners and bits per row, the a + b symbols of a wide winner's factor
-rows (w = a*b, see :func:`hadamard_transform`) and the signs of a
-full-space node, at most 2^r symbols wide.  No step reads an element that an earlier
-step of the same decode has not written, so what a workspace held before
-never enters a result.  The caller passes the workspace, and the decoder
-keeps none: beyond its read-only caches, nothing outlives a call.  A
-direct call of :func:`decode_batch`, :func:`decode_psi`, :func:`decode_phi`
-or :func:`genie_batch` allocates its workspace for the call.  A Monte
-Carlo run, genie runs included, allocates one workspace per pool thread
-for the whole run and passes each block's decode its thread's (see
-:func:`rmrec.simulate._row_blocks`), so that from its second block on a
-thread allocates no temporaries of the block's size and faults in no
-fresh pages for them.  A Monte Carlo decode reads only the info bits, and
-runs info-only: a later step reads a node's codeword only when the node
-lies in some ancestor's v subtree, so the decode builds no codeword along
-the root's u chain, the nodes whose descent prefix is all ones.  It skips
-their re-assembly and, at a first-order node there (the root of {m, 1}),
-the codeword build; the codeword buffer stays, as the min-sum v step
-borrows its views.
+Workspace: a decode's temporaries live in one flat workspace, which the
+walk carves by byte offset (see :func:`_plan`).  A split node of width w
+keeps its v estimate, and once the v child is decoded its u estimate, in
+one (w/2, B) slot after its ancestors' slots, laid out like the batch; the
+min-sum v step's scratch, as large, comes after the slot, in the node's
+type, before the v child's temporaries take that place.  A first-order
+node of width w runs its transform's two products and their magnitudes in
+the 2*B*w elements after its ancestors' slots.  Those steps write with
+`out=`.  Beside the decode's outputs, the walk allocates only small arrays
+at end nodes: sums, winners and bits per row, the a + b symbols of a wide
+winner's factor rows (w = a*b, see :func:`hadamard_transform`) and the
+signs of a full-space node, at most 2^r symbols wide.  No step reads an
+element that an earlier step of the same decode has not written, so what
+a workspace held before never enters a result.  The caller passes the
+workspace, and the decoder keeps none: beyond its read-only caches,
+nothing outlives a call.  A direct call of :func:`decode_batch`,
+:func:`decode_psi`, :func:`decode_phi` or :func:`genie_batch` allocates
+its workspace for the call.  A Monte Carlo run, genie runs included,
+allocates one workspace per pool thread for the whole run and passes each
+block's decode its thread's (see :func:`rmrec.simulate._row_blocks`), so
+that from its second block on a thread allocates no temporaries of the
+block's size and faults in no fresh pages for them.  A Monte Carlo decode
+reads only the info bits, and runs info-only: a later step reads a node's
+codeword only when the node lies in some ancestor's v subtree, so the
+decode builds no codeword along the root's u chain, the nodes whose
+descent prefix is all ones.  It skips their re-assembly and, at a
+first-order node there (the root of {m, 1}), the codeword build.
 
-Dtype: a decode runs in its workspace's dtype.  Every decode casts its
-input to float64 and runs in float64, float32 input included, except the
-blocks of a Monte Carlo run.  Those are +/-1 words by construction, and
-the run says so by passing a float32 workspace; no data is scanned.  On
-a tree that the static bit budget (:func:`_bit_budget`) certifies, at
-most 24 bits, every value, product and partial sum of such a decode is a
-multiple of its node's grid that float32 holds exactly, in any summation
-order.  The decode, its codewords and its transform's factors are then
-float32, and every sign, tie, argmax, decision, end value and support sum
-equals float64's to the bit.  A float32 workspace on any other tree is
-refused.  Traced and direct decodes stay float64.  An untraced, unforced
-decode in a float32 workspace runs the unscaled u step, whatever the
-options' u rule: every value is exact, and every value of a node carries
-the same power-of-two scale 2^s, where s doubles at a product v step,
-stays at a min-sum v step and grows by one at a u step, so every sign,
-tie, minimum, FHT argmax, info bit and codeword equals the scaled
-decode's.  Its op count is still the options' rule's.
+Dtype: every decode casts its input to float64 and runs in float64,
+float32 input included, except the blocks of a Monte Carlo run.  Those
+are +/-1 words by construction, and the run says so by passing a byte
+(uint8) workspace; no data is scanned.  Such a decode runs on integers:
+its input is cast to int8, and it runs the unscaled u step, whatever the
+options' u rule, so that every value of a node with e bits (see
+:func:`_bit_budget`) is an integer k with |k| <= 2^e.  The scaled rule's
+value is k/2^e, one power-of-two scale per node, so every sign, tie,
+minimum, FHT argmax, info bit and codeword equals the scaled decode's;
+the op count is still the options' rule's.  Each node's values live in
+the narrowest signed type that holds their bits (int8 up to 6, int16 up
+to 14, int32 up to 30, int64 up to 62), fixed once per tree and v rule
+(:func:`_plan`); a step that writes a wider slot computes in the slot's
+type.  A repetition node sums in a type that holds e + L bits, and a
+first-order node {L, 1} casts its block into float32 (e + L <= 24) or
+float64 (<= 53) for its transform, where every partial sum is exact in
+any order.  Codewords are int8.  A tree past these limits is refused,
+and its Monte Carlo blocks stay float64: psi {12,3}, 65 bits, for one.
+Up to 53 bits the float64 decode is exact too, and every sign, tie,
+argmax, decision and codeword of the integer decode equals float64's to
+the bit; on psi {11,3} (57 bits), where float64 may round, the integer
+decode is the exact one.  The genie's forced decode also runs on
+integers, and turns each end value and support sum into float64 as
+k * 2^-e (a repetition mean also divides by 2^L): float64's values,
+except that a zero is always +0.0, where float64 may carry a -0.0 into a
+full-space node.  Traced and direct decodes stay float64.
 
 First-order map: the FHT winner of a node {L, 1} is a pattern index
 `best` in [0, 2^L) and a sign.  Its L+1 info bits, in the node's path
@@ -126,6 +133,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -267,24 +275,33 @@ _U_OPS = {SCALED: 3, UNSCALED: 2}
 
 
 def _v_step(y1: np.ndarray, y2: np.ndarray, v_rule: str, out: np.ndarray,
-            spare: np.ndarray) -> np.ndarray:
-    """Writes the v estimate of the halves y1, y2 into out; min-sum also
-    writes into `spare`, a free array twice out's length along axis 0."""
+            spare: np.ndarray | None) -> np.ndarray:
+    """Writes the v estimate of the halves y1, y2 into out, in out's type;
+    min-sum also writes into `spare`, a free array of y1's shape and type."""
     if v_rule == PRODUCT:
-        return np.multiply(y1, y2, out=out)
-    # sign(y1) * sign(y2) * min(|y1|, |y2|), in that order
-    a1, a2 = spare[:len(out)], spare[len(out):]
-    np.multiply(np.sign(y1, out=out), np.sign(y2, out=a1), out=out)
-    return np.multiply(out, np.minimum(np.abs(y1, out=a1), np.abs(y2, out=a2), out=a1), out=out)
+        if out.dtype is y1.dtype:
+            return np.multiply(y1, y2, out=out)
+        # numpy computes in its inputs' type: a wider integer out needs the
+        # product in its own
+        return np.multiply(y1, y2, out=out, dtype=out.dtype)
+    # min(|y1|, |y2|) * sign(y1) * sign(y2): each later factor is 0 or +/-1,
+    # so every order rounds alike, and gives a zero the sign of any other
+    np.minimum(np.abs(y1, out=out), np.abs(y2, out=spare), out=out)
+    np.multiply(out, np.sign(y1, out=spare), out=out)
+    return np.multiply(out, np.sign(y2, out=spare), out=out)
 
 
 def _u_step(y1: np.ndarray, y2: np.ndarray, v_hat: np.ndarray | None, u_rule: str,
             out: np.ndarray) -> np.ndarray:
-    """Writes the u estimate of the halves y1, y2, given v_hat, into out;
-    v_hat None stands for all +1, as y2*1 rounds to y2."""
+    """Writes the u estimate of the halves y1, y2, given v_hat, into out,
+    in out's type, which holds one bit more than the halves' in an integer
+    decode; v_hat None stands for all +1, as y2*1 rounds to y2."""
     # y2*v_hat + y1 rounds as y1 + y2*v_hat, IEEE addition being exactly
-    # commutative
-    np.add(y2 if v_hat is None else np.multiply(y2, v_hat, out=out), y1, out=out)
+    # commutative; +/-y2 fits y2's type, and y1 + y2 may not
+    if v_hat is None:
+        np.add(y2, y1, out=out, dtype=out.dtype)
+    else:
+        np.add(np.multiply(y2, v_hat, out=out), y1, out=out)
     return np.multiply(out, 0.5, out=out) if u_rule == SCALED else out
 
 
@@ -309,8 +326,8 @@ def hadamard_transform(x: np.ndarray, *, out: np.ndarray | None = None,
     As in numpy, `out` receives the result and is returned, and `scratch`
     receives the first product; each is a C-contiguous array of x's shape
     in the transform's dtype, allocated when left None.  The transform runs
-    in out's dtype (float32 in a certified decode of +/-1 words, see the
-    module docstring), and in float64 when `out` is None.
+    in out's dtype (float32 or float64 in an integer decode of +/-1 words,
+    see the module docstring), and in float64 when `out` is None.
     """
     dtype = np.float64 if out is None else out.dtype.type
     x = np.asarray(x, dtype=dtype)
@@ -385,17 +402,20 @@ def _first_order_bits(width: int) -> np.ndarray:
 
 # --- end-node decisions -----------------------------------------------------
 
-def _block_sums(y: np.ndarray) -> np.ndarray:
+def _block_sums(y: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
     """The (B,) block sums of a symbol-first (w, B) view, w a power of two,
     each rounded as numpy sums the block as one contiguous row.
 
-    Contiguous rows are numpy's own sum.  Otherwise the sum writes numpy's
-    pairwise order out over the whole slab: a sequential sum from zero
-    below 8 symbols; else, within each 128-symbol block, 8 lanes summed
-    sequentially over the block's 8-symbol groups, then
+    An integer block sums in `dtype`, which holds every sum, exactly and so
+    in any order.  Contiguous rows are numpy's own sum.  Otherwise the sum
+    writes numpy's pairwise order out over the whole slab: a sequential sum
+    from zero below 8 symbols; else, within each 128-symbol block, 8 lanes
+    summed sequentially over the block's 8-symbol groups, then
     ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)), and blocks combined by halving;
     the sum starts from zero, so -0.0 blocks sum to +0.0, as in numpy.
     """
+    if dtype is not None:
+        return y.sum(axis=0, dtype=dtype)
     if y.strides[0] == y.itemsize:
         return y.sum(axis=0)
     width = y.shape[0]
@@ -426,12 +446,15 @@ def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, sit
     length, (B, 1), is computed only under `trace` (None otherwise).  The
     info bits and the codeword are read off the winner (see the module
     docstring).  The transform, its magnitudes and the gathered rows of a
-    narrow node's codewords run in `work`, 2*B*w free elements of y's
-    dtype, which is also cw's.
+    narrow node's codewords run in `work`, a free (2, B, w) C array of the
+    transform's float type: y's, or for an integer y one that holds its
+    sums exactly, into which y is cast first.
     """
     rows, width = y.shape
-    buffers = work[:2 * rows * width].reshape(2, rows, width)
-    corr, scratch = buffers[0], buffers[1]  # indexed: unpacking is slower
+    corr, scratch = work[0], work[1]  # indexed: unpacking is slower
+    if y.dtype is not corr.dtype:  # an integer block, cast into the transform's buffer
+        np.copyto(corr, y)
+        y = corr
     # the module binding, which benchmarks/tracer.py wraps
     hadamard_transform(y, out=corr, scratch=scratch)
     best = np.abs(corr, out=scratch).argmax(axis=1)  # first (lowest-index) maximum wins
@@ -442,17 +465,19 @@ def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, sit
     value = winning * sign / width if trace else None
     if cw is None:  # no later step reads this node's codeword
         return bits, value
+    # the +/-1 symbols are built in the transform's type and written into
+    # cw's, int8 in an integer decode
     if width <= 128:  # rows of H_w, at most 128 KiB, gathered into scratch (mode
         # "clip" writes there directly; no index needs clipping): two calls, not
         # nine, which pays on single blocks (decode-single-12-2) and leaves
         # wer-phi-10-2 level
-        np.multiply(_hadamard_matrix(width, y.dtype.type).take(best, 0, scratch, "clip"), sign,
-                    out=cw)
+        np.multiply(_hadamard_matrix(width, corr.dtype.type).take(best, 0, scratch, "clip"),
+                    sign, out=cw, casting="unsafe")
     else:
-        a, b, h_a, h_b = _hadamard_factors(width, y.dtype.type)
+        a, b, h_a, h_b = _hadamard_factors(width, corr.dtype.type)
         np.multiply((sign * h_a.take(best >> (b.bit_length() - 1), axis=0))[:, :, None],
                     h_b.take(best & (b - 1), axis=0)[:, None, :],
-                    out=cw.reshape(-1, a, b))  # splitting an axis is always a view
+                    out=cw.reshape(-1, a, b), casting="unsafe")  # splitting an axis is a view
     return bits, value
 
 
@@ -468,7 +493,7 @@ def md_biorthogonal(z: np.ndarray, g: int, options: DecoderOptions | None = None
     if g < 0:
         raise ValueError("g must be nonnegative")
     z = _rows(z, 1 << (g + 1), "a first-order block", np.float64, single=True)
-    cw, work = np.empty(z.shape), np.empty(2 * z.size)
+    cw, work = np.empty(z.shape), np.empty((2, *z.shape))
     info, _ = _first_order(z, options or DecoderOptions(), _trial_indices([trial], 1), 0,
                            cw, False, work)
     return cw[0].astype(np.int8), info[0]
@@ -505,7 +530,13 @@ def _op_count(m: int, r: int, first_order_ends: bool, u_rule: str, v_rule: str) 
     return sum(node_ops(node) for node in plotkin_tree(m, r, first_order_ends).nodes)
 
 
-_FLOAT32_BITS = 24  # float32 holds every integer of at most 2^24 in magnitude
+# signed integer types by the bits e they hold: every k with |k| <= 2^e
+# fits the first whose limit is at least e
+_INT_TYPES = ((6, np.int8), (14, np.int16), (30, np.int32), (62, np.int64))
+# float types by the bits of the integers they hold exactly, in any order
+# of additions: every integer of at most 2^b in magnitude, for b up to the
+# limit
+_FLOAT_TYPES = ((24, np.float32), (53, np.float64))
 
 
 @cache
@@ -521,34 +552,108 @@ def _bit_budget(m: int, r: int, first_order_ends: bool, v_rule: str) -> int:
     magnitudes.  The genie's support sum at an order-1 split node {L, 1}
     with e bits adds 2^(L-1) values: e + L - 1 bits, within the 2e + L - 1
     that its v child, the repetition node {L-1, 0}, needs under the product
-    rule the genie runs.  Within _FLOAT32_BITS every value, product and
-    partial sum of such a decode, forced or not, is exact in float32.
+    rule the genie runs.
     """
 
-    def bits(node: PlotkinNode) -> int:
-        e = 0
-        for step in node.prefix:  # 1 a u step, 0 a v step
-            if step:
-                e += 1
-            elif v_rule == PRODUCT:
-                e *= 2
-        return e if node.kind == RIGHT_END else e + node.length_log
+    def budget(step: _Step) -> int:
+        if step.children:
+            return max(map(budget, step.children))
+        return step.bits + (0 if step.node.kind == RIGHT_END else step.node.length_log)
 
-    return max(bits(node) for node in plotkin_tree(m, r, first_order_ends).leaves)
+    return budget(_plan(m, r, first_order_ends, v_rule, False).root)
 
 
-def _pm1_dtype(params: CodeParams, algorithm: str, v_rule: str) -> type:
-    """The dtype of a decode of +/-1 words: float32 on a tree that the bit
-    budget certifies, float64 otherwise."""
-    bits = _bit_budget(params.m, params.r, algorithm == ALG_PHI, v_rule)
-    return np.float32 if bits <= _FLOAT32_BITS else np.float64
+class _Step(NamedTuple):
+    """One node of a decode's plan.  The node's values hold `bits` bits
+    (see :func:`_bit_budget`) and have type `value`; `reduce` is the type of
+    its reduction: a repetition node's block sums, a first-order node's
+    transform, an order-1 split node's genie support sums (`value`
+    elsewhere).  A split node keeps its v and then its u estimate, in its
+    children's value types, in one slot of `slot` bytes per row; `children`
+    are its children's steps, (v, u)."""
+
+    node: PlotkinNode
+    bits: int
+    value: np.dtype
+    reduce: np.dtype
+    slot: int
+    children: tuple[_Step, ...]
 
 
-def _workspace_width(params: CodeParams, algorithm: str) -> int:
-    """Workspace elements per row of one decode.  The split nodes above a
-    node of width w take n/2 + n/4 + ... + w, less than n, and a first-order
-    node 2*w more; the widest, {m-r+1, 1}, lies r-1 v steps below the root."""
-    return params.n + (2 << params.m - params.r if algorithm == ALG_PHI else 0)
+class _Plan(NamedTuple):
+    """The steps of one decode, from the root's, and the workspace bytes per
+    row that the decode needs."""
+
+    root: _Step
+    width: int
+
+
+def _round8(size: int) -> int:
+    return -(-size // 8) * 8
+
+
+@cache
+def _plan(m: int, r: int, first_order_ends: bool, v_rule: str, integer: bool) -> _Plan | None:
+    """The plan of a float64 decode or, with `integer`, of an integer
+    decode of +/-1 words: each node's values in the narrowest signed
+    integer type that holds their bits, each repetition and support sum in
+    the one that holds the sum's, and each first-order block cast into
+    float32 or float64 for its transform.  None when some node's values or
+    sums need more than 62 bits, or a first-order transform more than 53:
+    the bit budget does not certify the tree for an integer decode.
+
+    The workspace of a split node holds its slot, rounded up to 8 bytes
+    per row so that every slot after it stays aligned, then min-sum's
+    scratch for its v step, in its own type, or its children's
+    temporaries, whichever is larger; a first-order node's holds its
+    transform's two products.
+    """
+
+    def narrowest(bits: int, types=_INT_TYPES) -> np.dtype | None:
+        if not integer:
+            return np.dtype(np.float64)
+        return next((np.dtype(dtype) for limit, dtype in types if bits <= limit), None)
+
+    def step(node: PlotkinNode, e: int) -> _Step | None:
+        value, length_log, children, slot = narrowest(e), node.length_log, (), 0
+        if node.kind == SPLIT:
+            v, u = node.children
+            children = (step(v, 2 * e if v_rule == PRODUCT else e), step(u, e + 1))
+            if any(child is None for child in children):
+                return None
+            reduce = narrowest(e + length_log - 1) if node.order == 1 else value
+            slot = _round8((1 << length_log - 1) * max(child.value.itemsize
+                                                       for child in children))
+        elif node.kind == RIGHT_END:
+            reduce = value
+        else:
+            reduce = narrowest(e + length_log,
+                               _FLOAT_TYPES if node.kind == FIRST_ORDER else _INT_TYPES)
+        if value is None or reduce is None:
+            return None
+        return _Step(node, e, value, reduce, slot, children)
+
+    def need(step: _Step) -> int:
+        width = 1 << step.node.length_log
+        if step.children:
+            spare = _round8(width // 2 * step.value.itemsize) if v_rule == MIN_SUM else 0
+            return step.slot + max(spare, *map(need, step.children))
+        return 2 * width * step.reduce.itemsize if step.node.kind == FIRST_ORDER else 0
+
+    root = step(plotkin_tree(m, r, first_order_ends).root, 0)
+    return None if root is None else _Plan(root, need(root))
+
+
+def _workspace(params: CodeParams, algorithm: str, v_rule: str = PRODUCT,
+               pm1: bool = False) -> tuple[type, int]:
+    """(dtype, elements per row) of one decode's workspace: bytes of an
+    integer decode when the words are +/-1 (`pm1`) and the bit budget
+    certifies the tree, float64 elements otherwise."""
+    phi = algorithm == ALG_PHI
+    plan = _plan(params.m, params.r, phi, v_rule, True) if pm1 else None
+    if plan is None:
+        return np.float64, _plan(params.m, params.r, phi, v_rule, False).width // 8
+    return np.uint8, plan.width
 
 
 def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
@@ -568,89 +673,114 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
     None, op count, trace), and builds the codeword of no node on the
     root's u chain, whose descent prefix is all ones: a later step reads a
     node's codeword only when the node lies in some ancestor's v subtree.
-    `work` is the decode's workspace, a flat array of at least B *
-    :func:`_workspace_width` elements, allocated for the call when None;
-    the decode runs in its dtype.  A float32 workspace is the caller's
-    promise that every entry of y is +/-1, which nothing checks, and is
-    refused unless :func:`_pm1_dtype` certifies the tree; untraced and
-    unforced, such a decode runs the unscaled u step (see the module
-    docstring).  The trace and the supports are float64 in either dtype.
+    `work` is the decode's workspace, a flat array of at least B times the
+    row width of :func:`_workspace`, allocated for the call when None.  A
+    byte (uint8) workspace is the caller's promise that every entry of y
+    is +/-1, which nothing checks, and runs an integer decode, refused
+    unless the bit budget certifies the tree and refused for a traced,
+    unforced decode: its codewords are int8, and it runs the unscaled u
+    step (see the module docstring).  Any other workspace, float64 as the
+    harness allocates it, holds the temporaries of a float64 decode.  The
+    trace and the supports are float64 either way.
     """
     forced = supports is not None
-    trace = trace or forced
     options = options or DecoderOptions()
     if algorithm not in (ALG_PSI, ALG_PHI):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == ALG_PHI and params.r == 0:
         raise ValueError("phi requires r >= 1; use psi for repetition codes")
-    dtype = np.float64 if work is None else work.dtype.type
-    if dtype != np.float64 and dtype != _pm1_dtype(params, algorithm, options.v_rule):
+    phi = algorithm == ALG_PHI
+    integer = work is not None and work.dtype == np.uint8
+    if integer and trace:
+        raise ValueError("a traced decode runs in float64, in a float64 workspace")
+    plan = _plan(params.m, params.r, phi, options.v_rule, integer)
+    if plan is None:
         raise ValueError(f"the bit budget does not certify {algorithm} on {params} "
-                         f"for a {np.dtype(dtype).name} workspace")
+                         f"for an integer decode")
+    trace = trace or forced
     # exact values at one power-of-two scale per node: no decision depends
     # on the halving, only the end values that a trace records
-    u_rule = options.u_rule if trace or dtype == np.float64 else UNSCALED
-    y = _rows(y, params.n, "a received block", dtype)
+    u_rule = UNSCALED if integer else options.u_rule
+    y = _rows(y, params.n, "a received block", np.int8 if integer else np.float64)
     trials = _trial_indices(trials, len(y))
-    phi = algorithm == ALG_PHI
     order = _memory_order(y)
     info = None if forced else np.empty((y.shape[0], params.k), dtype=np.uint8, order=order)
     if trace:
         values = np.empty((y.shape[0], params.k))
+    size = len(y) * plan.width
+    work = np.empty(size // 8) if work is None else work[:size // work.itemsize]
+    min_sum = options.v_rule == MIN_SUM
 
-    def walk(node, y: np.ndarray, cw: np.ndarray | None, keep: bool, free: np.ndarray) -> None:
+    def slab(at: int, half: int, rows: int, dtype: np.dtype) -> np.ndarray:
+        # a symbol-first (half, rows) array of dtype from byte `at` of the
+        # workspace on, laid out like the batch; written out in place for
+        # the v slot, which every split node makes
+        if order == "F":
+            return np.ndarray((half, rows), dtype, work, at)
+        return np.ndarray((rows, half), dtype, work, at).T
+
+    def walk(step: _Step, y: np.ndarray, cw: np.ndarray | None, keep: bool, at: int) -> None:
         # decodes the symbol-first view y, (2^length_log, B), into the
         # node's info columns and, when `keep`, into the view cw; its
-        # temporaries go into `free`, the flat rest of the workspace.  A
-        # forced decode passes no cw, which the u step reads as an all +1
-        # v_hat
+        # temporaries go into the workspace from byte `at` on.  A forced
+        # decode passes no cw, which the u step reads as an all +1 v_hat
+        node = step.node
         if node.kind == SPLIT:
-            v, u = node.children
+            v, u = step.children
             half, rows = y.shape[0] // 2, y.shape[1]
             y1, y2 = y[:half], y[half:]
             cw1, cw2 = (None, None) if forced else (cw[:half], cw[half:])
-            # one (half, B) slot, laid out like the batch, for the v and then
-            # the u estimate; the children's temporaries go after it
-            slot, free = free[:half * rows], free[half * rows:]
-            slot = slot.reshape(half, rows) if order == "F" else slot.reshape(rows, half).T
             if forced and node.order == 1:
-                supports.append(_block_sums(y2))
+                # an integer decode's sum k is the scaled rule's k/2^bits
+                supports.append(_block_sums(y2, step.reduce) * 2.0 ** -step.bits if integer
+                                else _block_sums(y2))
+            # one slot, laid out like the batch, for the v estimate in v's
+            # type and then the u estimate in u's; min-sum's scratch, in this
+            # node's type, and the children's temporaries go after it
+            free = at + step.slot * rows
+            spare = slab(free, half, rows, y.dtype) if min_sum else None
+            slot = (np.ndarray((half, rows), v.value, work, at) if order == "F" else
+                    np.ndarray((rows, half), v.value, work, at).T)
             # the u step reads v's codeword; only this node's re-assembly
             # reads u's
-            walk(v, _v_step(y1, y2, options.v_rule, slot, cw), cw2, not forced, free)
+            walk(v, _v_step(y1, y2, options.v_rule, slot, spare), cw2, not forced, free)
+            if u.value is not v.value:  # the plan's types are numpy's own instances
+                slot = slab(at, half, rows, u.value)
             walk(u, _u_step(y1, y2, cw2, u_rule, slot), cw1, keep, free)
             if keep:
                 cw2 *= cw1  # symbol re-assembly (u, u*v), uncounted
             return
-        if node.kind == FIRST_ORDER:
+        if node.kind == FIRST_ORDER:  # its transform's (2, B, w) buffers from byte `at` on
+            buffers = np.ndarray((2, y.shape[1], y.shape[0]), step.reduce, work, at)
             bits, value = _first_order(y.T, options, trials, node.site,
-                                       cw.T if keep else None, trace, free)
+                                       cw.T if keep else None, trace, buffers)
         else:
             # a full space decides on its symbols, a repetition node on its
             # (B, 1) block sums, whose end value is the block mean
-            value = y.T if node.kind == RIGHT_END else _block_sums(y)[:, None]
+            value = (y.T if node.kind == RIGHT_END else
+                     _block_sums(y, step.reduce if integer else None)[:, None])
             if not forced:
                 signs = _signs(value, options, trials, node.site)
                 if keep:
                     cw.T[:] = signs
                 bits = signs < 0
-            if trace and node.kind == LEFT_END:
-                value = value / y.shape[0]
+            if trace:
+                if integer:  # k of the scaled rule's k/2^bits
+                    value = value * 2.0 ** -step.bits
+                if node.kind == LEFT_END:
+                    value = value / y.shape[0]
         if not forced:
             info[:, node.info] = bits
         if trace:
             values[:, node.info] = value
 
     # an info-only decode still passes the root a codeword buffer: the
-    # min-sum v step borrows a node's codeword view as scratch
-    cw = None if forced else np.empty(y.shape, dtype, order=order)
-    size = len(y) * _workspace_width(params, algorithm)
-    work = np.empty(size, dtype) if work is None else work[:size]
+    # codewords of the v subtrees are built there
+    cw = None if forced else np.empty(y.shape, y.dtype, order=order)
     # unscaled intermediates may reach inf, and inf - inf is NaN; the
     # callers that must refuse NaN check the decoded symbols
     with np.errstate(over="ignore", invalid="ignore"):
-        walk(plotkin_tree(params.m, params.r, phi).root, y.T, None if forced else cw.T,
-             not (forced or info_only), work)
+        walk(plan.root, y.T, None if forced else cw.T, not (forced or info_only), 0)
     # the walk refers to itself; deleted, it frees what it holds now, not
     # at the next garbage collection
     del walk

@@ -38,12 +38,13 @@ its core's cache.  The order never enters a result.
 
 Dtype: every Monte Carlo word is +/-1: the drawn word by construction,
 its product with a random codeword, and the awgn-hard word, which is a
-BSC's.  Blocks are therefore drawn and decoded in float32 wherever the
-decoder's static bit budget certifies the tree (see :mod:`rmrec.decoder`;
-psi {8,2}, phi {10,2} and the {12,1} genie tree among them), and in
-float64 elsewhere, psi {9,2} for one.  A certified float32 decode gives
-the float64 bits, and the genie's end values and support sums come back
-in float64 before they are normalised, so the dtype never enters a result
+BSC's.  Blocks are therefore drawn as int8 words and decoded on integers,
+in a byte workspace, wherever the decoder's static bit budget certifies
+the tree (see :mod:`rmrec.decoder`; psi {8,2}, {9,2}, {10,2} and {11,3},
+phi {10,2} and the {12,1} genie tree among them), and drawn and decoded
+in float64 elsewhere, psi {12,3} for one.  An integer decode gives the
+float64 bits, and the genie's end values and support sums come back in
+float64 before they are normalised, so the dtype never enters a result
 either.  A symbol is drawn with one integer compare of its raw Philox word
 against a threshold, written straight into the block's dtype (see
 :func:`_received`), so the draw does not depend on the byte order.
@@ -71,9 +72,8 @@ from .decoder import (
     ALG_PSI,
     PRODUCT,
     DecoderOptions,
-    _pm1_dtype,
     _support_nodes,
-    _workspace_width,
+    _workspace,
     decode_batch,
     genie_batch,
 )
@@ -230,19 +230,31 @@ class GenieReport:
     node_stats: dict[tuple[int, ...], PathStats]
 
 
+def _philox(master_seed: int, purpose: int, first_trial: int,
+            values_per_trial: int) -> np.random.Philox:
+    """The Philox generator of the stream (master_seed, purpose), at the
+    first counter of trial `first_trial`: trial i consumes ceil(values/4)
+    Philox blocks starting at block i * ceil(values/4), so a trial's words
+    do not depend on how a run is split into batches or row blocks."""
+    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, purpose], dtype=np.uint64)
+    return np.random.Philox(key=key, counter=first_trial * -(-values_per_trial // 4))
+
+
+def _raw_rows(gen: np.random.Philox, n_trials: int, values_per_trial: int) -> np.ndarray:
+    """The raw words of the next n_trials trials of `gen`, a
+    (n_trials, values_per_trial) uint64 view: consecutive trials are
+    consecutive in counter space, the padding words of each included."""
+    blocks = -(-values_per_trial // 4)
+    return gen.random_raw(n_trials * blocks * 4).reshape(n_trials, blocks * 4)[
+        :, :values_per_trial]
+
+
 def _stream_raw(master_seed: int, purpose: int, first_trial: int,
                 n_trials: int, values_per_trial: int) -> np.ndarray:
-    """Raw Philox words, a (n_trials, values_per_trial) uint64 view.
-
-    Trial i consumes ceil(values/4) Philox blocks starting at block
-    i * ceil(values/4), so a trial's words do not depend on how a run is
-    split into batches or row blocks.
-    """
-    blocks = -(-values_per_trial // 4)
-    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, purpose], dtype=np.uint64)
-    gen = np.random.Philox(key=key, counter=first_trial * blocks)
-    raw = gen.random_raw(n_trials * blocks * 4).reshape(n_trials, blocks * 4)
-    return raw[:, :values_per_trial]
+    """Raw Philox words, a (n_trials, values_per_trial) uint64 view, per
+    trial as in :func:`_philox`."""
+    return _raw_rows(_philox(master_seed, purpose, first_trial, values_per_trial),
+                     n_trials, values_per_trial)
 
 
 def stream_uniforms(master_seed: int, purpose: int, first_trial: int,
@@ -270,40 +282,44 @@ _HALF = np.uint64(1 << 63)  # raw < 2^63 exactly when its uniform is below 0.5
 # Symbols per chunk of a received block: each chunk of rows is drawn into
 # one raw buffer of this size and written into the block, so that no raw
 # buffer of the block's size exists.  On one thread of a 2-core Xeon
-# (numpy 2.4), the one compare, multiply and add of _received turned the
-# raw words of a 2^16-symbol chunk into float32 symbols in a median of 73
-# us, half the time of shifting them and reading signs off float views of
-# them, and 4096 rows of {8,2} drew in float32 in a minimum of 7.1 ms
-# symbol-major and 5.7 ms row-major (float64: 7.9 and 6.3 ms), most of it
-# Philox.  Symbols written straight through a strided symbol-major block
-# once took nearly twice as long as through the row-major chunk buffer;
-# chunks of 2^15-2^17 symbols were within 6 % of each other in either
-# order, 2^13 and 2^18 slower.
+# (numpy 2.4), 4096 rows of {8,2} drew as int8 words in a minimum of 6.1 ms
+# symbol-major and 4.9 ms row-major (float32: 7.1 and 5.6 ms, float64: 7.9
+# and 6.3 ms), most of it Philox; the one compare, multiply and add of
+# _received took half the time of shifting the raw words and reading signs
+# off float views of them.  Symbols written straight through a strided
+# symbol-major block once took nearly twice as long as through the
+# row-major chunk buffer; chunks of 2^15-2^17 symbols were within 6 % of
+# each other in either order, 2^13 and 2^18 slower.  The chunks of a block
+# draw from one Philox generator, which costs about 15 us to build: 128
+# rows of {12,1} (8 chunks) drew in float32 in a minimum of 2.62 ms, against
+# 2.74 ms with one generator per chunk.
 _CHUNK_SYMBOLS = 1 << 16
 
 
 def _received(channel: Channel, master_seed: int, n: int, rows: range,
               order: str = "C", dtype: type = np.float64) -> np.ndarray:
     """The all-ones word through the channel for trials `rows`, (len, n)
-    +/-1 values of `dtype` (float64 or float32) in memory order `order`
+    +/-1 values of `dtype` (float64 or int8) in memory order `order`
     ("C" row-major, "F" symbol-major): a symbol flips when its uniform is
     below the crossover.
 
     The block is written chunk by chunk of rows, each from one buffer of
-    raw words; a symbol-major chunk is built row-major in a second buffer
-    of the chunk's size and transposed into place.  A symbol flips when
-    its raw word lies below _threshold(p) << 11 (see :func:`_threshold`):
-    one compare writes 1 there and 0 elsewhere, in `dtype`, and 1 - 2x
-    makes the +/-1 symbols, exactly, in either dtype.
+    raw words, drawn in turn from one Philox generator for the block; a
+    symbol-major chunk is built row-major in a second buffer of the
+    chunk's size and transposed into place.  A symbol flips when its raw
+    word lies below _threshold(p) << 11 (see :func:`_threshold`): one
+    compare writes 1 there and 0 elsewhere, in `dtype`, and 1 - 2x makes
+    the +/-1 symbols, exactly, in either dtype.
     """
     out = np.empty((len(rows), n) if order == "C" else (n, len(rows)), dtype)
     block = out if order == "C" else out.T
     threshold = _threshold(channel.crossover) << np.uint64(11)
     step = max(1, _CHUNK_SYMBOLS // n)
     buffer = None if order == "C" else np.empty((min(step, len(rows)), n), dtype)
+    gen = _philox(master_seed, PURPOSE_CHANNEL, rows.start, n)
     for start in range(0, len(rows), step):
         stop = min(start + step, len(rows))
-        raw = _stream_raw(master_seed, PURPOSE_CHANNEL, rows.start + start, stop - start, n)
+        raw = _raw_rows(gen, stop - start, n)
         symbols = block[start:stop] if order == "C" else buffer[:stop - start]
         np.less(raw, threshold, out=symbols)
         symbols *= -2
@@ -321,6 +337,15 @@ def apply_channel(codeword: np.ndarray, channel: Channel,
         raise ValueError("apply_channel expects a 1-D codeword, one trial")
     return codeword * _received(channel, master_seed, codeword.shape[0],
                                 range(trial, trial + 1))[0]
+
+
+def _pm1_workspace(params: CodeParams, algorithm: str, v_rule: str) -> tuple[type, type, int]:
+    """(word dtype, workspace dtype, workspace elements per row) of the
+    decode of a run's +/-1 blocks: int8 words and a byte workspace where
+    the bit budget certifies the tree, float64 words and workspace
+    elsewhere (see :func:`rmrec.decoder._workspace`)."""
+    dtype, width = _workspace(params, algorithm, v_rule, pm1=True)
+    return np.int8 if dtype == np.uint8 else np.float64, dtype, width
 
 
 def _workers() -> int:
@@ -368,9 +393,9 @@ def _row_blocks(work, trials: int, size: int, n: int, order: str = "C", width: i
     thread per worker.  Each pool thread holds one decoder workspace for
     the run and passes it to every work(rows, workspace) it runs (see
     :mod:`rmrec.decoder`): `width` elements of `dtype` per row of the
-    run's largest block, the workspace width
-    (:func:`rmrec.decoder._workspace_width`) of the decode that work runs,
-    in that decode's dtype.
+    run's largest block, the workspace of the decode that work runs
+    (:func:`_pm1_workspace`): bytes for an integer decode, float64
+    elements otherwise.
     """
     workers = _workers()
 
@@ -422,10 +447,10 @@ def run_wer(config: SimConfig, per_path: bool = False) -> SimReport:
     """
     params, n, k = config.params, config.params.n, config.params.k
     order = "F" if config.algorithm == ALG_PSI else "C"
-    dtype = _pm1_dtype(params, config.algorithm, config.options.v_rule)
+    words, dtype, width = _pm1_workspace(params, config.algorithm, config.options.v_rule)
 
     def count_errors(rows: range, work: np.ndarray) -> tuple[int, np.ndarray, int]:
-        received = _received(config.channel, config.master_seed, n, rows, order, dtype)
+        received = _received(config.channel, config.master_seed, n, rows, order, words)
         if config.transmitted == ALL_ONES:
             info_true = np.zeros((len(rows), k), dtype=np.uint8)
         else:
@@ -446,7 +471,7 @@ def run_wer(config: SimConfig, per_path: bool = False) -> SimReport:
     ops = 0
     path_errors = np.zeros(k, dtype=np.int64)
     for blocks in _row_blocks(count_errors, config.trials, config.effective_batch(), n,
-                              order, _workspace_width(params, config.algorithm), dtype):
+                              order, width, dtype):
         for block_words, block_paths, ops in blocks:
             word_errors += block_words
             path_errors += block_paths
@@ -523,17 +548,18 @@ def path_statistics(config: SimConfig) -> GenieReport:
     path_acc = _MomentAccumulator(len(paths))
     node_acc = _MomentAccumulator(len(nodes))
 
-    dtype = _pm1_dtype(params, ALG_PSI, PRODUCT)  # the genie's forced decode
+    # the genie's forced decode is psi's under the product rule
+    words, dtype, width = _pm1_workspace(params, ALG_PSI, PRODUCT)
 
     def normalized(rows: range, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the end values and supports come back float64, in either dtype
         values, supports = genie_batch(
-            _received(config.channel, config.master_seed, params.n, rows, "C", dtype), params,
+            _received(config.channel, config.master_seed, params.n, rows, "C", words), params,
             _work=work)
         return values / path_norm, supports / node_norm
 
     for blocks in _row_blocks(normalized, config.trials, config.effective_batch(),
-                              params.n, "C", _workspace_width(params, ALG_PSI), dtype):
+                              params.n, "C", width, dtype):
         # one add per batch, on the rows in order: the same float sums for
         # any number of blocks
         path_acc.add(np.concatenate([values for values, _ in blocks]))

@@ -677,7 +677,9 @@ def test_decode_independent_of_earlier_decodes():
     # memory orders, rules and trace flags into one shared workspace, then
     # each one alone, with a workspace of its own, in a fresh thread.  The
     # root of {6,1} under phi is a first-order node as wide as the code.  The
-    # genie's forced decodes run in the same workspace, between the others.
+    # genie's forced decodes run in the same workspace, between the others,
+    # and the integer decodes of +/-1 words in one shared byte workspace,
+    # filled with noise at the start
     rng = np.random.default_rng(21)
     cases = []
     for params, algorithm in ((CodeParams(6, 1), "phi"), (CodeParams(10, 2), "phi"),
@@ -685,16 +687,31 @@ def test_decode_independent_of_earlier_decodes():
         for rows in (1, 7, 512):
             y = rng.normal(size=(rows, params.n))
             y[rng.uniform(size=y.shape) < 0.05] = 0.0  # ties
+            pm1 = np.where(rng.random((rows, params.n)) < 0.3, -1.0, 1.0)
             for batch in (np.ascontiguousarray(y), np.asfortranarray(y)):
-                cases.append((batch, params, "genie", None, True))
+                cases.append((batch, params, "genie", None, True, np.float64))
                 for u_rule in (SCALED, UNSCALED):
                     for v_rule in (PRODUCT, MIN_SUM):
                         for trace in (False, True):
                             cases.append((batch, params, algorithm,
-                                          DecoderOptions(u_rule, v_rule, tie_seed=4), trace))
+                                          DecoderOptions(u_rule, v_rule, tie_seed=4), trace,
+                                          np.float64))
+            for batch in (np.ascontiguousarray(pm1), np.asfortranarray(pm1)):
+                cases.append((batch, params, "genie", None, True, np.uint8))
+                for v_rule in (PRODUCT, MIN_SUM):
+                    cases.append((batch, params, algorithm, DecoderOptions(v_rule=v_rule,
+                                                                           tie_seed=4),
+                                  False, np.uint8))
 
-    def decode(case, work=None):
-        batch, params, algorithm, options, trace = case
+    def decode(case, shared=None):
+        batch, params, algorithm, options, trace, dtype = case
+        if shared is None:
+            width = decoder._workspace(params, "psi" if algorithm == "genie" else algorithm,
+                                       options.v_rule if options else PRODUCT,
+                                       dtype == np.uint8)[1]
+            work = np.empty(len(batch) * width, dtype)
+        else:
+            work = shared[dtype]
         if algorithm == "genie":  # its end values, and supports in the place of cw
             values, supports = genie_batch(batch, params, _work=work)
             return None, supports, 0, values
@@ -709,15 +726,19 @@ def test_decode_independent_of_earlier_decodes():
         return result[0]
 
     order = rng.permutation(len(cases))
-    work = np.empty(max(len(batch) * decoder._workspace_width(params, "phi")
-                        for batch, params, *_ in cases))
-    reused = [decode(cases[i], work) for i in order]
+    # min-sum needs the widest workspace, and phi's tree of {8,2} one as wide as psi's
+    size = max(len(batch) * decoder._workspace(params, "phi", MIN_SUM, pm1)[1]
+               for batch, params, *_ in cases for pm1 in (False, True))
+    shared = {np.float64: np.empty(size),
+              np.uint8: rng.integers(0, 256, size, dtype=np.uint8)}
+    reused = [decode(cases[i], shared) for i in order]
     for i, (info, cw, ops, values) in zip(order, reused):
         info_1, cw_1, ops_1, values_1 = alone(cases[i])
         assert ops == ops_1 and np.array_equal(info, info_1)
         assert cw.flags.f_contiguous == cw_1.flags.f_contiguous
-        assert np.array_equal(cw.view(np.int64), cw_1.view(np.int64))
-        if cases[i][-1]:  # the end values, to the bit and the sign of zero
+        assert cw.dtype == cw_1.dtype
+        assert np.array_equal(cw.view(f"i{cw.itemsize}"), cw_1.view(f"i{cw.itemsize}"))
+        if cases[i][-2]:  # the end values, to the bit and the sign of zero
             assert np.array_equal(values.view(np.int64), values_1.view(np.int64))
         else:
             assert values is None and values_1 is None
@@ -802,10 +823,17 @@ _EXACT_RULES = [DecoderOptions(u_rule=u, v_rule=v, tie_rule=TIE_POSITIVE)
                 for u in (SCALED, UNSCALED) for v in (PRODUCT, MIN_SUM)]
 
 
+def _pm1_work(params, algorithm, v_rule, rows):
+    """A byte workspace for the integer decode of `rows` +/-1 words, or a
+    float64 one where the bit budget does not certify the tree."""
+    dtype, width = decoder._workspace(params, algorithm, v_rule, pm1=True)
+    return np.empty(rows * width, dtype)
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_pm1_decodes_match_exact_arithmetic(m):
-    # the float decode of +/-1 words equals their decode in exact arithmetic,
-    # which needs no more bits than the static budget
+    # the float64 and the integer decode of +/-1 words equal their decode in
+    # exact arithmetic, which needs no more bits than the static budget
     rng = np.random.default_rng(40 + m)
     n = 1 << m
     index = np.arange(n)
@@ -818,102 +846,163 @@ def test_pm1_decodes_match_exact_arithmetic(m):
             root = plotkin_tree(m, r, algorithm == "phi").root
             for options in _EXACT_RULES:
                 budget = decoder._bit_budget(m, r, algorithm == "phi", options.v_rule)
+                work = _pm1_work(params, algorithm, options.v_rule, len(words))
+                assert work.dtype == np.uint8
                 _, cw, _ = decode_batch(words, params, algorithm, options)
-                for word, decoded in zip(words, cw):
+                _, cw_int, _ = decode_batch(words, params, algorithm, options, _work=work)
+                assert cw_int.dtype == np.int8
+                for word, decoded, decoded_int in zip(words, cw, cw_int):
                     bits = []
                     exact = _exact_decode([Fraction(int(s)) for s in word], root, options, bits)
-                    assert exact == decoded.tolist()
+                    assert exact == decoded.tolist() == decoded_int.tolist()
                     assert max(bits) <= budget
 
 
 def test_bit_budget_reference_values():
-    # (m, r, phi): bits under the product and the min-sum v rule; the
-    # float32 limit is 24 bits
+    # (m, r, phi): bits under the product and the min-sum v rule; an integer
+    # decode holds up to 62 bits (53 at a first-order node's transform)
     expect = {(8, 2, False): (21, 6), (10, 2, True): (16, 9), (12, 2, True): (20, 11),
               (12, 1, False): (21, 11), (9, 2, False): (25, 7), (10, 2, False): (29, 8),
-              (11, 3, False): (57, 8)}
+              (11, 3, False): (57, 8), (12, 3, False): (65, 9), (12, 4, True): (58, 9)}
     for (m, r, phi), (product, min_sum) in expect.items():
         assert decoder._bit_budget(m, r, phi, PRODUCT) == product
         assert decoder._bit_budget(m, r, phi, MIN_SUM) == min_sum
         algorithm = "phi" if phi else "psi"
-        dtype = decoder._pm1_dtype(CodeParams(m, r), algorithm, PRODUCT)
-        assert dtype == (np.float32 if product <= 24 else np.float64)
-        assert decoder._pm1_dtype(CodeParams(m, r), algorithm, MIN_SUM) == np.float32
+        dtype, _ = decoder._workspace(CodeParams(m, r), algorithm, PRODUCT, pm1=True)
+        assert dtype == (np.uint8 if product <= (53 if phi else 62) else np.float64)
+        assert decoder._workspace(CodeParams(m, r), algorithm, MIN_SUM, pm1=True)[0] == np.uint8
+    # each node's values in the narrowest type that holds their bits, and
+    # each repetition sum and support sum in the one that holds the sum's;
+    # phi {12,4}'s widest first-order transform needs 58 bits, past float64's
+    # 53, and psi {12,3}'s values 65, past int64's 62
+    def narrowest(bits):
+        return next(np.dtype(t) for limit, t in ((6, np.int8), (14, np.int16), (30, np.int32),
+                                                  (62, np.int64)) if bits <= limit)
+
+    for m, r, phi, v_rule, used in ((8, 2, False, PRODUCT, {np.int8, np.int16, np.int32}),
+                                    (10, 2, True, PRODUCT, {np.int8, np.int16}),
+                                    (11, 3, False, PRODUCT, {np.int8, np.int16, np.int32,
+                                                             np.int64}),
+                                    (9, 1, False, MIN_SUM, {np.int8, np.int16})):
+        steps, values = [decoder._plan(m, r, phi, v_rule, True).root], set()
+        while steps:
+            step = steps.pop()
+            node, e = step.node, step.bits
+            assert step.value == narrowest(e)
+            values.add(step.value)
+            steps.extend(step.children)
+            if node.kind == SPLIT:
+                v, u = step.children
+                assert (v.bits, u.bits) == (2 * e if v_rule == PRODUCT else e, e + 1)
+                if node.order == 1:
+                    assert step.reduce == narrowest(e + node.length_log - 1)
+            elif node.kind == LEFT_END:
+                assert step.reduce == narrowest(e + node.length_log)
+            elif node.kind == FIRST_ORDER:
+                assert step.reduce == (np.float32 if e + node.length_log <= 24 else np.float64)
+        assert values == {np.dtype(t) for t in used}
+    assert decoder._plan(12, 4, True, PRODUCT, True) is None
+    assert decoder._plan(12, 3, False, PRODUCT, True) is None
 
 
-def _certified(max_m: int, v_rule: str):
-    """(params, algorithm) of every code with m <= max_m whose tree the bit
-    budget certifies for float32 under `v_rule`."""
-    return [(CodeParams(m, r), algorithm)
-            for m in range(1, max_m + 1) for r in range(m + 1)
-            for algorithm in (("psi", "phi") if r >= 1 else ("psi",))
-            if decoder._pm1_dtype(CodeParams(m, r), algorithm, v_rule) == np.float32]
+_DTYPE_RULES = [DecoderOptions(u_rule=u, v_rule=v, tie_rule=t, tie_seed=6)
+                for u in (SCALED, UNSCALED) for v in (PRODUCT, MIN_SUM)
+                for t in (TIE_RANDOM, TIE_POSITIVE)]
 
 
-_DTYPE_RULES = [DecoderOptions(u_rule=u, v_rule=v, tie_seed=6)
-                for u in (SCALED, UNSCALED) for v in (PRODUCT, MIN_SUM)]
+def _channel_words(rng, params, rows):
+    """+/-1 channel words of random codewords, a third of the rows each at
+    crossovers 0 (the clean codewords, whose values reach the bit budget),
+    0.1 and 0.4 (tie-rich at every kind of end node)."""
+    bits = rng.integers(0, 2, size=(rows, params.k), dtype=np.uint8)
+    p = np.repeat([0.0, 0.1, 0.4], -(-rows // 3))[:rows, None]
+    return encode_batch(bits, params) * np.where(rng.random((rows, params.n)) < p, -1.0, 1.0)
 
 
-@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("m", range(1, 11))
 def test_float32_decodes_match_float64(m):
-    # a +/-1 batch on a certified tree decodes in float32 to the bits of its
-    # float64 decode, in either memory order; the channel words of random
-    # codewords at crossovers 0.1 and 0.4 meet ties at every kind of end node
+    # an integer decode of +/-1 words gives the float64 decode's info bits
+    # and codewords, bit for bit, on every tree with m <= 9 and psi {10,2},
+    # under both algorithms, both u, v and tie rules, in either memory order
+    # and with or without codewords; the trees of psi {9,2} and {10,2} and of
+    # min-sum {9,1} have int16 or int32 nodes.  On the trees the budget does
+    # not certify, a run's +/-1 words decode in float64
     rng = np.random.default_rng(70 + m)
-    for options in _DTYPE_RULES:
-        certified = [case for case in _certified(m, options.v_rule) if case[0].m == m]
-        assert certified
-        for params, algorithm in certified:
-            bits = rng.integers(0, 2, size=(48, params.k), dtype=np.uint8)
-            p = np.repeat([0.1, 0.4], 24)[:, None]
-            y = encode_batch(bits, params) * np.where(rng.random((48, params.n)) < p, -1.0, 1.0)
-            trials = np.arange(48, dtype=np.uint64) + 500
-            work = np.empty(48 * decoder._workspace_width(params, algorithm), np.float32)
-            for batch in (np.ascontiguousarray(y), np.asfortranarray(y)):
-                info, cw, ops = decode_batch(batch, params, algorithm, options, trials)
-                info_32, cw_32, ops_32 = decode_batch(batch, params, algorithm, options, trials,
-                                                      _work=work)
-                assert cw.dtype == np.float64 and cw_32.dtype == np.float32
-                assert cw_32.flags.f_contiguous == batch.flags.f_contiguous
-                assert ops_32 == ops and np.array_equal(info_32, info)
-                assert np.array_equal(cw_32, cw)
+    codes = [(10, 2)] if m == 10 else [(m, r) for r in range(m + 1)]
+    rows = 48 if m <= 8 else 12
+    for params in (CodeParams(*code) for code in codes):
+        y = _channel_words(rng, params, rows)
+        trials = np.arange(rows, dtype=np.uint64) + 500
+        for algorithm in ("psi", "phi") if params.r >= 1 and m < 10 else ("psi",):
+            for options in _DTYPE_RULES:
+                work = _pm1_work(params, algorithm, options.v_rule, rows)
+                assert (work.dtype == np.uint8) == (
+                    decoder._bit_budget(params.m, params.r, algorithm == "phi",
+                                        options.v_rule) <= (53 if algorithm == "phi" else 62))
+                for batch in (np.ascontiguousarray(y), np.asfortranarray(y)):
+                    info, cw, ops = decode_batch(batch, params, algorithm, options, trials)
+                    info_int, cw_int, ops_int = decode_batch(batch, params, algorithm, options,
+                                                             trials, _work=work)
+                    assert cw_int.dtype == (np.int8 if work.dtype == np.uint8 else np.float64)
+                    assert cw_int.flags.f_contiguous == batch.flags.f_contiguous
+                    assert ops_int == ops and np.array_equal(info_int, info)
+                    assert np.array_equal(cw_int, cw)
+                    info_only, _, _ = decode_batch(batch, params, algorithm, options, trials,
+                                                   _work=work, _info_only=True)
+                    assert np.array_equal(info_only, info)
 
 
 def test_float32_genie_matches_float64():
-    # the genie's forced decode of +/-1 words in float32 gives the float64
-    # end values and support sums, to the bit and the sign of zero
+    # the genie's forced integer decode of +/-1 words gives the float64 end
+    # values and support sums, on every psi tree with m <= 9, psi {10,2} and
+    # {12,1}, in either memory order; the all-ones word's values reach the
+    # bit budget.  The supports and every nonzero end value agree to the
+    # bit; a zero end value is +0.0, where the float64 decode may have
+    # carried a -0.0 (a product of +0.0 and a negative) into a full space, a
+    # sign that no report reads
     rng = np.random.default_rng(80)
-    codes = [params for params, algorithm in _certified(8, PRODUCT) if algorithm == "psi"]
-    for params in codes + [CodeParams(12, 1)]:
+    codes = [CodeParams(m, r) for m in range(1, 10) for r in range(m + 1)]
+    zeros = 0
+    for params in codes + [CodeParams(10, 2), CodeParams(12, 1)]:
         rows = 3 if params.n > 256 else 40
         y = np.where(rng.random((rows, params.n)) < 0.4, -1.0, 1.0)
-        work = np.empty(rows * decoder._workspace_width(params, "psi"), np.float32)
+        y[0] = 1.0
+        work = _pm1_work(params, "psi", PRODUCT, rows)
         for batch in (np.ascontiguousarray(y), np.asfortranarray(y)):
             values, supports = genie_batch(batch, params)
-            values_32, supports_32 = genie_batch(batch.astype(np.float32), params, _work=work)
-            assert values_32.dtype == supports_32.dtype == np.float64
-            assert np.array_equal(values_32.view(np.int64), values.view(np.int64))
-            assert np.array_equal(supports_32.view(np.int64), supports.view(np.int64))
+            values_int, supports_int = genie_batch(batch.astype(np.int8), params, _work=work)
+            assert values_int.dtype == supports_int.dtype == np.float64
+            assert np.array_equal(supports_int.view(np.int64), supports.view(np.int64))
+            assert np.array_equal((values_int + 0.0).view(np.int64),
+                                  (values + 0.0).view(np.int64))
+            if work.dtype == np.uint8:
+                assert not np.signbit(values_int[values_int == 0]).any()
+                zeros += np.count_nonzero(np.signbit(values[values == 0]))
+    assert zeros  # the float64 decode's -0.0 do occur
 
 
 def test_float32_workspace_needs_a_certified_tree():
-    # psi {9,2} needs 25 bits, one more than float32 holds: a float32
-    # workspace is refused there, decoding or forced, and taken under
-    # min-sum, which needs far fewer
-    params = CodeParams(9, 2)
-    y = np.ones((2, params.n), np.float32)
-    work = np.empty(2 * decoder._workspace_width(params, "psi"), np.float32)
+    # psi {12,3} needs 65 bits, more than int64 holds: a byte workspace is
+    # refused there, decoding or forced, and taken under min-sum, which
+    # needs 9.  A traced decode runs in float64 only
+    params = CodeParams(12, 3)
+    y = np.ones((2, params.n), np.int8)
+    work = np.empty(2 * decoder._workspace(params, "psi", MIN_SUM, pm1=True)[1], np.uint8)
     with pytest.raises(ValueError, match="certify"):
         decode_batch(y, params, "psi", _work=work)
     with pytest.raises(ValueError, match="certify"):
         genie_batch(y, params, _work=work)
     info, cw, _ = decode_batch(y, params, "psi", DecoderOptions(v_rule=MIN_SUM), _work=work)
-    assert cw.dtype == np.float32 and not info.any()
+    assert cw.dtype == np.int8 and not info.any() and (cw == 1).all()
+    small = CodeParams(6, 2)
+    with pytest.raises(ValueError, match="traced"):
+        decoder._decode(np.ones((2, small.n)), small, "psi", None, None, True,
+                        work=_pm1_work(small, "psi", PRODUCT, 2))
 
 
 def test_float32_input_decodes_as_float64():
     # a real float32 batch is cast to float64, as any other input: only the
-    # Monte Carlo harness's +/-1 words decode in float32
+    # Monte Carlo harness's +/-1 words decode on integers
     rng = np.random.default_rng(81)
     for params, algorithm in ((CodeParams(8, 2), "psi"), (CodeParams(10, 2), "phi")):
         y = rng.normal(size=(32, params.n)).astype(np.float32)
@@ -925,6 +1014,22 @@ def test_float32_input_decodes_as_float64():
         assert np.array_equal(info, info_64) and np.array_equal(cw, cw_64)
 
 
+def test_integer_steps_compute_in_their_slots_type():
+    # numpy computes a ufunc in its inputs' type: the v and the forced u step
+    # of int8 halves must compute in their wider int16 slot, where 64 * 64
+    # and 64 + 64 overflow int8; min-sum's scratch has the halves' type, so
+    # |-300| and sign(300) come out right in int16
+    half = np.full((4, 3), 64, np.int8)
+    out = np.empty((4, 3), np.int16)
+    assert (decoder._v_step(half, half, PRODUCT, out, None) == 4096).all()
+    assert (decoder._u_step(half, half, None, UNSCALED, out) == 128).all()
+    assert (decoder._u_step(half, -half, np.full((4, 3), -1, np.int8), UNSCALED, out)
+            == 128).all()
+    wide = np.full((4, 3), 300, np.int16)
+    spare = np.empty((4, 3), np.int16)
+    assert (decoder._v_step(-wide, wide + 1, MIN_SUM, out, spare) == -300).all()
+
+
 @pytest.mark.parametrize("m, r, algorithm", [(6, 1, "phi"), (6, 1, "psi"), (8, 2, "phi"),
                                               (8, 2, "psi"), (7, 3, "phi"), (7, 3, "psi"),
                                               (5, 0, "psi"), (4, 4, "psi")])
@@ -932,9 +1037,9 @@ def test_info_only_decodes_return_the_full_decodes_info_bits(m, r, algorithm):
     # an info-only decode builds no codeword along the root's u chain (the
     # whole {6,1} phi root, a first-order node, among them) and returns
     # none; its info bits are the full decode's under every rule, in either
-    # memory order and, on +/-1 words of a certified tree, in float32 too.
-    # The channel words at crossovers 0.1 and 0.4 are tie-rich; the real
-    # words have ties at 5 % of their entries
+    # memory order and, on +/-1 words, in an integer decode too.  The
+    # channel words at crossovers 0.1 and 0.4 are tie-rich; the real words
+    # have ties at 5 % of their entries
     rng = np.random.default_rng(90 + m + r)
     params, rows = CodeParams(m, r), 24
     bits = rng.integers(0, 2, size=(rows, params.k), dtype=np.uint8)
@@ -943,28 +1048,26 @@ def test_info_only_decodes_return_the_full_decodes_info_bits(m, r, algorithm):
     real = rng.normal(size=(rows, params.n))
     real[rng.uniform(size=real.shape) < 0.05] = 0.0
     trials = np.arange(rows, dtype=np.uint64) + 300
-    width = rows * decoder._workspace_width(params, algorithm)
     for options in MEMORY_ORDER_RULES:
-        certified = decoder._pm1_dtype(params, algorithm, options.v_rule) == np.float32
-        for y, dtypes in ((pm1, (np.float64, np.float32) if certified else (np.float64,)),
-                          (real, (np.float64,))):
+        float64 = np.empty(rows * decoder._workspace(params, algorithm, options.v_rule)[1])
+        for y, works in ((pm1, (float64, _pm1_work(params, algorithm, options.v_rule, rows))),
+                         (real, (float64,))):
             for batch in (np.ascontiguousarray(y), np.asfortranarray(y)):
                 info, _, ops = decode_batch(batch, params, algorithm, options, trials)
-                for dtype in dtypes:
+                for work in works:
                     info_only, cw, ops_only = decode_batch(
-                        batch, params, algorithm, options, trials, _work=np.empty(width, dtype),
-                        _info_only=True)
+                        batch, params, algorithm, options, trials, _work=work, _info_only=True)
                     assert cw is None and ops_only == ops
                     assert info_only.flags.f_contiguous == info.flags.f_contiguous
                     assert np.array_equal(info_only, info)
 
 
 def test_certified_monte_carlo_decodes_run_unscaled(monkeypatch):
-    # an untraced, unforced decode in a float32 workspace runs the unscaled
-    # u step under either rule; a direct decode, a float64 workspace, a
-    # traced decode in a float32 workspace and the genie's forced decode
-    # keep the options' rule, and so do run_wer on a tree the bit budget
-    # does not certify and path_statistics
+    # an integer decode, forced or not, runs the unscaled u step under
+    # either rule; a direct decode, a float64 workspace and a traced decode
+    # keep the options' rule, and so does the float64 genie.  run_wer and
+    # path_statistics run unscaled where the budget certifies the tree, and
+    # keep the rule on psi {12,3}, which needs 65 bits
     rules = []
     u_step = decoder._u_step
 
@@ -981,28 +1084,29 @@ def test_certified_monte_carlo_decodes_run_unscaled(monkeypatch):
     params = CodeParams(8, 2)
     y = np.where(np.random.default_rng(91).random((16, params.n)) < 0.3, -1.0, 1.0)
     for algorithm in ("psi", "phi"):
-        width = len(y) * decoder._workspace_width(params, algorithm)
-        single, double = np.empty(width, np.float32), np.empty(width)
+        integer = _pm1_work(params, algorithm, PRODUCT, len(y))
+        double = np.empty(len(y) * decoder._workspace(params, algorithm)[1])
         decode = decode_psi if algorithm == "psi" else decode_phi
         for u_rule in (SCALED, UNSCALED):
             options = DecoderOptions(u_rule=u_rule)
             for info_only in (False, True):
-                assert recorded(lambda: decode_batch(y, params, algorithm, options, _work=single,
+                assert recorded(lambda: decode_batch(y, params, algorithm, options, _work=integer,
                                                      _info_only=info_only)) == {UNSCALED}
                 assert recorded(lambda: decode_batch(y, params, algorithm, options, _work=double,
                                                      _info_only=info_only)) == {u_rule}
             assert recorded(lambda: decode_batch(y, params, algorithm, options)) == {u_rule}
             assert recorded(lambda: decoder._decode(y, params, algorithm, options, None, True,
-                                                    work=single)) == {u_rule}
+                                                    work=double)) == {u_rule}
             for trace in (False, True):
                 assert recorded(lambda: decode(y[0], params, replace(options, trace=trace))
                                 ) == {u_rule}
-    assert recorded(lambda: genie_batch(y, params, _work=single)) == {SCALED}
-    for (m, r), expect in (((8, 2), {UNSCALED}), ((9, 2), {SCALED})):
+    assert recorded(lambda: genie_batch(y, params, _work=_pm1_work(params, "psi", PRODUCT,
+                                                                    len(y)))) == {UNSCALED}
+    assert recorded(lambda: genie_batch(y, params)) == {SCALED}
+    for (m, r), expect in (((8, 2), {UNSCALED}), ((12, 3), {SCALED})):
         config = SimConfig(CodeParams(m, r), Channel.bsc(0.2), trials=40)
         assert recorded(lambda: run_wer(config)) == expect
-    assert recorded(lambda: path_statistics(
-        SimConfig(CodeParams(8, 2), Channel.bsc(0.2), trials=40))) == {SCALED}
+        assert recorded(lambda: path_statistics(config)) == expect
 
 
 def test_phi_first_order_is_one_biorthogonal_call():

@@ -85,45 +85,77 @@ def test_apply_channel_noiseless_and_flip_rate():
 
 @pytest.mark.parametrize("order", "CF")
 def test_received_float32_matches_float64(monkeypatch, order):
-    # the float32 draw writes the same compare in float32: the same
-    # symbols as the float64 draw, in the same memory order, whether or not
-    # the chunks of rows divide the block
+    # the int8 draw writes the same compare in int8: the same symbols as
+    # the float64 draw, in the same memory order, whether or not the chunks
+    # of rows divide the block
     channel = Channel.bsc(0.3)
     for n, rows, chunk_rows in ((64, range(5, 28), 4), (16, range(0, 24), 8),
                                 (256, range(3, 4), 1)):
         monkeypatch.setattr(rmrec.simulate, "_CHUNK_SYMBOLS", chunk_rows * n)
         double = rmrec.simulate._received(channel, 12, n, rows, order)
-        single = rmrec.simulate._received(channel, 12, n, rows, order, np.float32)
-        assert double.dtype == np.float64 and single.dtype == np.float32
-        assert single.shape == double.shape == (len(rows), n)
+        small = rmrec.simulate._received(channel, 12, n, rows, order, np.int8)
+        assert double.dtype == np.float64 and small.dtype == np.int8
+        assert small.shape == double.shape == (len(rows), n)
         flag = "C_CONTIGUOUS" if order == "C" else "F_CONTIGUOUS"
-        assert single.flags[flag] and double.flags[flag]
-        assert np.array_equal(single, double)
-        assert set(np.unique(single)) == {-1.0, 1.0}
+        assert small.flags[flag] and double.flags[flag]
+        assert np.array_equal(small, double)
+        assert set(np.unique(small)) == {-1, 1}
         monkeypatch.setattr(rmrec.simulate, "_CHUNK_SYMBOLS", 1 << 20)  # one chunk
         assert np.array_equal(rmrec.simulate._received(channel, 12, n, rows, order), double)
 
 
+@pytest.mark.parametrize("order", "CF")
+def test_received_block_draws_each_trials_own_words(monkeypatch, order):
+    # a block draws its chunks in turn from one Philox generator: trial i's
+    # symbols are still those of its own stream rows, padding words (n = 6
+    # takes 8 words a trial) skipped, with a chunk boundary inside the block
+    monkeypatch.setattr(rmrec.simulate, "_CHUNK_SYMBOLS", 4 * 6)
+    channel, n, rows = Channel.bsc(0.4), 6, range(3, 17)
+    threshold = rmrec.simulate._threshold(0.4) << np.uint64(11)
+    expect = np.vstack([np.where(rmrec.simulate._stream_raw(5, rmrec.simulate.PURPOSE_CHANNEL,
+                                                            trial, 1, n) < threshold, -1, 1)
+                        for trial in rows])
+    for dtype in (np.float64, np.int8):
+        assert np.array_equal(rmrec.simulate._received(channel, 5, n, rows, order, dtype), expect)
+
+
 def test_monte_carlo_decodes_run_float32_only_on_certified_trees(monkeypatch):
-    # run_wer and path_statistics decode in float32 where the bit budget
-    # certifies the tree, and in float64 elsewhere: psi {9,2} needs 25 bits
+    # run_wer and path_statistics decode int8 words in a byte workspace
+    # where the bit budget certifies the tree, psi {9,2} (25 bits) among
+    # them, and float64 words in a float64 workspace elsewhere: psi {12,3}
+    # needs 65 bits
     dtypes = []
 
     def recording(function):
-        def recorded(*args, _work, **kwargs):
-            dtypes.append(_work.dtype)
-            return function(*args, _work=_work, **kwargs)
+        def recorded(y, *args, _work, **kwargs):
+            dtypes.append((y.dtype, _work.dtype))
+            return function(y, *args, _work=_work, **kwargs)
         return recorded
 
     for name in ("decode_batch", "genie_batch"):
         monkeypatch.setattr(rmrec.simulate, name, recording(getattr(rmrec.simulate, name)))
+    integer, double = (np.int8, np.uint8), (np.float64, np.float64)
     for run, m, r, algorithm, expect in (
-            (run_wer, 8, 2, "psi", np.float32), (run_wer, 9, 2, "psi", np.float64),
-            (run_wer, 9, 2, "phi", np.float32), (path_statistics, 12, 1, "psi", np.float32),
-            (path_statistics, 9, 2, "psi", np.float64)):
+            (run_wer, 8, 2, "psi", integer), (run_wer, 9, 2, "psi", integer),
+            (run_wer, 9, 2, "phi", integer), (run_wer, 12, 3, "psi", double),
+            (path_statistics, 12, 1, "psi", integer), (path_statistics, 12, 3, "psi", double)):
         dtypes.clear()
         run(_config(m=m, r=r, p=0.2, algorithm=algorithm, trials=40))
         assert dtypes and all(dtype == expect for dtype in dtypes)
+
+
+def test_genie_reports_match_float64(monkeypatch):
+    # path_statistics reads the integer genie as it read the float64 one: a
+    # zero end value that is +0.0 on integers and -0.0 in float64 counts as
+    # a zero and adds nothing to a power sum.  {6,4} at crossover 0.3 has such
+    # zeros
+    config = _config(m=6, r=4, p=0.3, trials=2000)
+    report = path_statistics(config)
+    monkeypatch.setattr(rmrec.simulate, "_workspace",
+                        lambda params, algorithm, v_rule, pm1: rmrec.decoder._workspace(
+                            params, algorithm, v_rule))
+    float64 = path_statistics(config)
+    assert _hexed(report) == _hexed(float64)
 
 
 def test_apply_channel_rejects_batches():
@@ -160,24 +192,35 @@ def _words_around(p: float) -> np.ndarray:
                     dtype=np.uint64)
 
 
+class _Words:
+    """Stands in for a block's Philox generator: hands out `words` in order."""
+
+    def __init__(self, words):
+        self.words, self.used = words, 0
+
+    def random_raw(self, count):
+        self.used += count
+        return self.words[self.used - count:self.used].copy()
+
+
 @pytest.mark.parametrize("p", THRESHOLD_P)
 def test_channel_threshold_is_exact(monkeypatch, p):
     raw = _words_around(p)
     exact = (raw >> np.uint64(11)) * 2.0 ** -53 < p
     assert np.array_equal(raw >> np.uint64(11) < rmrec.simulate._threshold(p), exact)
-    # the channel itself, fed these words
-    monkeypatch.setattr(rmrec.simulate, "_stream_raw", lambda *args: raw[None, :].copy())
+    # the channel itself, fed these words by its generator
+    monkeypatch.setattr(rmrec.simulate, "_philox", lambda *args: _Words(raw))
     assert np.array_equal(apply_channel(np.ones(raw.size), Channel.bsc(p)) < 0, exact)
     # and the blocks of a Monte Carlo run, in both dtypes and memory orders,
     # drawn in chunks of 16 rows of 64 words
     n = 64
     words = raw.reshape(-1, n)
-    monkeypatch.setattr(rmrec.simulate, "_stream_raw",
-                        lambda seed, purpose, first, count, _: words[first:first + count].copy())
+    monkeypatch.setattr(rmrec.simulate, "_philox",
+                        lambda seed, purpose, first, values: _Words(words[first:].ravel()))
     monkeypatch.setattr(rmrec.simulate, "_CHUNK_SYMBOLS", 16 * n)
     expected = np.where(exact.reshape(-1, n), -1.0, 1.0)
     for order in "CF":
-        for dtype in (np.float64, np.float32):
+        for dtype in (np.float64, np.int8):
             block = rmrec.simulate._received(Channel.bsc(p), 0, n, range(len(words)), order,
                                              dtype)
             assert block.dtype == dtype
@@ -483,6 +526,14 @@ def test_no_workspace_outlives_its_call(monkeypatch):
         tracemalloc.stop()
 
 
+def _run_width(params, algorithm):
+    """Workspace bytes per row of a run's integer decode under the product
+    rule: every run here decodes on integers."""
+    dtype, width = rmrec.decoder._workspace(params, algorithm, PRODUCT, pm1=True)
+    assert dtype == np.uint8
+    return width
+
+
 def test_pool_workspaces_fit_their_decodes(monkeypatch):
     # A pool thread holds a workspace as wide as the decode of the run's
     # largest block needs: every decode fits its thread's, and the largest
@@ -495,8 +546,7 @@ def test_pool_workspaces_fit_their_decodes(monkeypatch):
     def recording(function):
         def recorded(y, params, *args, _work, **kwargs):
             algorithm = args[0] if args else "psi"  # the genie's is a forced psi decode
-            requests.append((len(y) * rmrec.decoder._workspace_width(params, algorithm),
-                             _work.size))
+            requests.append((len(y) * _run_width(params, algorithm), _work.size))
             return function(y, params, *args, _work=_work, **kwargs)
         return recorded
 
@@ -515,7 +565,7 @@ def test_pool_workspaces_fit_their_decodes(monkeypatch):
     monkeypatch.setattr(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", 10 << 7)
     requests.clear()
     run_wer(_config(m=7, r=2, p=0.15, trials=39, batch_size=20))
-    width = rmrec.decoder._workspace_width(CodeParams(7, 2), "psi")
+    width = _run_width(CodeParams(7, 2), "psi")
     assert requests == [(10 * width, 19 * width)] * 2 + [(19 * width, 19 * width)]
 
 
