@@ -89,9 +89,12 @@ argmax, decision and codeword of the integer decode equals float64's to
 the bit; on psi {11,3} (57 bits), where float64 may round, the integer
 decode is the exact one.  The genie's forced decode also runs on
 integers, and turns each end value and support sum into float64 as
-k * 2^-e (a repetition mean also divides by 2^L): float64's values,
-except that a zero is always +0.0, where float64 may carry a -0.0 into a
-full-space node.  Traced and direct decodes stay float64.
+k * 2^-e (a repetition mean also divides by 2^L): float64's values, to
+the bit.  Where float64 may carry a -0.0 into a full-space end value, the
+forced decode holds float32 or float64 values in place of integers,
+which keep the sign of zero (see :func:`_plan`), and its plan is refused
+past 53 bits there: psi {8,5} and {11,3} among others, whose genie runs
+in float64.  Traced and direct decodes stay float64.
 
 First-order map: the FHT winner of a node {L, 1} is a pattern index
 `best` in [0, 2^L) and a sign.  Its L+1 info bits, in the node's path
@@ -593,7 +596,8 @@ def _round8(size: int) -> int:
 
 
 @cache
-def _plan(m: int, r: int, first_order_ends: bool, v_rule: str, integer: bool) -> _Plan | None:
+def _plan(m: int, r: int, first_order_ends: bool, v_rule: str, integer: bool,
+          forced: bool = False) -> _Plan | None:
     """The plan of a float64 decode or, with `integer`, of an integer
     decode of +/-1 words: each node's values in the narrowest signed
     integer type that holds their bits, each repetition and support sum in
@@ -601,6 +605,14 @@ def _plan(m: int, r: int, first_order_ends: bool, v_rule: str, integer: bool) ->
     float32 or float64 for its transform.  None when some node's values or
     sums need more than 62 bits, or a first-order transform more than 53:
     the bit budget does not certify the tree for an integer decode.
+
+    A `forced` integer decode, the genie's, keeps the -0.0 that float64
+    may carry into a full-space end value: a u step can sum a value and its
+    negative to zero, and a later product v step turn that zero into -0.0
+    when the other factor is negative.  From each node below such a v step
+    that still has a full space under it, values and sums are float32 (up
+    to 24 bits) or float64 (up to 53), exact and signed at zero as float64's;
+    the plan is None where one of them needs more.
 
     The workspace of a split node holds its slot, rounded up to 8 bytes
     per row so that every slot after it stays aligned, then min-sum's
@@ -614,21 +626,27 @@ def _plan(m: int, r: int, first_order_ends: bool, v_rule: str, integer: bool) ->
             return np.dtype(np.float64)
         return next((np.dtype(dtype) for limit, dtype in types if bits <= limit), None)
 
-    def step(node: PlotkinNode, e: int) -> _Step | None:
-        value, length_log, children, slot = narrowest(e), node.length_log, (), 0
+    def step(node: PlotkinNode, e: int, zeros: bool = False, signed: bool = False,
+             floating: bool = False) -> _Step | None:
+        # `zeros`: a u step above may have made zeros; `signed`: a product v
+        # step below that one may have made -0.0
+        floating = floating or forced and signed and node.order >= 1
+        types = _FLOAT_TYPES if floating else _INT_TYPES
+        value, length_log, children, slot = narrowest(e, types), node.length_log, (), 0
         if node.kind == SPLIT:
             v, u = node.children
-            children = (step(v, 2 * e if v_rule == PRODUCT else e), step(u, e + 1))
+            children = (step(v, 2 * e if v_rule == PRODUCT else e, zeros, zeros, floating),
+                        step(u, e + 1, True, signed, floating))
             if any(child is None for child in children):
                 return None
-            reduce = narrowest(e + length_log - 1) if node.order == 1 else value
+            reduce = narrowest(e + length_log - 1, types) if node.order == 1 else value
             slot = _round8((1 << length_log - 1) * max(child.value.itemsize
                                                        for child in children))
         elif node.kind == RIGHT_END:
             reduce = value
         else:
             reduce = narrowest(e + length_log,
-                               _FLOAT_TYPES if node.kind == FIRST_ORDER else _INT_TYPES)
+                               _FLOAT_TYPES if node.kind == FIRST_ORDER else types)
         if value is None or reduce is None:
             return None
         return _Step(node, e, value, reduce, slot, children)
@@ -644,16 +662,17 @@ def _plan(m: int, r: int, first_order_ends: bool, v_rule: str, integer: bool) ->
     return None if root is None else _Plan(root, need(root))
 
 
-def _workspace(params: CodeParams, algorithm: str, v_rule: str = PRODUCT,
-               pm1: bool = False) -> tuple[type, int]:
-    """(dtype, elements per row) of one decode's workspace: bytes of an
-    integer decode when the words are +/-1 (`pm1`) and the bit budget
-    certifies the tree, float64 elements otherwise."""
+def _pm1_workspace(params: CodeParams, algorithm: str, v_rule: str,
+                   forced: bool = False) -> tuple[type, type, int]:
+    """(word dtype, workspace dtype, workspace elements per row) of the
+    decode of +/-1 blocks: int8 words and a byte workspace where the bit
+    budget certifies the tree, float64 words and workspace elsewhere.
+    `forced` sizes the genie's forced decode (psi, product v rule)."""
     phi = algorithm == ALG_PHI
-    plan = _plan(params.m, params.r, phi, v_rule, True) if pm1 else None
+    plan = _plan(params.m, params.r, phi, v_rule, True, forced)
     if plan is None:
-        return np.float64, _plan(params.m, params.r, phi, v_rule, False).width // 8
-    return np.uint8, plan.width
+        return np.float64, np.float64, _plan(params.m, params.r, phi, v_rule, False).width // 8
+    return np.int8, np.uint8, plan.width
 
 
 def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
@@ -673,9 +692,9 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
     None, op count, trace), and builds the codeword of no node on the
     root's u chain, whose descent prefix is all ones: a later step reads a
     node's codeword only when the node lies in some ancestor's v subtree.
-    `work` is the decode's workspace, a flat array of at least B times the
-    row width of :func:`_workspace`, allocated for the call when None.  A
-    byte (uint8) workspace is the caller's promise that every entry of y
+    `work` is the decode's workspace, a flat array of at least B times its
+    plan's row width (see :func:`_pm1_workspace`), allocated for the call
+    when None.  A byte (uint8) workspace is the caller's promise that every entry of y
     is +/-1, which nothing checks, and runs an integer decode, refused
     unless the bit budget certifies the tree and refused for a traced,
     unforced decode: its codewords are int8, and it runs the unscaled u
@@ -693,7 +712,7 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
     integer = work is not None and work.dtype == np.uint8
     if integer and trace:
         raise ValueError("a traced decode runs in float64, in a float64 workspace")
-    plan = _plan(params.m, params.r, phi, options.v_rule, integer)
+    plan = _plan(params.m, params.r, phi, options.v_rule, integer, integer and forced)
     if plan is None:
         raise ValueError(f"the bit budget does not certify {algorithm} on {params} "
                          f"for an integer decode")
@@ -713,8 +732,7 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
 
     def slab(at: int, half: int, rows: int, dtype: np.dtype) -> np.ndarray:
         # a symbol-first (half, rows) array of dtype from byte `at` of the
-        # workspace on, laid out like the batch; written out in place for
-        # the v slot, which every split node makes
+        # workspace on, laid out like the batch
         if order == "F":
             return np.ndarray((half, rows), dtype, work, at)
         return np.ndarray((rows, half), dtype, work, at).T
@@ -739,8 +757,7 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             # node's type, and the children's temporaries go after it
             free = at + step.slot * rows
             spare = slab(free, half, rows, y.dtype) if min_sum else None
-            slot = (np.ndarray((half, rows), v.value, work, at) if order == "F" else
-                    np.ndarray((rows, half), v.value, work, at).T)
+            slot = slab(at, half, rows, v.value)
             # the u step reads v's codeword; only this node's re-assembly
             # reads u's
             walk(v, _v_step(y1, y2, options.v_rule, slot, spare), cw2, not forced, free)

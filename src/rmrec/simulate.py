@@ -72,8 +72,8 @@ from .decoder import (
     ALG_PSI,
     PRODUCT,
     DecoderOptions,
+    _pm1_workspace,
     _support_nodes,
-    _workspace,
     decode_batch,
     genie_batch,
 )
@@ -339,15 +339,6 @@ def apply_channel(codeword: np.ndarray, channel: Channel,
                                 range(trial, trial + 1))[0]
 
 
-def _pm1_workspace(params: CodeParams, algorithm: str, v_rule: str) -> tuple[type, type, int]:
-    """(word dtype, workspace dtype, workspace elements per row) of the
-    decode of a run's +/-1 blocks: int8 words and a byte workspace where
-    the bit budget certifies the tree, float64 words and workspace
-    elsewhere (see :func:`rmrec.decoder._workspace`)."""
-    dtype, width = _workspace(params, algorithm, v_rule, pm1=True)
-    return np.int8 if dtype == np.uint8 else np.float64, dtype, width
-
-
 def _workers() -> int:
     """Worker threads per batch: the cores this process may run on."""
     try:
@@ -394,8 +385,8 @@ def _row_blocks(work, trials: int, size: int, n: int, order: str = "C", width: i
     the run and passes it to every work(rows, workspace) it runs (see
     :mod:`rmrec.decoder`): `width` elements of `dtype` per row of the
     run's largest block, the workspace of the decode that work runs
-    (:func:`_pm1_workspace`): bytes for an integer decode, float64
-    elements otherwise.
+    (:func:`rmrec.decoder._pm1_workspace`): bytes for an integer decode,
+    float64 elements otherwise.
     """
     workers = _workers()
 
@@ -549,7 +540,7 @@ def path_statistics(config: SimConfig) -> GenieReport:
     node_acc = _MomentAccumulator(len(nodes))
 
     # the genie's forced decode is psi's under the product rule
-    words, dtype, width = _pm1_workspace(params, ALG_PSI, PRODUCT)
+    words, dtype, width = _pm1_workspace(params, ALG_PSI, PRODUCT, forced=True)
 
     def normalized(rows: range, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the end values and supports come back float64, in either dtype

@@ -703,15 +703,17 @@ def test_decode_independent_of_earlier_decodes():
                                                                            tie_seed=4),
                                   False, np.uint8))
 
+    def width(case):  # workspace elements per row, bytes in an integer decode
+        _, params, algorithm, options, _, dtype = case
+        psi = "psi" if algorithm == "genie" else algorithm
+        v_rule = options.v_rule if options else PRODUCT
+        if dtype == np.uint8:
+            return decoder._pm1_workspace(params, psi, v_rule, algorithm == "genie")[2]
+        return decoder._plan(params.m, params.r, psi == "phi", v_rule, False).width // 8
+
     def decode(case, shared=None):
         batch, params, algorithm, options, trace, dtype = case
-        if shared is None:
-            width = decoder._workspace(params, "psi" if algorithm == "genie" else algorithm,
-                                       options.v_rule if options else PRODUCT,
-                                       dtype == np.uint8)[1]
-            work = np.empty(len(batch) * width, dtype)
-        else:
-            work = shared[dtype]
+        work = np.empty(len(batch) * width(case), dtype) if shared is None else shared[dtype]
         if algorithm == "genie":  # its end values, and supports in the place of cw
             values, supports = genie_batch(batch, params, _work=work)
             return None, supports, 0, values
@@ -726,9 +728,7 @@ def test_decode_independent_of_earlier_decodes():
         return result[0]
 
     order = rng.permutation(len(cases))
-    # min-sum needs the widest workspace, and phi's tree of {8,2} one as wide as psi's
-    size = max(len(batch) * decoder._workspace(params, "phi", MIN_SUM, pm1)[1]
-               for batch, params, *_ in cases for pm1 in (False, True))
+    size = max(len(case[0]) * width(case) for case in cases)
     shared = {np.float64: np.empty(size),
               np.uint8: rng.integers(0, 256, size, dtype=np.uint8)}
     reused = [decode(cases[i], shared) for i in order]
@@ -823,10 +823,11 @@ _EXACT_RULES = [DecoderOptions(u_rule=u, v_rule=v, tie_rule=TIE_POSITIVE)
                 for u in (SCALED, UNSCALED) for v in (PRODUCT, MIN_SUM)]
 
 
-def _pm1_work(params, algorithm, v_rule, rows):
-    """A byte workspace for the integer decode of `rows` +/-1 words, or a
-    float64 one where the bit budget does not certify the tree."""
-    dtype, width = decoder._workspace(params, algorithm, v_rule, pm1=True)
+def _pm1_work(params, algorithm, v_rule, rows, forced=False):
+    """A byte workspace for the integer decode of `rows` +/-1 words, forced
+    (the genie's) or not, or a float64 one where the bit budget does not
+    certify the tree."""
+    _, dtype, width = decoder._pm1_workspace(params, algorithm, v_rule, forced)
     return np.empty(rows * width, dtype)
 
 
@@ -858,6 +859,27 @@ def test_pm1_decodes_match_exact_arithmetic(m):
                     assert max(bits) <= budget
 
 
+def test_integer_decode_past_float64_matches_exact_arithmetic():
+    # psi {11,3} needs 57 bits under the product rule, past the 53 that
+    # float64 holds exactly, and decodes on integers, in int64 at its widest
+    # nodes: its decode equals the decode in exact arithmetic.  The all-ones
+    # word's values reach the budget
+    params, rng = CodeParams(11, 3), np.random.default_rng(47)
+    words = np.vstack([np.ones(params.n, np.int8), np.where(np.arange(params.n) & 1, -1, 1)]
+                      + [np.where(rng.random(params.n) < p, -1, 1) for p in (0.05, 0.2, 0.45)])
+    options = DecoderOptions(u_rule=UNSCALED, tie_rule=TIE_POSITIVE)
+    work = _pm1_work(params, "psi", PRODUCT, len(words))
+    assert work.dtype == np.uint8
+    _, cw, _ = decode_batch(words.astype(np.int8), params, "psi", options, _work=work)
+    budget = []
+    for word, decoded in zip(words, cw):
+        bits = []
+        exact = _exact_decode(word.tolist(), plotkin_tree(11, 3).root, options, bits)
+        assert exact == decoded.tolist()
+        budget.append(max(bits))
+    assert budget[0] == max(budget) == decoder._bit_budget(11, 3, False, PRODUCT) == 57
+
+
 def test_bit_budget_reference_values():
     # (m, r, phi): bits under the product and the min-sum v rule; an integer
     # decode holds up to 62 bits (53 at a first-order node's transform)
@@ -868,9 +890,10 @@ def test_bit_budget_reference_values():
         assert decoder._bit_budget(m, r, phi, PRODUCT) == product
         assert decoder._bit_budget(m, r, phi, MIN_SUM) == min_sum
         algorithm = "phi" if phi else "psi"
-        dtype, _ = decoder._workspace(CodeParams(m, r), algorithm, PRODUCT, pm1=True)
-        assert dtype == (np.uint8 if product <= (53 if phi else 62) else np.float64)
-        assert decoder._workspace(CodeParams(m, r), algorithm, MIN_SUM, pm1=True)[0] == np.uint8
+        words, dtype, _ = decoder._pm1_workspace(CodeParams(m, r), algorithm, PRODUCT)
+        assert (words, dtype) == ((np.int8, np.uint8) if product <= (53 if phi else 62) else
+                                  (np.float64, np.float64))
+        assert decoder._pm1_workspace(CodeParams(m, r), algorithm, MIN_SUM)[1] == np.uint8
     # each node's values in the narrowest type that holds their bits, and
     # each repetition sum and support sum in the one that holds the sum's;
     # phi {12,4}'s widest first-order transform needs 58 bits, past float64's
@@ -903,6 +926,25 @@ def test_bit_budget_reference_values():
         assert values == {np.dtype(t) for t in used}
     assert decoder._plan(12, 4, True, PRODUCT, True) is None
     assert decoder._plan(12, 3, False, PRODUCT, True) is None
+    # the genie's forced plan keeps float64's -0.0: a node with a full space
+    # below it, under a u step and then a v step (prefix bits 1, then 0),
+    # and every node below it, hold floats, exact up to 24 bits in float32
+    # and 53 in float64; psi {11,3} needs more there, and {12,1} none
+    for m, r, floats in ((8, 2, {np.float32}), (10, 2, {np.float32, np.float64}),
+                         (9, 3, {np.float32, np.float64}), (12, 1, set())):
+        steps, values = [(decoder._plan(m, r, False, PRODUCT, True, True).root, False)], set()
+        while steps:
+            step, floating = steps.pop()
+            node, e = step.node, step.bits
+            floating = floating or "10" in "".join(map(str, node.prefix)) and node.order >= 1
+            assert step.value == (np.dtype(np.float32 if e <= 24 else np.float64) if floating
+                                  else narrowest(e))
+            values.add(step.value)
+            steps.extend((child, floating) for child in step.children)
+        assert {value for value in values if value.kind == "f"} == {np.dtype(t) for t in floats}
+    assert decoder._plan(12, 1, False, PRODUCT, True, True) == decoder._plan(12, 1, False,
+                                                                            PRODUCT, True)
+    assert decoder._plan(11, 3, False, PRODUCT, True, True) is None
 
 
 _DTYPE_RULES = [DecoderOptions(u_rule=u, v_rule=v, tie_rule=t, tie_seed=6)
@@ -954,31 +996,32 @@ def test_float32_decodes_match_float64(m):
 
 def test_float32_genie_matches_float64():
     # the genie's forced integer decode of +/-1 words gives the float64 end
-    # values and support sums, on every psi tree with m <= 9, psi {10,2} and
-    # {12,1}, in either memory order; the all-ones word's values reach the
-    # bit budget.  The supports and every nonzero end value agree to the
-    # bit; a zero end value is +0.0, where the float64 decode may have
-    # carried a -0.0 (a product of +0.0 and a negative) into a full space, a
-    # sign that no report reads
+    # values and support sums, to the bit and the sign of zero, on every psi
+    # tree with m <= 9, psi {10,2} and {12,1}, in either memory order; the
+    # all-ones word's values reach the bit budget.  The float64 decode
+    # carries -0.0 (a product of +0.0 and a negative) into full spaces, and
+    # the integer decode keeps them.  Its forced plan is refused past 53
+    # bits at a node that holds floats: psi {8,5}, {8,6} and {9,4} to {9,7}
     rng = np.random.default_rng(80)
     codes = [CodeParams(m, r) for m in range(1, 10) for r in range(m + 1)]
-    zeros = 0
+    zeros, refused = 0, set()
     for params in codes + [CodeParams(10, 2), CodeParams(12, 1)]:
         rows = 3 if params.n > 256 else 40
         y = np.where(rng.random((rows, params.n)) < 0.4, -1.0, 1.0)
         y[0] = 1.0
-        work = _pm1_work(params, "psi", PRODUCT, rows)
+        work = _pm1_work(params, "psi", PRODUCT, rows, forced=True)
+        if work.dtype != np.uint8:
+            refused.add((params.m, params.r))
         for batch in (np.ascontiguousarray(y), np.asfortranarray(y)):
             values, supports = genie_batch(batch, params)
             values_int, supports_int = genie_batch(batch.astype(np.int8), params, _work=work)
             assert values_int.dtype == supports_int.dtype == np.float64
             assert np.array_equal(supports_int.view(np.int64), supports.view(np.int64))
-            assert np.array_equal((values_int + 0.0).view(np.int64),
-                                  (values + 0.0).view(np.int64))
+            assert np.array_equal(values_int.view(np.int64), values.view(np.int64))
             if work.dtype == np.uint8:
-                assert not np.signbit(values_int[values_int == 0]).any()
-                zeros += np.count_nonzero(np.signbit(values[values == 0]))
-    assert zeros  # the float64 decode's -0.0 do occur
+                zeros += np.count_nonzero(np.signbit(values_int[values_int == 0]))
+    assert zeros  # -0.0 end values do occur in integer decodes
+    assert refused == {(8, 5), (8, 6), (9, 4), (9, 5), (9, 6), (9, 7)}
 
 
 def test_float32_workspace_needs_a_certified_tree():
@@ -987,7 +1030,7 @@ def test_float32_workspace_needs_a_certified_tree():
     # needs 9.  A traced decode runs in float64 only
     params = CodeParams(12, 3)
     y = np.ones((2, params.n), np.int8)
-    work = np.empty(2 * decoder._workspace(params, "psi", MIN_SUM, pm1=True)[1], np.uint8)
+    work = np.empty(2 * decoder._pm1_workspace(params, "psi", MIN_SUM)[2], np.uint8)
     with pytest.raises(ValueError, match="certify"):
         decode_batch(y, params, "psi", _work=work)
     with pytest.raises(ValueError, match="certify"):
@@ -1049,7 +1092,8 @@ def test_info_only_decodes_return_the_full_decodes_info_bits(m, r, algorithm):
     real[rng.uniform(size=real.shape) < 0.05] = 0.0
     trials = np.arange(rows, dtype=np.uint64) + 300
     for options in MEMORY_ORDER_RULES:
-        float64 = np.empty(rows * decoder._workspace(params, algorithm, options.v_rule)[1])
+        float64 = np.empty(rows * decoder._plan(m, r, algorithm == "phi", options.v_rule,
+                                                False).width // 8)
         for y, works in ((pm1, (float64, _pm1_work(params, algorithm, options.v_rule, rows))),
                          (real, (float64,))):
             for batch in (np.ascontiguousarray(y), np.asfortranarray(y)):
@@ -1085,7 +1129,8 @@ def test_certified_monte_carlo_decodes_run_unscaled(monkeypatch):
     y = np.where(np.random.default_rng(91).random((16, params.n)) < 0.3, -1.0, 1.0)
     for algorithm in ("psi", "phi"):
         integer = _pm1_work(params, algorithm, PRODUCT, len(y))
-        double = np.empty(len(y) * decoder._workspace(params, algorithm)[1])
+        double = np.empty(len(y) * decoder._plan(8, 2, algorithm == "phi", PRODUCT,
+                                                 False).width // 8)
         decode = decode_psi if algorithm == "psi" else decode_phi
         for u_rule in (SCALED, UNSCALED):
             options = DecoderOptions(u_rule=u_rule)
@@ -1101,7 +1146,7 @@ def test_certified_monte_carlo_decodes_run_unscaled(monkeypatch):
                 assert recorded(lambda: decode(y[0], params, replace(options, trace=trace))
                                 ) == {u_rule}
     assert recorded(lambda: genie_batch(y, params, _work=_pm1_work(params, "psi", PRODUCT,
-                                                                    len(y)))) == {UNSCALED}
+                                                                    len(y), True))) == {UNSCALED}
     assert recorded(lambda: genie_batch(y, params)) == {SCALED}
     for (m, r), expect in (((8, 2), {UNSCALED}), ((12, 3), {SCALED})):
         config = SimConfig(CodeParams(m, r), Channel.bsc(0.2), trials=40)

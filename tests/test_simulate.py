@@ -145,15 +145,13 @@ def test_monte_carlo_decodes_run_float32_only_on_certified_trees(monkeypatch):
 
 
 def test_genie_reports_match_float64(monkeypatch):
-    # path_statistics reads the integer genie as it read the float64 one: a
-    # zero end value that is +0.0 on integers and -0.0 in float64 counts as
-    # a zero and adds nothing to a power sum.  {6,4} at crossover 0.3 has such
-    # zeros
+    # path_statistics reports the same from the integer genie as from the
+    # float64 one.  {6,4} at crossover 0.3 has -0.0 end values
     config = _config(m=6, r=4, p=0.3, trials=2000)
     report = path_statistics(config)
-    monkeypatch.setattr(rmrec.simulate, "_workspace",
-                        lambda params, algorithm, v_rule, pm1: rmrec.decoder._workspace(
-                            params, algorithm, v_rule))
+    width = rmrec.decoder._plan(6, 4, False, PRODUCT, False).width // 8
+    monkeypatch.setattr(rmrec.simulate, "_pm1_workspace",
+                        lambda *_, **__: (np.float64, np.float64, width))
     float64 = path_statistics(config)
     assert _hexed(report) == _hexed(float64)
 
@@ -526,10 +524,11 @@ def test_no_workspace_outlives_its_call(monkeypatch):
         tracemalloc.stop()
 
 
-def _run_width(params, algorithm):
-    """Workspace bytes per row of a run's integer decode under the product
-    rule: every run here decodes on integers."""
-    dtype, width = rmrec.decoder._workspace(params, algorithm, PRODUCT, pm1=True)
+def _run_width(params, algorithm, forced):
+    """Workspace bytes per row of a run's integer decode, forced (the
+    genie's) or not, under the product rule: every run here decodes on
+    integers."""
+    _, dtype, width = rmrec.decoder._pm1_workspace(params, algorithm, PRODUCT, forced)
     assert dtype == np.uint8
     return width
 
@@ -543,15 +542,16 @@ def test_pool_workspaces_fit_their_decodes(monkeypatch):
     monkeypatch.setattr(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", 1)
     requests = []
 
-    def recording(function):
+    def recording(function, forced):
         def recorded(y, params, *args, _work, **kwargs):
             algorithm = args[0] if args else "psi"  # the genie's is a forced psi decode
-            requests.append((len(y) * _run_width(params, algorithm), _work.size))
+            requests.append((len(y) * _run_width(params, algorithm, forced), _work.size))
             return function(y, params, *args, _work=_work, **kwargs)
         return recorded
 
     for name in ("decode_batch", "genie_batch"):
-        monkeypatch.setattr(rmrec.simulate, name, recording(getattr(rmrec.simulate, name)))
+        monkeypatch.setattr(rmrec.simulate, name,
+                            recording(getattr(rmrec.simulate, name), name == "genie_batch"))
     for run in (lambda config: run_wer(dataclasses.replace(config, algorithm="psi")),
                 lambda config: run_wer(dataclasses.replace(config, algorithm="phi")),
                 path_statistics):
@@ -565,7 +565,7 @@ def test_pool_workspaces_fit_their_decodes(monkeypatch):
     monkeypatch.setattr(rmrec.simulate, "_MIN_BLOCK_SYMBOLS", 10 << 7)
     requests.clear()
     run_wer(_config(m=7, r=2, p=0.15, trials=39, batch_size=20))
-    width = _run_width(CodeParams(7, 2), "psi")
+    width = _run_width(CodeParams(7, 2), "psi", False)
     assert requests == [(10 * width, 19 * width)] * 2 + [(19 * width, 19 * width)]
 
 
