@@ -14,48 +14,69 @@ whole with a fast Hadamard transform.
 Both decoders walk the code's :func:`~rmrec.core.plotkin_tree` (phi's
 stops at the first-order nodes), and run the same kernels: the v step, the
 u step, the sign with tie resolution, and the repetition and first-order
-decisions.  The info bits of a clean codeword are read by the same walk:
-:func:`extract_info_batch` is a psi decode that checks the decoded word
-against its input.  So is the genie-aided recursion: :func:`genie_batch`
-is a psi decode forced to decide +1 at every end node, through the same
-walk, kernels and workspace, which records the traced end values and
-makes no decision.
+decisions.  The info bits of a clean codeword are read by the batched
+walk: :func:`extract_info_batch` is a psi decode that checks the decoded
+word against its input.  So is the genie-aided recursion:
+:func:`genie_batch` is a psi decode forced to decide +1 at every end node,
+through the same walk, kernels and workspace, which records the end
+values and makes no decision.
 
-Memory order: the walk slices the symbol axis of a symbol-first (n, B)
-view, the transpose of the (B, n) batch a caller passes.  For a row-major
-(C-ordered) batch every node works on B short row segments, as numpy lays
-out each temporary like its inputs; for a symbol-major (F-ordered) batch,
-an (n, B) C array underneath, every v step, u step, sign and re-assembly
-runs on one contiguous (w/2, B) or (w, B) slab, which is much faster at
-small widths.  Two kinds of step depend on the order of their additions.
-The repetition node's sum adds in one order for both layouts: numpy's
-pairwise order over a contiguous row (Higham, SIAM J. Sci. Comput. 14,
-1993), which :func:`_block_sums` writes out with slab-wide adds when the
-symbols of a block are not adjacent in memory; numpy itself would sum down
-a slab one symbol at a time.  The first-order node's FHT and argmax read
-each trial's row, a strided view of a symbol-major slab, which the
-transform's matrix products round as they would a contiguous row.  The
-output is therefore bit-identical for any memory order of the input, and
-comes back in the input's order.
+Single blocks: :func:`decode_psi` and :func:`decode_phi` take one 1-D
+block and walk the tree on their own (:func:`_decode_single`), on 1-D
+float64 views with fresh temporaries, with no plan and no workspace.  They
+run the batched walk's kernels in its order, :func:`_v_step`,
+:func:`_u_step` and :func:`hadamard_transform` on a (1, w) view, and sum a
+repetition block with numpy's pairwise sum of its contiguous row, as the
+batched walk sums a row.  Only the decisions differ in form: a repetition
+or first-order node decides on one float, its sum or its winning
+correlation, with a scalar sign (:func:`_sign`), where the batched walk
+evaluates (B,)-array signs, tie checks and gathers; a full space takes
+the batched walk's row-wise signs on its (1, w) row.  So a single decode's
+info bits, codeword and op count equal its row of :func:`decode_batch`
+with the same trial index, to the bit.  The input's shape alone selects
+the walk: a (B, n) batch stays batched, B = 1 included.  The two walks
+are kept apart because at B = 1 numpy's per-call dispatch, not
+arithmetic, fills a decode: slab views of a workspace and per-row arrays
+for one row cost more than the scalar decisions, and the batched walk
+keeps its slabs for the Monte Carlo blocks.  An end node of the single
+walk that would decide on NaN raises ValueError.
 
-Workspace: a decode's temporaries live in one flat workspace, which the
-walk carves by byte offset (see :func:`_plan`).  A split node of width w
-keeps its v estimate, and once the v child is decoded its u estimate, in
-one (w/2, B) slot after its ancestors' slots, laid out like the batch; the
-min-sum v step's scratch, as large, comes after the slot, in the node's
-type, before the v child's temporaries take that place.  A first-order
-node of width w runs its transform's two products and their magnitudes in
-the 2*B*w elements after its ancestors' slots.  Those steps write with
-`out=`.  Beside the decode's outputs, the walk allocates only small arrays
-at end nodes: sums, winners and bits per row, the a + b symbols of a wide
-winner's factor rows (w = a*b, see :func:`hadamard_transform`) and the
-signs of a full-space node, at most 2^r symbols wide.  No step reads an
-element that an earlier step of the same decode has not written, so what
-a workspace held before never enters a result.  The caller passes the
-workspace, and the decoder keeps none: beyond its read-only caches,
-nothing outlives a call.  A direct call of :func:`decode_batch`,
-:func:`decode_psi`, :func:`decode_phi` or :func:`genie_batch` allocates
-its workspace for the call.  A Monte Carlo run, genie runs included,
+Memory order: the batched walk slices the symbol axis of a symbol-first
+(n, B) view, the transpose of the (B, n) batch a caller passes.  For a
+row-major (C-ordered) batch every node works on B short row segments, as
+numpy lays out each temporary like its inputs; for a symbol-major
+(F-ordered) batch, an (n, B) C array underneath, every v step, u step,
+sign and re-assembly runs on one contiguous (w/2, B) or (w, B) slab,
+which is much faster at small widths.  Two kinds of step depend on the
+order of their additions.  The repetition node's sum adds in one order
+for both layouts: numpy's pairwise order over a contiguous row (Higham,
+SIAM J. Sci. Comput. 14, 1993), which :func:`_block_sums` writes out with
+slab-wide adds when the symbols of a block are not adjacent in memory;
+numpy itself would sum down a slab one symbol at a time.  The first-order
+node's FHT and argmax read each trial's row, a strided view of a
+symbol-major slab, which the transform's matrix products round as they
+would a contiguous row.  The output is therefore bit-identical for any
+memory order of the input, and comes back in the input's order.
+
+Workspace: a batched decode's temporaries live in one flat workspace,
+which the walk carves by byte offset (see :func:`_plan`).  A split node of
+width w keeps its v estimate, and once the v child is decoded its u
+estimate, in one (w/2, B) slot after its ancestors' slots, laid out like
+the batch; the min-sum v step's scratch, as large, comes after the slot,
+in the node's type, before the v child's temporaries take that place.  A
+first-order node of width w runs its transform's two products and their
+magnitudes in the 2*B*w elements after its ancestors' slots.  Those steps
+write with `out=`.  Beside the decode's outputs, the walk allocates only
+small arrays at end nodes: sums, winners and bits per row, the a + b
+symbols of a wide winner's factor rows (w = a*b, see
+:func:`hadamard_transform`) and the signs of a full-space node, at most
+2^r symbols wide.  No step reads an element that an earlier step of the
+same decode has not written, so what a workspace held before never
+enters a result.  The caller passes the workspace, and the decoder keeps
+none: beyond its read-only caches, nothing outlives a call.  A direct call of :func:`decode_batch` or
+:func:`genie_batch` allocates its workspace for the call; direct
+:func:`decode_psi` and :func:`decode_phi` calls walk a single block and
+allocate no workspace.  A Monte Carlo run, genie runs included,
 allocates one workspace per pool thread for the whole run and passes each
 block's decode its thread's (see :func:`rmrec.simulate._row_blocks`), so
 that from its second block on a thread allocates no temporaries of the
@@ -94,7 +115,8 @@ the bit.  Where float64 may carry a -0.0 into a full-space end value, the
 forced decode holds float32 or float64 values in place of integers,
 which keep the sign of zero (see :func:`_plan`), and its plan is refused
 past 53 bits there: psi {8,5} and {11,3} among others, whose genie runs
-in float64.  Traced and direct decodes stay float64.
+in float64.  Single blocks, traced or not, and direct batches stay
+float64.
 
 First-order map: the FHT winner of a node {L, 1} is a pattern index
 `best` in [0, 2^L) and a sign.  Its L+1 info bits, in the node's path
@@ -109,8 +131,9 @@ row 2*best + s.  The node's codeword, those bits encoded through the
 best >> log2(b) of H_a and row best & (b - 1) of H_b; the decoder writes it
 from the transform's cached factors and walks no {L, 1} tree.  End
 values, the winning correlation over w here and the block mean at a
-repetition node, exist only for traces and forced decodes: an untraced
-decode does not compute them.
+repetition node, are a scalar each in the single-block walk, which
+records them when traced; the batched walk computes them only in a
+forced decode, which has no first-order node.
 
 Operation counting: every real addition, multiplication, comparison and
 sign evaluation costs one unit.  A Hadamard butterfly stage costs two per
@@ -203,7 +226,7 @@ class DecoderOptions:
     tie_rule: TIE_RANDOM draws a seeded +/-1 coin for sign(0); TIE_POSITIVE
         resolves to +1 (deterministic mode for reproducible unit tests).
     tie_seed: seed of the tie coin; combined with the per-call trial index.
-    trace: record each path's end value.
+    trace: record each path's end value (single-block decodes).
     """
 
     u_rule: str = SCALED
@@ -269,6 +292,25 @@ def _signs(values: np.ndarray, options: DecoderOptions, trials: np.ndarray,
             out[rows, cols] = _tie_signs(options.tie_seed, trials[rows],
                                          np.uint64(site) + cols.astype(np.uint64))
     return out
+
+
+_NAN = ("the decoder's intermediates overflowed: decoded symbols are NaN; "
+        "scale the received word down")
+
+
+def _sign(value: float, options: DecoderOptions, trials: np.ndarray, site: int) -> float:
+    """The sign of one value, its tie resolved at `site` for the one trial
+    in `trials` as :func:`_signs` resolves it; raises ValueError for NaN."""
+    if value > 0:
+        return 1.0
+    if value < 0:
+        return -1.0
+    if value != value:
+        raise ValueError(_NAN)
+    if options.tie_rule == TIE_POSITIVE:
+        return 1.0
+    # arrays, not numpy scalars, whose integer arithmetic warns on overflow
+    return float(_tie_signs(options.tie_seed, trials, np.full(1, site, np.uint64))[0])
 
 
 # --- recalculation rules ----------------------------------------------------
@@ -438,20 +480,36 @@ def _block_sums(y: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
     return total[0] + 0.0
 
 
+def _winner_codewords(best, sign, dtype: type, cw: np.ndarray,
+                      scratch: np.ndarray | None = None) -> None:
+    """Writes sign times row `best` of the Hadamard matrix, built in `dtype`,
+    into cw, in cw's type: for (B,) winners and (B, 1) signs one codeword
+    per row of cw, (B, w) in any memory order, and for one int winner and
+    one float sign the (w,) cw.  A narrow node gathers its rows into
+    `scratch`, of cw's shape and `dtype`, when given."""
+    width = cw.shape[-1]
+    if width <= 128:  # rows of H_w, at most 128 KiB (mode "clip" writes into
+        # scratch directly; no index needs clipping): two calls, not nine
+        np.multiply(_hadamard_matrix(width, dtype).take(best, 0, scratch, "clip"),
+                    sign, out=cw, casting="unsafe")
+    else:
+        a, b, h_a, h_b = _hadamard_factors(width, dtype)
+        np.multiply((sign * h_a.take(best >> (b.bit_length() - 1), axis=0))[..., :, None],
+                    h_b.take(best & (b - 1), axis=0)[..., None, :],
+                    out=cw.reshape(-1, a, b), casting="unsafe")  # splitting an axis is a view
+
+
 def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, site: int,
-                 cw: np.ndarray | None, trace: bool,
-                 work: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+                 cw: np.ndarray | None, work: np.ndarray) -> np.ndarray:
     """MD decisions of first-order blocks via the FHT.
 
     y holds one block per row, (B, w); writes the +/-1 codewords into cw,
-    (B, w) in any memory order, unless cw is None, and returns (info bits,
-    end values); the end value, the winning correlation over the block
-    length, (B, 1), is computed only under `trace` (None otherwise).  The
-    info bits and the codeword are read off the winner (see the module
-    docstring).  The transform, its magnitudes and the gathered rows of a
-    narrow node's codewords run in `work`, a free (2, B, w) C array of the
-    transform's float type: y's, or for an integer y one that holds its
-    sums exactly, into which y is cast first.
+    (B, w) in any memory order, unless cw is None, and returns the info
+    bits.  Both are read off the winner (see the module docstring).  The
+    transform, its magnitudes and the gathered rows of a narrow node's
+    codewords run in `work`, a free (2, B, w) C array of the transform's
+    float type: y's, or for an integer y one that holds its sums exactly,
+    into which y is cast first.
     """
     rows, width = y.shape
     corr, scratch = work[0], work[1]  # indexed: unpacking is slower
@@ -461,27 +519,28 @@ def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, sit
     # the module binding, which benchmarks/tracer.py wraps
     hadamard_transform(y, out=corr, scratch=scratch)
     best = np.abs(corr, out=scratch).argmax(axis=1)  # first (lowest-index) maximum wins
-    winning = corr[np.arange(rows), best][:, None]
-    sign = _signs(winning, options, trials, site)
+    sign = _signs(corr[np.arange(rows), best][:, None], options, trials, site)
+    if cw is not None:  # else no later step reads this node's codeword
+        # built in the transform's type, written in cw's: int8 in an integer decode
+        _winner_codewords(best, sign, corr.dtype.type, cw, scratch)
     # .take gathers rows several times faster than fancy indexing
-    bits = _first_order_bits(width).take(2 * best + np.signbit(sign[:, 0]), axis=0)
-    value = winning * sign / width if trace else None
-    if cw is None:  # no later step reads this node's codeword
-        return bits, value
-    # the +/-1 symbols are built in the transform's type and written into
-    # cw's, int8 in an integer decode
-    if width <= 128:  # rows of H_w, at most 128 KiB, gathered into scratch (mode
-        # "clip" writes there directly; no index needs clipping): two calls, not
-        # nine, which pays on single blocks (decode-single-12-2) and leaves
-        # wer-phi-10-2 level
-        np.multiply(_hadamard_matrix(width, corr.dtype.type).take(best, 0, scratch, "clip"),
-                    sign, out=cw, casting="unsafe")
-    else:
-        a, b, h_a, h_b = _hadamard_factors(width, corr.dtype.type)
-        np.multiply((sign * h_a.take(best >> (b.bit_length() - 1), axis=0))[:, :, None],
-                    h_b.take(best & (b - 1), axis=0)[:, None, :],
-                    out=cw.reshape(-1, a, b), casting="unsafe")  # splitting an axis is a view
-    return bits, value
+    return _first_order_bits(width).take(2 * best + np.signbit(sign[:, 0]), axis=0)
+
+
+def _first_order_block(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, site: int,
+                       cw: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`_first_order` on one float64 block y, (w,), with scalar
+    decisions: writes its codeword into cw, (w,), and returns (info bits,
+    end value), the bits a read-only row of the bit table, the end value
+    the winning correlation over the block length.  Raises ValueError when
+    the winning correlation is NaN."""
+    width = len(y)
+    corr = hadamard_transform(y[None])[0]  # the module binding, on a (1, w) view
+    best = int(np.abs(corr).argmax())  # first (lowest-index) maximum wins
+    winning = corr[best]
+    sign = _sign(winning, options, trials, site)
+    _winner_codewords(best, sign, np.float64, cw)
+    return _first_order_bits(width)[2 * best + (sign < 0)], winning * sign / width
 
 
 def md_biorthogonal(z: np.ndarray, g: int, options: DecoderOptions | None = None,
@@ -491,15 +550,17 @@ def md_biorthogonal(z: np.ndarray, g: int, options: DecoderOptions | None = None
     Returns (codeword, info bits).  The winner maximizes the inner product
     over all 2l codewords; among equal-magnitude correlations the lowest
     pattern index wins, and an exactly zero winning correlation falls back
-    to the tie rule for its sign.
+    to the tie rule for its sign.  Raises ValueError when the winning
+    correlation is NaN, as a NaN or inf - inf in the block makes it.
     """
     if g < 0:
         raise ValueError("g must be nonnegative")
-    z = _rows(z, 1 << (g + 1), "a first-order block", np.float64, single=True)
-    cw, work = np.empty(z.shape), np.empty((2, *z.shape))
-    info, _ = _first_order(z, options or DecoderOptions(), _trial_indices([trial], 1), 0,
-                           cw, False, work)
-    return cw[0].astype(np.int8), info[0]
+    z = _rows(z, 1 << (g + 1), "a first-order block", np.float64, single=True)[0]
+    trials = _trial_indices([trial], 1)
+    cw = np.empty(len(z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        info, _ = _first_order_block(z, options or DecoderOptions(), trials, 0, cw)
+    return cw.astype(np.int8), info.copy()
 
 
 # --- the decoders' walk -------------------------------------------------------
@@ -510,7 +571,7 @@ def _trial_indices(trials, rows: int) -> np.ndarray:
     if trials is None:
         return np.arange(rows, dtype=np.uint64)
     trials = np.asarray(trials)
-    if trials.shape != (rows,) or trials.dtype.kind not in "iu" or np.any(trials < 0):
+    if trials.shape != (rows,) or trials.dtype.kind not in "iu" or (trials < 0).any():
         raise ValueError(f"trials must hold one non-negative integer index per row, "
                          f"{rows} in all")
     return trials.astype(np.uint64, copy=False)
@@ -675,57 +736,63 @@ def _pm1_workspace(params: CodeParams, algorithm: str, v_rule: str,
     return np.int8, np.uint8, plan.width
 
 
-def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
-            options: DecoderOptions | None, trials: np.ndarray | None,
-            trace: bool = False, supports: list | None = None, work: np.ndarray | None = None,
-            info_only: bool = False,
-            ) -> tuple[np.ndarray | None, np.ndarray | None, int, np.ndarray | None]:
-    """Validate, then walk the tree: (info, codewords, op count, trace).
-
-    The trace, when asked for, holds the (B, k) end values per info column.
-    A list passed as `supports` makes the decode forced, the genie's: every
-    decision is taken to be +1, so the walk evaluates no sign, writes and
-    allocates no codeword, and returns (None, None, op count, trace); it
-    appends the (B,) support sum of each order-1 split node, the sum of its
-    input's second half, in pre-order.  A forced decode runs psi under the
-    product v rule.  An `info_only` decode returns no codewords, (info,
-    None, op count, trace), and builds the codeword of no node on the
-    root's u chain, whose descent prefix is all ones: a later step reads a
-    node's codeword only when the node lies in some ancestor's v subtree.
-    `work` is the decode's workspace, a flat array of at least B times its
-    plan's row width (see :func:`_pm1_workspace`), allocated for the call
-    when None.  A byte (uint8) workspace is the caller's promise that every entry of y
-    is +/-1, which nothing checks, and runs an integer decode, refused
-    unless the bit budget certifies the tree and refused for a traced,
-    unforced decode: its codewords are int8, and it runs the unscaled u
-    step (see the module docstring).  Any other workspace, float64 as the
-    harness allocates it, holds the temporaries of a float64 decode.  The
-    trace and the supports are float64 either way.
-    """
-    forced = supports is not None
-    options = options or DecoderOptions()
+def _is_phi(params: CodeParams, algorithm: str) -> bool:
+    """Whether `algorithm` is phi; raises ValueError for an unknown one, and
+    for phi on a repetition code."""
     if algorithm not in (ALG_PSI, ALG_PHI):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == ALG_PHI and params.r == 0:
         raise ValueError("phi requires r >= 1; use psi for repetition codes")
-    phi = algorithm == ALG_PHI
+    return algorithm == ALG_PHI
+
+
+def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
+            options: DecoderOptions | None, trials: np.ndarray | None,
+            supports: list | None = None, work: np.ndarray | None = None,
+            info_only: bool = False,
+            ) -> tuple[np.ndarray | None, np.ndarray | None, int, np.ndarray | None]:
+    """Validate, then walk the tree: (info, codewords, op count, trace).
+
+    A list passed as `supports` makes the decode forced, the genie's: every
+    decision is taken to be +1, so the walk evaluates no sign, writes and
+    allocates no codeword, and returns (None, None, op count, trace), the
+    trace holding the (B, k) end values per info column; it appends the
+    (B,) support sum of each order-1 split node, the sum of its input's
+    second half, in pre-order.  A forced decode runs psi under the product
+    v rule.  Only a forced decode traces (a single block's trace is
+    :func:`_decode_single`'s), and any other returns None for the trace.
+    An `info_only` decode returns no codewords, (info, None, op count,
+    None), and builds the codeword of no node on the root's u chain, whose
+    descent prefix is all ones: a later step reads a node's codeword only
+    when the node lies in some ancestor's v subtree.  `work` is the
+    decode's workspace, a flat array of at least B times its plan's row
+    width (see :func:`_pm1_workspace`), allocated for the call when None.
+    A byte (uint8) workspace is the caller's promise that every entry of y
+    is +/-1, which nothing checks, and runs an integer decode, refused
+    unless the bit budget certifies the tree: its codewords are int8, and
+    it runs the unscaled u step (see the module docstring).  Any other
+    workspace, float64 as the harness allocates it, holds the temporaries
+    of a float64 decode.  The trace and the supports are float64 either
+    way.
+    """
+    forced = supports is not None
+    options = options or DecoderOptions()
+    phi = _is_phi(params, algorithm)
     integer = work is not None and work.dtype == np.uint8
-    if integer and trace:
-        raise ValueError("a traced decode runs in float64, in a float64 workspace")
     plan = _plan(params.m, params.r, phi, options.v_rule, integer, integer and forced)
     if plan is None:
         raise ValueError(f"the bit budget does not certify {algorithm} on {params} "
                          f"for an integer decode")
-    trace = trace or forced
     # exact values at one power-of-two scale per node: no decision depends
-    # on the halving, only the end values that a trace records
+    # on the halving, only the end values that a forced decode records
     u_rule = UNSCALED if integer else options.u_rule
     y = _rows(y, params.n, "a received block", np.int8 if integer else np.float64)
     trials = _trial_indices(trials, len(y))
     order = _memory_order(y)
-    info = None if forced else np.empty((y.shape[0], params.k), dtype=np.uint8, order=order)
-    if trace:
+    if forced:
         values = np.empty((y.shape[0], params.k))
+    else:
+        info = np.empty((y.shape[0], params.k), dtype=np.uint8, order=order)
     size = len(y) * plan.width
     work = np.empty(size // 8) if work is None else work[:size // work.itemsize]
     min_sum = options.v_rule == MIN_SUM
@@ -769,27 +836,22 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             return
         if node.kind == FIRST_ORDER:  # its transform's (2, B, w) buffers from byte `at` on
             buffers = np.ndarray((2, y.shape[1], y.shape[0]), step.reduce, work, at)
-            bits, value = _first_order(y.T, options, trials, node.site,
-                                       cw.T if keep else None, trace, buffers)
-        else:
-            # a full space decides on its symbols, a repetition node on its
-            # (B, 1) block sums, whose end value is the block mean
-            value = (y.T if node.kind == RIGHT_END else
-                     _block_sums(y, step.reduce if integer else None)[:, None])
-            if not forced:
-                signs = _signs(value, options, trials, node.site)
-                if keep:
-                    cw.T[:] = signs
-                bits = signs < 0
-            if trace:
-                if integer:  # k of the scaled rule's k/2^bits
-                    value = value * 2.0 ** -step.bits
-                if node.kind == LEFT_END:
-                    value = value / y.shape[0]
-        if not forced:
-            info[:, node.info] = bits
-        if trace:
-            values[:, node.info] = value
+            info[:, node.info] = _first_order(y.T, options, trials, node.site,
+                                              cw.T if keep else None, buffers)
+            return
+        # a full space decides on its symbols, a repetition node on its
+        # (B, 1) block sums, whose end value is the block mean
+        value = (y.T if node.kind == RIGHT_END else
+                 _block_sums(y, step.reduce if integer else None)[:, None])
+        if forced:
+            if integer:  # k of the scaled rule's k/2^bits
+                value = value * 2.0 ** -step.bits
+            values[:, node.info] = value / y.shape[0] if node.kind == LEFT_END else value
+            return
+        signs = _signs(value, options, trials, node.site)
+        if keep:
+            cw.T[:] = signs
+        info[:, node.info] = signs < 0
 
     # an info-only decode still passes the root a codeword buffer: the
     # codewords of the v subtrees are built there
@@ -802,7 +864,9 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
     # at the next garbage collection
     del walk
     ops = _op_count(params.m, params.r, phi, options.u_rule, options.v_rule)
-    return info, None if info_only else cw, ops, values if trace else None
+    if forced:
+        return None, None, ops, values
+    return info, None if info_only else cw, ops, None
 
 
 def decode_batch(y: np.ndarray, params: CodeParams, algorithm: str = ALG_PSI,
@@ -830,16 +894,61 @@ def decode_batch(y: np.ndarray, params: CodeParams, algorithm: str = ALG_PSI,
 
 def _decode_single(y: np.ndarray, params: CodeParams, algorithm: str,
                    options: DecoderOptions | None, trial: int) -> DecodeResult:
+    """Decode one 1-D block on its own walk of the tree: :func:`_decode`'s
+    kernels in the same order, on fresh (w,) temporaries, with scalar
+    decisions at repetition and first-order nodes (see the module
+    docstring).  Raises ValueError when an end node decides on NaN."""
     options = options or DecoderOptions()
-    y = _rows(y, params.n, "a received block", single=True)
-    info, cw, ops, values = _decode(y, params, algorithm, options, [trial], options.trace)
-    if np.isnan(cw).any():
-        raise ValueError("the decoder's intermediates overflowed: decoded symbols "
-                         "are NaN; scale the received word down")
+    phi = _is_phi(params, algorithm)
+    # contiguous, as the repetition sum of a row-major batch reads its row
+    y = np.ascontiguousarray(_rows(y, params.n, "a received block", np.float64, single=True)[0])
+    trials = _trial_indices([trial], 1)
+    info = np.empty(params.k, dtype=np.uint8)
+    values = np.empty(params.k) if options.trace else None
+    min_sum = options.v_rule == MIN_SUM
+
+    def walk(node: PlotkinNode, y: np.ndarray, cw: np.ndarray) -> None:
+        # decodes y, (2^length_log,), into the node's info bits and its
+        # codeword cw, a view of the same length
+        if node.kind == SPLIT:
+            v, u = node.children
+            half = len(y) // 2
+            y1, y2, cw1, cw2 = y[:half], y[half:], cw[:half], cw[half:]
+            # the v estimate, then the u estimate, which the v child no longer reads
+            estimate = np.empty(half)
+            walk(v, _v_step(y1, y2, options.v_rule, estimate,
+                            np.empty(half) if min_sum else None), cw2)
+            walk(u, _u_step(y1, y2, cw2, options.u_rule, estimate), cw1)
+            cw2 *= cw1  # symbol re-assembly (u, u*v), uncounted
+            return
+        if node.kind == FIRST_ORDER:
+            bits, value = _first_order_block(y, options, trials, node.site, cw)
+        elif node.kind == RIGHT_END:
+            cw[:] = _signs(y[None], options, trials, node.site)[0]
+            if np.isnan(cw).any():
+                raise ValueError(_NAN)
+            bits, value = cw < 0, y
+        else:  # numpy's pairwise sum over the contiguous block
+            total = y.sum()
+            sign = _sign(total, options, trials, node.site)
+            cw[:] = sign
+            bits, value = sign < 0, total / len(y)
+        info[node.info] = bits
+        if values is not None:
+            values[node.info] = value
+
+    cw = np.empty(params.n)
+    # unscaled intermediates may reach inf, and inf - inf is NaN, which an
+    # end node refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        walk(plotkin_tree(params.m, params.r, phi).root, y, cw)
+    del walk  # it refers to itself: deleted, it frees what it holds now
     trace = None
     if values is not None:  # decode order is the lexicographic path order
-        trace = dict(zip(enumerate_paths(params), values[0].tolist()))
-    return DecodeResult(info[0], cw[0].astype(np.int8), ops, trace)
+        trace = dict(zip(enumerate_paths(params), values.tolist()))
+    return DecodeResult(info, cw.astype(np.int8),
+                        _op_count(params.m, params.r, phi, options.u_rule, options.v_rule),
+                        trace)
 
 
 def decode_psi(y: np.ndarray, params: CodeParams,

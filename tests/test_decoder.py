@@ -227,6 +227,17 @@ def test_md_biorthogonal_examples():
         md_biorthogonal(np.ones(1), -1)
 
 
+def test_md_biorthogonal_refuses_nan():
+    # a NaN, or inf - inf in the transform, makes the winning correlation
+    # NaN: refused as decode_psi and decode_phi refuse it, not returned as
+    # a word that is no codeword, and without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in ([np.nan, 1, 1, 1], [np.inf, -np.inf, 1, 1]):
+            with pytest.raises(ValueError, match="NaN"):
+                md_biorthogonal(np.array(z), 1)
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_md_biorthogonal_matches_brute_force(g):
     rng = np.random.default_rng(100 + g)
@@ -536,24 +547,32 @@ def test_min_sum_decodes_noiseless():
 
 def test_decode_order_lemma(monkeypatch):
     # the decoders decide their end nodes one after another in tree order,
-    # each at its own tie site: record the site of every sign evaluation
+    # each at its own tie site: record the site of every sign evaluation,
+    # the scalar ones of a single block's walk and the row-wise ones of a
+    # batch's, here one row
     rng = np.random.default_rng(8)
     sites = []
-    signs = decoder._signs
 
-    def recording_signs(values, options, trials, site):
-        sites.append(site)
-        return signs(values, options, trials, site)
+    def recording(signs):
+        def record(values, options, trials, site):
+            sites.append(site)
+            return signs(values, options, trials, site)
+        return record
 
-    monkeypatch.setattr(decoder, "_signs", recording_signs)
+    monkeypatch.setattr(decoder, "_signs", recording(decoder._signs))
+    monkeypatch.setattr(decoder, "_sign", recording(decoder._sign))
     for m, r in [(5, 2), (6, 3)]:
         params = CodeParams(m, r)
         y = rng.uniform(-1, 1, params.n)
         for phi, decode in ((False, decode_psi), (True, decode_phi)):
+            leaves = plotkin_tree(m, r, phi).leaves
             sites.clear()
             result = decode(y, params, DecoderOptions(trace=True))
-            assert sites == [leaf.site for leaf in plotkin_tree(m, r, phi).leaves]
+            assert sites == [leaf.site for leaf in leaves]
             assert list(result.trace) == list(enumerate_paths(params))
+            sites.clear()
+            decode_batch(y[None], params, "phi" if phi else "psi")
+            assert sites == [leaf.site for leaf in leaves]
 
 
 def test_trace_decisions_match_info():
@@ -602,16 +621,35 @@ def test_scaling_invariance():
 
 
 def test_batch_matches_single_calls():
+    # a single block walks the tree on its own, with scalar decisions; each
+    # decode must equal its row of the batched walk, tree by tree, under
+    # every rule set.  Exact zeros in uniform words and ternary words make
+    # ties, zero end values, at every kind of end node, and the trial
+    # indices reach 2^64 - 1
     rng = np.random.default_rng(12)
-    params = CodeParams(5, 2)
-    y = rng.uniform(-1, 1, (16, params.n))
-    y[rng.uniform(size=y.shape) < 0.05] = 0.0  # exercise tie sites
-    info, cw, ops = decode_batch(y, params, "phi", DecoderOptions(tie_seed=5))
-    for i in range(16):
-        single = decode_phi(y[i], params, DecoderOptions(tie_seed=5), trial=i)
-        assert np.array_equal(single.info, info[i])
-        assert np.array_equal(single.codeword, cw[i])
-        assert single.op_count == ops
+    trees = [(m, r) for m in range(1, 8) for r in range(m + 1)]
+    cases = ([(CodeParams(m, r), "psi") for m, r in trees + [(8, 2)]]
+             + [(CodeParams(m, r), "phi") for m, r in trees + [(12, 2)] if r >= 1])
+    tied = set()
+    for params, algorithm in cases:
+        phi = algorithm == "phi"
+        decode = decode_phi if phi else decode_psi
+        leaves = plotkin_tree(params.m, params.r, phi).leaves
+        uniform = rng.uniform(-1, 1, (3, params.n))
+        uniform[rng.uniform(size=uniform.shape) < 0.05] = 0.0
+        for y in (uniform, rng.integers(-1, 2, (3, params.n)).astype(float)):
+            trials = rng.integers(0, 2 ** 64 - 1, len(y), dtype=np.uint64)
+            trials[-1] = 2 ** 64 - 1
+            for options in MEMORY_ORDER_RULES:
+                info, cw, ops = decode_batch(y, params, algorithm, options, trials)
+                for i, trial in enumerate(trials.tolist()):
+                    single = decode(y[i], params, replace(options, trace=True), trial=trial)
+                    assert np.array_equal(single.info, info[i])
+                    assert np.array_equal(single.codeword, cw[i])
+                    assert single.op_count == ops
+                    values = np.array(list(single.trace.values()))
+                    tied |= {leaf.kind for leaf in leaves if (values[leaf.info] == 0).any()}
+    assert tied == {LEFT_END, RIGHT_END, FIRST_ORDER}
 
 
 MEMORY_ORDER_RULES = [DecoderOptions(u_rule=u, v_rule=v, tie_rule=t, tie_seed=9)
@@ -674,12 +712,13 @@ def test_decode_independent_of_earlier_decodes():
     # A Monte Carlo run passes every decode on a pool thread that thread's
     # workspace (simulate._row_blocks), so a decode finds whatever the decodes
     # before it left there.  Decode a shuffled sequence of codes, batch sizes,
-    # memory orders, rules and trace flags into one shared workspace, then
-    # each one alone, with a workspace of its own, in a fresh thread.  The
-    # root of {6,1} under phi is a first-order node as wide as the code.  The
-    # genie's forced decodes run in the same workspace, between the others,
-    # and the integer decodes of +/-1 words in one shared byte workspace,
-    # filled with noise at the start
+    # memory orders and rules into one shared workspace, then each one
+    # alone, with a workspace of its own, in a fresh thread.  The root of
+    # {6,1} under phi is a first-order node as wide as the code.  The
+    # genie's forced decodes, the only batched decodes that record end
+    # values, run in the same workspace, between the others, and the integer
+    # decodes of +/-1 words in one shared byte workspace, filled with noise
+    # at the start
     rng = np.random.default_rng(21)
     cases = []
     for params, algorithm in ((CodeParams(6, 1), "phi"), (CodeParams(10, 2), "phi"),
@@ -692,10 +731,9 @@ def test_decode_independent_of_earlier_decodes():
                 cases.append((batch, params, "genie", None, True, np.float64))
                 for u_rule in (SCALED, UNSCALED):
                     for v_rule in (PRODUCT, MIN_SUM):
-                        for trace in (False, True):
-                            cases.append((batch, params, algorithm,
-                                          DecoderOptions(u_rule, v_rule, tie_seed=4), trace,
-                                          np.float64))
+                        cases.append((batch, params, algorithm,
+                                      DecoderOptions(u_rule, v_rule, tie_seed=4), False,
+                                      np.float64))
             for batch in (np.ascontiguousarray(pm1), np.asfortranarray(pm1)):
                 cases.append((batch, params, "genie", None, True, np.uint8))
                 for v_rule in (PRODUCT, MIN_SUM):
@@ -712,12 +750,12 @@ def test_decode_independent_of_earlier_decodes():
         return decoder._plan(params.m, params.r, psi == "phi", v_rule, False).width // 8
 
     def decode(case, shared=None):
-        batch, params, algorithm, options, trace, dtype = case
+        batch, params, algorithm, options, _, dtype = case
         work = np.empty(len(batch) * width(case), dtype) if shared is None else shared[dtype]
         if algorithm == "genie":  # its end values, and supports in the place of cw
             values, supports = genie_batch(batch, params, _work=work)
             return None, supports, 0, values
-        return decoder._decode(batch, params, algorithm, options, None, trace, work=work)
+        return decoder._decode(batch, params, algorithm, options, None, work=work)
 
     def alone(case):
         result = []
@@ -1027,7 +1065,7 @@ def test_float32_genie_matches_float64():
 def test_float32_workspace_needs_a_certified_tree():
     # psi {12,3} needs 65 bits, more than int64 holds: a byte workspace is
     # refused there, decoding or forced, and taken under min-sum, which
-    # needs 9.  A traced decode runs in float64 only
+    # needs 9
     params = CodeParams(12, 3)
     y = np.ones((2, params.n), np.int8)
     work = np.empty(2 * decoder._pm1_workspace(params, "psi", MIN_SUM)[2], np.uint8)
@@ -1037,10 +1075,6 @@ def test_float32_workspace_needs_a_certified_tree():
         genie_batch(y, params, _work=work)
     info, cw, _ = decode_batch(y, params, "psi", DecoderOptions(v_rule=MIN_SUM), _work=work)
     assert cw.dtype == np.int8 and not info.any() and (cw == 1).all()
-    small = CodeParams(6, 2)
-    with pytest.raises(ValueError, match="traced"):
-        decoder._decode(np.ones((2, small.n)), small, "psi", None, None, True,
-                        work=_pm1_work(small, "psi", PRODUCT, 2))
 
 
 def test_float32_input_decodes_as_float64():
@@ -1108,8 +1142,8 @@ def test_info_only_decodes_return_the_full_decodes_info_bits(m, r, algorithm):
 
 def test_certified_monte_carlo_decodes_run_unscaled(monkeypatch):
     # an integer decode, forced or not, runs the unscaled u step under
-    # either rule; a direct decode, a float64 workspace and a traced decode
-    # keep the options' rule, and so does the float64 genie.  run_wer and
+    # either rule; a direct decode, a float64 workspace and a single block,
+    # traced or not, keep the options' rule, and so does the float64 genie.  run_wer and
     # path_statistics run unscaled where the budget certifies the tree, and
     # keep the rule on psi {12,3}, which needs 65 bits
     rules = []
@@ -1140,8 +1174,6 @@ def test_certified_monte_carlo_decodes_run_unscaled(monkeypatch):
                 assert recorded(lambda: decode_batch(y, params, algorithm, options, _work=double,
                                                      _info_only=info_only)) == {u_rule}
             assert recorded(lambda: decode_batch(y, params, algorithm, options)) == {u_rule}
-            assert recorded(lambda: decoder._decode(y, params, algorithm, options, None, True,
-                                                    work=double)) == {u_rule}
             for trace in (False, True):
                 assert recorded(lambda: decode(y[0], params, replace(options, trace=trace))
                                 ) == {u_rule}
