@@ -48,11 +48,12 @@ numpy lays out each temporary like its inputs; for a symbol-major
 (F-ordered) batch, an (n, B) C array underneath, every v step, u step,
 sign and re-assembly runs on one contiguous (w/2, B) or (w, B) slab,
 which is much faster at small widths.  Two kinds of step depend on the
-order of their additions.  The repetition node's sum adds in one order
-for both layouts: numpy's pairwise order over a contiguous row (Higham,
-SIAM J. Sci. Comput. 14, 1993), which :func:`_block_sums` writes out with
-slab-wide adds when the symbols of a block are not adjacent in memory;
-numpy itself would sum down a slab one symbol at a time.  The first-order
+order of their additions.  A float repetition or support sum is numpy's
+sum of each block as one contiguous row, in both layouts: it is taken on
+a contiguous copy of the rows when the symbols of a block are not
+adjacent in memory, as numpy itself would sum down a slab one symbol at
+a time (:func:`_block_sums`); an integer sum is exact in any order and
+needs no copy.  The first-order
 node's FHT and argmax read each trial's row, a strided view of a
 symbol-major slab, which the transform's matrix products round as they
 would a contiguous row.  The output is therefore bit-identical for any
@@ -376,9 +377,7 @@ def hadamard_transform(x: np.ndarray, *, out: np.ndarray | None = None,
     """
     dtype = np.float64 if out is None else out.dtype.type
     x = np.asarray(x, dtype=dtype)
-    width = x.shape[-1]
-    if width < 1 or width & (width - 1):
-        raise ValueError(f"length must be a power of two, got {width}")
+    width = _power_of_two(x.shape[-1] if x.ndim else 0)
     a, b, h_a, h_b = _hadamard_factors(width, dtype)
     out = np.empty(x.shape, dtype) if out is None else out
     scratch = np.empty(x.shape, dtype) if scratch is None else scratch
@@ -388,15 +387,27 @@ def hadamard_transform(x: np.ndarray, *, out: np.ndarray | None = None,
     return out
 
 
+def _power_of_two(width: int) -> int:
+    """`width`, which must be a power of two; raises ValueError otherwise."""
+    if width < 1 or width & (width - 1):
+        raise ValueError(f"length must be a power of two, got {width}")
+    return width
+
+
 def biorthogonal_codeword(pattern: np.ndarray | int, width: int) -> np.ndarray:
     """+/-1 rows of the width x width Hadamard matrix, one per pattern index;
-    width is a power of two, and a pattern index past its end raises.
+    a width that is not a power of two raises ValueError, and a pattern
+    index below 0 or past the matrix's end raises IndexError.
 
     Entry (j, i) of the matrix is (-1)^popcount(i & j): the sign rule of
     :func:`hadamard_transform`, and the only place the matrix is written.
     """
+    width = _power_of_two(width)
     index = np.arange(width, dtype=np.min_scalar_type(width - 1))  # the narrowest that fits
-    odd = np.bitwise_count(index[np.atleast_1d(pattern)][:, None] & index) & 1
+    pattern = np.atleast_1d(pattern)
+    if np.any(pattern < 0):  # numpy would count these from the end
+        raise IndexError(f"pattern index {pattern.min()} is out of bounds for width {width}")
+    odd = np.bitwise_count(index[pattern][:, None] & index) & 1
     return np.where(odd.astype(bool), -1.0, 1.0)
 
 
@@ -449,35 +460,19 @@ def _first_order_bits(width: int) -> np.ndarray:
 
 def _block_sums(y: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
     """The (B,) block sums of a symbol-first (w, B) view, w a power of two,
-    each rounded as numpy sums the block as one contiguous row.
+    each numpy's sum of the block as one contiguous row.
 
     An integer block sums in `dtype`, which holds every sum, exactly and so
-    in any order.  Contiguous rows are numpy's own sum.  Otherwise the sum
-    writes numpy's pairwise order out over the whole slab: a sequential sum
-    from zero below 8 symbols; else, within each 128-symbol block, 8 lanes
-    summed sequentially over the block's 8-symbol groups, then
-    ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)), and blocks combined by halving;
-    the sum starts from zero, so -0.0 blocks sum to +0.0, as in numpy.
+    in any order.  A float block is numpy's row sum, taken on a contiguous
+    copy of its rows when its symbols are not adjacent in memory (a
+    symbol-major slab, down which numpy would sum one symbol at a time),
+    so that both memory orders round alike.
     """
     if dtype is not None:
         return y.sum(axis=0, dtype=dtype)
-    if y.strides[0] == y.itemsize:
-        return y.sum(axis=0)
-    width = y.shape[0]
-    if width < 8:
-        total = y[0] + 0.0
-        for row in y[1:]:
-            total += row
-        return total
-    groups = min(width, 128) // 8
-    lanes = y.reshape(-1, groups, 8, y.shape[1])  # (blocks, groups, lanes, B)
-    total = lanes[:, 0] if groups == 1 else lanes[:, 0] + lanes[:, 1]
-    for group in range(2, groups):
-        total += lanes[:, group]
-    total = total.reshape(-1, y.shape[1])  # each block's lanes, block by block
-    while len(total) > 1:
-        total = total[0::2] + total[1::2]
-    return total[0] + 0.0
+    if y.strides[0] != y.itemsize:
+        y = np.ascontiguousarray(y.T).T
+    return y.sum(axis=0)
 
 
 def _winner_codewords(best, sign, dtype: type, cw: np.ndarray,
@@ -986,14 +981,13 @@ def codeword_to_info(codeword: np.ndarray, params: CodeParams) -> np.ndarray:
 
 def decode_op_bound(params: CodeParams, algorithm: str = ALG_PSI,
                     u_rule: str = SCALED) -> int:
-    """Closed-form ceiling on the decoder's operation count."""
+    """Closed-form ceiling on the decoder's operation count; raises
+    ValueError where the decode would (see :func:`_is_phi`)."""
     n, m, r = params.n, params.m, params.r
     lo = min(r, m - r)
-    if algorithm == ALG_PSI:
-        return (4 if u_rule == SCALED else 3) * n * lo + n
-    if algorithm == ALG_PHI:
+    if _is_phi(params, algorithm):
         return (3 if u_rule == SCALED else 2) * n * lo + n * (m - r) + n
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    return (4 if u_rule == SCALED else 3) * n * lo + n
 
 
 # --- genie-aided recursion ---------------------------------------------------

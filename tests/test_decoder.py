@@ -373,8 +373,12 @@ def test_biorthogonal_codebook_structure(g):
     # negation, then the +/- pair of every balanced pattern
     width = 1 << (g + 1)
     rows = biorthogonal_codeword(np.arange(width), width)
-    with pytest.raises(IndexError):
-        biorthogonal_codeword(width, width)
+    for past in (width, -1, -width):  # negative indices do not wrap
+        with pytest.raises(IndexError):
+            biorthogonal_codeword(past, width)
+    for bad_width in (0, 3, 3 * width):
+        with pytest.raises(ValueError, match="power of two"):
+            biorthogonal_codeword(0, bad_width)
     assert np.array_equal(biorthogonal_codeword(width - 1, width), rows[-1:])
     book = np.stack([rows, -rows], axis=1).reshape(2 * width, width)
     assert np.array_equal(book, brute_codebook(g))
@@ -414,8 +418,9 @@ def test_hadamard_transform_matches_direct():
     assert got.shape == z.shape
     for index in np.ndindex(2, 3):
         assert np.allclose(got[index], direct(z[index]))
-    with pytest.raises(ValueError):
-        hadamard_transform(np.ones(5))
+    for bad in (np.ones(5), np.ones((2, 0)), np.float64(3.0)):
+        with pytest.raises(ValueError, match="power of two"):
+            hadamard_transform(bad)
 
 
 def test_hadamard_transform_equals_butterfly_on_dyadic_input():
@@ -484,6 +489,8 @@ def test_decode_validation():
         decode_batch(np.ones((2, 8)), params, "viterbi")
     with pytest.raises(ValueError, match="algorithm"):
         decode_op_bound(params, "viterbi")
+    with pytest.raises(ValueError, match="r >= 1"):  # no phi decode of {4,0} runs
+        decode_op_bound(CodeParams(4, 0), "phi")
     for rule in ("u_rule", "v_rule", "tie_rule"):
         with pytest.raises(ValueError, match=rule):
             DecoderOptions(**{rule: "median"})
@@ -1000,7 +1007,7 @@ def _channel_words(rng, params, rows):
 
 
 @pytest.mark.parametrize("m", range(1, 11))
-def test_float32_decodes_match_float64(m):
+def test_integer_decodes_match_float64(m):
     # an integer decode of +/-1 words gives the float64 decode's info bits
     # and codewords, bit for bit, on every tree with m <= 9 and psi {10,2},
     # under both algorithms, both u, v and tie rules, in either memory order
@@ -1032,7 +1039,7 @@ def test_float32_decodes_match_float64(m):
                     assert np.array_equal(info_only, info)
 
 
-def test_float32_genie_matches_float64():
+def test_integer_genie_matches_float64():
     # the genie's forced integer decode of +/-1 words gives the float64 end
     # values and support sums, to the bit and the sign of zero, on every psi
     # tree with m <= 9, psi {10,2} and {12,1}, in either memory order; the
@@ -1062,7 +1069,7 @@ def test_float32_genie_matches_float64():
     assert refused == {(8, 5), (8, 6), (9, 4), (9, 5), (9, 6), (9, 7)}
 
 
-def test_float32_workspace_needs_a_certified_tree():
+def test_integer_workspace_needs_a_certified_tree():
     # psi {12,3} needs 65 bits, more than int64 holds: a byte workspace is
     # refused there, decoding or forced, and taken under min-sum, which
     # needs 9

@@ -84,7 +84,7 @@ def test_apply_channel_noiseless_and_flip_rate():
 
 
 @pytest.mark.parametrize("order", "CF")
-def test_received_float32_matches_float64(monkeypatch, order):
+def test_received_int8_matches_float64(monkeypatch, order):
     # the int8 draw writes the same compare in int8: the same symbols as
     # the float64 draw, in the same memory order, whether or not the chunks
     # of rows divide the block
@@ -119,7 +119,7 @@ def test_received_block_draws_each_trials_own_words(monkeypatch, order):
         assert np.array_equal(rmrec.simulate._received(channel, 5, n, rows, order, dtype), expect)
 
 
-def test_monte_carlo_decodes_run_float32_only_on_certified_trees(monkeypatch):
+def test_monte_carlo_decodes_run_integer_only_on_certified_trees(monkeypatch):
     # run_wer and path_statistics decode int8 words in a byte workspace
     # where the bit budget certifies the tree, psi {9,2} (25 bits) among
     # them, and float64 words in a float64 workspace elsewhere: psi {12,3}
