@@ -56,10 +56,21 @@ def info_to_hex(bits: np.ndarray) -> str:
     return format(value, f"0{-(-len(bits) // 4)}x")
 
 
-def hex_to_info(text: str, k: int) -> np.ndarray:
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def hex_to_info(text: str, k: int, what: str = "info block", size: str = "k") -> np.ndarray:
+    """The k bits of a hex string, first bit most significant.  Surrounding
+    whitespace is stripped; a text of anything but hex digits, or whose
+    value needs more than k bits, raises ValueError naming the text `what`
+    and k `size`."""
+    text = text.strip()
+    # int(text, 16) also takes a sign, a 0x prefix, underscores and non-ASCII digits
+    if not text or not set(text) <= _HEX_DIGITS:
+        raise ValueError(f"{what} {text!r} is not hex: use only the digits 0-9 and a-f")
     value = int(text, 16)
     if value >> k:
-        raise ValueError(f"info block {text!r} does not fit in k={k} bits")
+        raise ValueError(f"{what} {text!r} does not fit in {size}={k} bits")
     return np.array([(value >> (k - 1 - i)) & 1 for i in range(k)], dtype=np.uint8)
 
 
@@ -86,8 +97,7 @@ def parse_word(text: str, n: int) -> np.ndarray:
         if not np.all(np.isfinite(values)):
             raise ValueError("word values must be finite reals")
         return values
-    bits = hex_to_info(text, n)
-    return 1.0 - 2.0 * bits
+    return 1.0 - 2.0 * hex_to_info(text, n, "received word", "n")
 
 
 def _read_argument(value: str) -> str:
@@ -159,7 +169,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     params = CodeParams(args.m, args.r)
-    info = hex_to_info(_read_argument(args.info).strip(), params.k)
+    info = hex_to_info(_read_argument(args.info), params.k)
     cw = encode(info, params)
     print(f"codeword {codeword_to_text(cw)}")
     print(f"codeword_hex {codeword_to_hex(cw)}")

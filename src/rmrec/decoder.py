@@ -24,22 +24,27 @@ values and makes no decision.
 Single blocks: :func:`decode_psi` and :func:`decode_phi` take one 1-D
 block and walk the tree on their own (:func:`_decode_single`), on 1-D
 float64 views with fresh temporaries, with no plan and no workspace.  They
-run the batched walk's kernels in its order, :func:`_v_step`,
-:func:`_u_step` and :func:`hadamard_transform` on a (1, w) view, and sum a
-repetition block with numpy's pairwise sum of its contiguous row, as the
-batched walk sums a row.  Only the decisions differ in form: a repetition
-or first-order node decides on one float, its sum or its winning
-correlation, with a scalar sign (:func:`_sign`), where the batched walk
-evaluates (B,)-array signs, tie checks and gathers; a full space takes
-the batched walk's row-wise signs on its (1, w) row.  So a single decode's
-info bits, codeword and op count equal its row of :func:`decode_batch`
-with the same trial index, to the bit.  The input's shape alone selects
-the walk: a (B, n) batch stays batched, B = 1 included.  The two walks
-are kept apart because at B = 1 numpy's per-call dispatch, not
-arithmetic, fills a decode: slab views of a workspace and per-row arrays
-for one row cost more than the scalar decisions, and the batched walk
-keeps its slabs for the Monte Carlo blocks.  An end node of the single
-walk that would decide on NaN raises ValueError.
+run the batched walk's kernels in its order, on operands of the same
+shapes: the v step (under the product rule the one product y' * y''),
+:func:`_u_step`, and :func:`hadamard_transform` on the 1-D block, one
+stacked (1, a, b) block as a batch's row is; a repetition block is summed
+with numpy's pairwise sum of its contiguous row, as the batched walk sums
+a row.  Only the decisions differ in form: a repetition or first-order
+node decides on one float, its sum or its winning correlation, with a
+scalar sign (:func:`_sign`), and writes its codeword in at most two calls
+(:func:`_winner_codeword`), where the batched walk evaluates (B,)-array
+signs, tie checks and gathers; a full space takes the batched walk's
+row-wise signs on its (1, w) row.  So a single decode's info bits,
+codeword and op count equal its row of :func:`decode_batch` with the same
+trial index, to the bit.  The input's shape alone selects the walk: a
+(B, n) batch stays batched, B = 1 included.  The two walks are kept apart
+because at B = 1 numpy's per-call dispatch, not arithmetic, fills a
+decode: slab views of a workspace and per-row arrays for one row cost
+more than the scalar decisions, and the batched walk keeps its slabs for
+the Monte Carlo blocks.  For the same reason the single walk allocates
+what numpy's calls return rather than passing `out=` buffers it would
+first have to allocate.  An end node of the single walk that would decide
+on NaN raises ValueError.
 
 Memory order: the batched walk slices the symbol axis of a symbol-first
 (n, B) view, the transpose of the (B, n) batch a caller passes.  For a
@@ -68,14 +73,16 @@ in the node's type, before the v child's temporaries take that place.  A
 first-order node of width w runs its transform's two products and their
 magnitudes in the 2*B*w elements after its ancestors' slots.  Those steps
 write with `out=`.  Beside the decode's outputs, the walk allocates only
-small arrays at end nodes: sums, winners and bits per row, the a + b
-symbols of a wide winner's factor rows (w = a*b, see
-:func:`hadamard_transform`) and the signs of a full-space node, at most
-2^r symbols wide.  No step reads an element that an earlier step of the
-same decode has not written, so what a workspace held before never
-enters a result.  The caller passes the workspace, and the decoder keeps
-none: beyond its read-only caches, nothing outlives a call.  A direct call of :func:`decode_batch` or
-:func:`genie_batch` allocates its workspace for the call; direct
+arrays at end nodes: sums, winners and bits per row, a narrow winner's
+gathered (B, w) codeword rows in the codewords' type, the a + b symbols
+of a wide winner's factor rows (w = a*b, see :func:`hadamard_transform`)
+and the signs of a full-space node, at most 2^r symbols wide.  No step
+reads an element that an earlier step of the same decode has not
+written, so what a workspace held before never enters a result.  The
+caller passes the workspace, and the decoder keeps none: beyond its
+read-only caches, nothing outlives a call.  A direct call of
+:func:`decode_batch` or :func:`genie_batch` allocates its workspace for
+the call; direct
 :func:`decode_psi` and :func:`decode_phi` calls walk a single block and
 allocate no workspace.  A Monte Carlo run, genie runs included,
 allocates one workspace per pool thread for the whole run and passes each
@@ -129,8 +136,13 @@ row 2*best + s.  The node's codeword, those bits encoded through the
 {L, 1} Plotkin tree, is the sign times row `best` of the Hadamard matrix
 (see :func:`biorthogonal_codeword`).  With w = a*b as in
 :func:`hadamard_transform`, that row is the Kronecker product of row
-best >> log2(b) of H_a and row best & (b - 1) of H_b; the decoder writes it
-from the transform's cached factors and walks no {L, 1} tree.  End
+best >> log2(b) of H_a and row best & (b - 1) of H_b.  The decoder walks
+no {L, 1} tree, and both walks write the codeword by one rule, in the
+codeword's own type (float64, or int8 in an integer decode): a row of the
+cached read-only H_w in that type while the table takes at most 256 KiB
+(up to w = 128 in float64, w = 512 in int8), and above that the product
+of the two factor rows.  No codeword is built in a float type and cast.
+End
 values, the winning correlation over w here and the block mean at a
 repetition node, are a scalar each in the single-block walk, which
 records them when traced; the batched walk computes them only in a
@@ -318,6 +330,10 @@ def _sign(value: float, options: DecoderOptions, trials: np.ndarray, site: int) 
 
 _V_OPS = {PRODUCT: 1, MIN_SUM: 3}  # counted operations per symbol pair
 _U_OPS = {SCALED: 3, UNSCALED: 2}
+# the scaled u step's factor, a float64 0-d array: a ufunc call with one
+# takes about a third less time than with a Python float
+_HALF = np.array(0.5)
+_HALF.flags.writeable = False
 
 
 def _v_step(y1: np.ndarray, y2: np.ndarray, v_rule: str, out: np.ndarray,
@@ -348,7 +364,7 @@ def _u_step(y1: np.ndarray, y2: np.ndarray, v_hat: np.ndarray | None, u_rule: st
         np.add(y2, y1, out=out, dtype=out.dtype)
     else:
         np.add(np.multiply(y2, v_hat, out=out), y1, out=out)
-    return np.multiply(out, 0.5, out=out) if u_rule == SCALED else out
+    return np.multiply(out, _HALF, out=out) if u_rule == SCALED else out
 
 
 # --- fast Hadamard transform ------------------------------------------------
@@ -371,18 +387,23 @@ def hadamard_transform(x: np.ndarray, *, out: np.ndarray | None = None,
 
     As in numpy, `out` receives the result and is returned, and `scratch`
     receives the first product; each is a C-contiguous array of x's shape
-    in the transform's dtype, allocated when left None.  The transform runs
-    in out's dtype (float32 or float64 in an integer decode of +/-1 words,
-    see the module docstring), and in float64 when `out` is None.
+    in the transform's dtype.  With both left None, the products are the
+    arrays that matmul allocates; with one given, the other is allocated.
+    The transform runs in out's dtype (float32 or float64 in an integer
+    decode of +/-1 words, see the module docstring), and in float64 when
+    `out` is None.  A 1-D x is one stacked block, as each row of a batch
+    is, so it transforms to that row's bits.
     """
     dtype = np.float64 if out is None else out.dtype.type
     x = np.asarray(x, dtype=dtype)
-    width = _power_of_two(x.shape[-1] if x.ndim else 0)
-    a, b, h_a, h_b = _hadamard_factors(width, dtype)
+    a, b, h_a, h_b = _hadamard_factors(x.shape[-1] if x.ndim else 0, dtype)
+    blocks = x.reshape(-1, a, b)
+    if out is None and scratch is None:  # the arrays that matmul allocates
+        return np.matmul(h_a, np.matmul(blocks, h_b)).reshape(x.shape)
     out = np.empty(x.shape, dtype) if out is None else out
     scratch = np.empty(x.shape, dtype) if scratch is None else scratch
     # splitting the last axis of a C-contiguous array is always a view
-    np.matmul(h_a, np.matmul(x.reshape(-1, a, b), h_b, out=scratch.reshape(-1, a, b)),
+    np.matmul(h_a, np.matmul(blocks, h_b, out=scratch.reshape(-1, a, b)),
               out=out.reshape(-1, a, b))
     return out
 
@@ -411,10 +432,15 @@ def biorthogonal_codeword(pattern: np.ndarray | int, width: int) -> np.ndarray:
     return np.where(odd.astype(bool), -1.0, 1.0)
 
 
+# H_w is gathered from while it takes at most this many bytes in the
+# codeword's type: up to w = 128 in float64, w = 512 in int8
+_WINNER_TABLE_BYTES = 1 << 18
+
+
 @cache
 def _hadamard_matrix(width: int, dtype: type = np.float64) -> np.ndarray:
     """The read-only width x width Hadamard matrix, width a power of two,
-    in `dtype` (float64 or float32)."""
+    in `dtype` (float64, float32 or int8)."""
     matrix = biorthogonal_codeword(np.arange(width), width).astype(dtype, copy=False)
     matrix.flags.writeable = False
     return matrix
@@ -426,9 +452,9 @@ def _hadamard_factors(width: int,
     """(a, b, H_a, H_b) of :func:`hadamard_transform` at one power-of-two
     width w = a * b, a = 2^floor(log2(w) / 2): the split and its read-only
     a x a and b x b Hadamard factors in `dtype`, at most 64 x 64 for widths
-    up to 2^12.
+    up to 2^12.  Raises ValueError for a width that is not a power of two.
     """
-    a = 1 << ((width.bit_length() - 1) // 2)
+    a = 1 << ((_power_of_two(width).bit_length() - 1) // 2)
     return a, width // a, _hadamard_matrix(a, dtype), _hadamard_matrix(width // a, dtype)
 
 
@@ -475,23 +501,33 @@ def _block_sums(y: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
     return y.sum(axis=0)
 
 
-def _winner_codewords(best, sign, dtype: type, cw: np.ndarray,
-                      scratch: np.ndarray | None = None) -> None:
-    """Writes sign times row `best` of the Hadamard matrix, built in `dtype`,
-    into cw, in cw's type: for (B,) winners and (B, 1) signs one codeword
-    per row of cw, (B, w) in any memory order, and for one int winner and
-    one float sign the (w,) cw.  A narrow node gathers its rows into
-    `scratch`, of cw's shape and `dtype`, when given."""
-    width = cw.shape[-1]
-    if width <= 128:  # rows of H_w, at most 128 KiB (mode "clip" writes into
-        # scratch directly; no index needs clipping): two calls, not nine
-        np.multiply(_hadamard_matrix(width, dtype).take(best, 0, scratch, "clip"),
-                    sign, out=cw, casting="unsafe")
+def _winner_codewords(best: np.ndarray, sign: np.ndarray, cw: np.ndarray) -> None:
+    """Writes sign times row `best` of the Hadamard matrix into each row of
+    cw, (B, w) in any memory order, for (B,) winners and (B, 1) signs in
+    cw's type, in cw's own loop: a gathered row of H_w while that table
+    takes at most _WINNER_TABLE_BYTES, else the product of the two factor
+    rows (w = a*b as in :func:`hadamard_transform`)."""
+    width = cw.shape[1]
+    if width * width * cw.itemsize <= _WINNER_TABLE_BYTES:
+        np.multiply(_hadamard_matrix(width, cw.dtype.type).take(best, 0), sign, out=cw)
     else:
-        a, b, h_a, h_b = _hadamard_factors(width, dtype)
-        np.multiply((sign * h_a.take(best >> (b.bit_length() - 1), axis=0))[..., :, None],
-                    h_b.take(best & (b - 1), axis=0)[..., None, :],
-                    out=cw.reshape(-1, a, b), casting="unsafe")  # splitting an axis is a view
+        a, b, h_a, h_b = _hadamard_factors(width, cw.dtype.type)
+        np.multiply((sign * h_a.take(best >> (b.bit_length() - 1), 0))[:, :, None],
+                    h_b.take(best & (b - 1), 0)[:, None, :],
+                    out=cw.reshape(-1, a, b))  # splitting an axis is a view
+
+
+def _winner_codeword(best: int, sign: float, cw: np.ndarray) -> None:
+    """:func:`_winner_codewords` for one winner and its +/-1 float sign into
+    the float64 (w,) cw, from row views of the same tables."""
+    width = len(cw)
+    if width * width * cw.itemsize <= _WINNER_TABLE_BYTES:
+        cw[:] = _hadamard_matrix(width)[best]
+    else:
+        a, b, h_a, h_b = _hadamard_factors(width)
+        np.multiply(h_a[best // b, :, None], h_b[best % b], out=cw.reshape(a, b))
+    if sign < 0:
+        np.negative(cw, out=cw)
 
 
 def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, site: int,
@@ -501,10 +537,9 @@ def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, sit
     y holds one block per row, (B, w); writes the +/-1 codewords into cw,
     (B, w) in any memory order, unless cw is None, and returns the info
     bits.  Both are read off the winner (see the module docstring).  The
-    transform, its magnitudes and the gathered rows of a narrow node's
-    codewords run in `work`, a free (2, B, w) C array of the transform's
-    float type: y's, or for an integer y one that holds its sums exactly,
-    into which y is cast first.
+    transform and its magnitudes run in `work`, a free (2, B, w) C array of
+    the transform's float type: y's, or for an integer y one that holds its
+    sums exactly, into which y is cast first.
     """
     rows, width = y.shape
     corr, scratch = work[0], work[1]  # indexed: unpacking is slower
@@ -516,8 +551,8 @@ def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, sit
     best = np.abs(corr, out=scratch).argmax(axis=1)  # first (lowest-index) maximum wins
     sign = _signs(corr[np.arange(rows), best][:, None], options, trials, site)
     if cw is not None:  # else no later step reads this node's codeword
-        # built in the transform's type, written in cw's: int8 in an integer decode
-        _winner_codewords(best, sign, corr.dtype.type, cw, scratch)
+        # int8 signs in an integer decode, whose codewords are int8
+        _winner_codewords(best, sign.astype(cw.dtype, copy=False), cw)
     # .take gathers rows several times faster than fancy indexing
     return _first_order_bits(width).take(2 * best + np.signbit(sign[:, 0]), axis=0)
 
@@ -530,11 +565,11 @@ def _first_order_block(y: np.ndarray, options: DecoderOptions, trials: np.ndarra
     the winning correlation over the block length.  Raises ValueError when
     the winning correlation is NaN."""
     width = len(y)
-    corr = hadamard_transform(y[None])[0]  # the module binding, on a (1, w) view
+    corr = hadamard_transform(y)  # the module binding, on one stacked block
     best = int(np.abs(corr).argmax())  # first (lowest-index) maximum wins
-    winning = corr[best]
+    winning = corr.item(best)
     sign = _sign(winning, options, trials, site)
-    _winner_codewords(best, sign, np.float64, cw)
+    _winner_codeword(best, sign, cw)
     return _first_order_bits(width)[2 * best + (sign < 0)], winning * sign / width
 
 
@@ -551,7 +586,7 @@ def md_biorthogonal(z: np.ndarray, g: int, options: DecoderOptions | None = None
     if g < 0:
         raise ValueError("g must be nonnegative")
     z = _rows(z, 1 << (g + 1), "a first-order block", np.float64, single=True)[0]
-    trials = _trial_indices([trial], 1)
+    trials = _trial_index(trial)
     cw = np.empty(len(z))
     with np.errstate(over="ignore", invalid="ignore"):
         info, _ = _first_order_block(z, options or DecoderOptions(), trials, 0, cw)
@@ -570,6 +605,15 @@ def _trial_indices(trials, rows: int) -> np.ndarray:
         raise ValueError(f"trials must hold one non-negative integer index per row, "
                          f"{rows} in all")
     return trials.astype(np.uint64, copy=False)
+
+
+def _trial_index(trial) -> np.ndarray:
+    """The (1,) uint64 trial index of one block's tie coin, checked as
+    :func:`_trial_indices` checks [trial]."""
+    if isinstance(trial, (int, np.integer)) and not isinstance(trial, bool) \
+            and 0 <= trial < 1 << 64:
+        return np.array([trial], np.uint64)
+    return _trial_indices([trial], 1)  # raises for anything else
 
 
 @cache
@@ -895,11 +939,14 @@ def _decode_single(y: np.ndarray, params: CodeParams, algorithm: str,
     docstring).  Raises ValueError when an end node decides on NaN."""
     options = options or DecoderOptions()
     phi = _is_phi(params, algorithm)
-    # contiguous, as the repetition sum of a row-major batch reads its row
-    y = np.ascontiguousarray(_rows(y, params.n, "a received block", np.float64, single=True)[0])
-    trials = _trial_indices([trial], 1)
-    info = np.empty(params.k, dtype=np.uint8)
-    values = np.empty(params.k) if options.trace else None
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (params.n,):
+        _rows(y, params.n, "a received block", single=True)  # raises
+    y = np.ascontiguousarray(y)  # as the repetition sum of a row-major batch reads its row
+    trials = _trial_index(trial)
+    root = plotkin_tree(params.m, params.r, phi).root
+    info = np.empty(root.info.stop, dtype=np.uint8)  # the k info bits
+    values = np.empty(len(info)) if options.trace else None
     min_sum = options.v_rule == MIN_SUM
 
     def walk(node: PlotkinNode, y: np.ndarray, cw: np.ndarray) -> None:
@@ -910,19 +957,19 @@ def _decode_single(y: np.ndarray, params: CodeParams, algorithm: str,
             half = len(y) // 2
             y1, y2, cw1, cw2 = y[:half], y[half:], cw[:half], cw[half:]
             # the v estimate, then the u estimate, which the v child no longer reads
-            estimate = np.empty(half)
-            walk(v, _v_step(y1, y2, options.v_rule, estimate,
-                            np.empty(half) if min_sum else None), cw2)
+            estimate = (_v_step(y1, y2, MIN_SUM, np.empty(half), np.empty(half)) if min_sum
+                        else y1 * y2)
+            walk(v, estimate, cw2)
             walk(u, _u_step(y1, y2, cw2, options.u_rule, estimate), cw1)
             cw2 *= cw1  # symbol re-assembly (u, u*v), uncounted
             return
         if node.kind == FIRST_ORDER:
             bits, value = _first_order_block(y, options, trials, node.site, cw)
         elif node.kind == RIGHT_END:
-            cw[:] = _signs(y[None], options, trials, node.site)[0]
-            if np.isnan(cw).any():
+            cw[:] = signs = _signs(y[None], options, trials, node.site)[0]
+            if signs @ signs != len(y):  # ties resolved, only NaN is not +/-1
                 raise ValueError(_NAN)
-            bits, value = cw < 0, y
+            bits, value = np.signbit(cw), y
         else:  # numpy's pairwise sum over the contiguous block
             total = y.sum()
             sign = _sign(total, options, trials, node.site)
@@ -936,7 +983,7 @@ def _decode_single(y: np.ndarray, params: CodeParams, algorithm: str,
     # unscaled intermediates may reach inf, and inf - inf is NaN, which an
     # end node refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        walk(plotkin_tree(params.m, params.r, phi).root, y, cw)
+        walk(root, y, cw)
     del walk  # it refers to itself: deleted, it frees what it holds now
     trace = None
     if values is not None:  # decode order is the lexicographic path order

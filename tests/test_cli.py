@@ -34,6 +34,26 @@ def test_hex_roundtrip():
         hex_to_info("ff", 5)
 
 
+def test_hex_takes_hex_digits_only(capsys):
+    # int(text, 16) alone would read a sign, a 0x prefix, underscores and
+    # non-ASCII digits, and call a negative value too wide
+    for text in ("0x5", "+5", "1_0", "-1", "", "  ", "5g", "\u0663"):
+        with pytest.raises(ValueError, match="not hex"):
+            hex_to_info(text, 8)
+    assert np.array_equal(hex_to_info(" 0A\n", 8), [0, 0, 0, 0, 1, 0, 1, 0])
+    assert np.array_equal(hex_to_info("Ff", 8), [1] * 8)
+    for info in ("0x5", "+5", "1_0", "-1"):
+        code, out, err = run_cli(capsys, "encode", "--m", "3", "--r", "1", info)
+        assert code == 2 and out == "" and "not hex" in err
+    # a received word is not an info block, and its size is n
+    code, out, err = run_cli(capsys, "decode", "--m", "3", "--r", "1", "1ff")
+    assert code == 2 and out == "" and "received word '1ff'" in err and "n=8 bits" in err
+    code, out, err = run_cli(capsys, "decode", "--m", "3", "--r", "1", "0x5")
+    assert code == 2 and out == "" and "received word '0x5' is not hex" in err
+    code, out, _ = run_cli(capsys, "decode", "--m", "3", "--r", "1", " 0f ")
+    assert code == 0 and "codeword ++++----" in out
+
+
 def test_parse_word_formats():
     assert np.array_equal(parse_word("++--", 4), [1, 1, -1, -1])
     assert np.array_equal(parse_word("3", 4), [1, 1, -1, -1])

@@ -436,6 +436,35 @@ def test_hadamard_transform_equals_butterfly_on_dyadic_input():
             assert np.array_equal(got.view(np.uint64), butterfly_fht(x).view(np.uint64))
 
 
+def test_winner_codewords_and_one_block_transform():
+    # for every width up to 2^12 and both signs, the batched winner write,
+    # in float64 and in int8, and the single block's write each give the
+    # sign times the winner's biorthogonal codeword, whether H_w is gathered
+    # from or the factor rows multiplied; a 1-D transform is row 0 of the
+    # (1, w) one, to the bit
+    rng = np.random.default_rng(91)
+    for logw in range(1, 13):
+        width = 1 << logw
+        best = np.unique(np.r_[0, width - 1, rng.integers(0, width, 6)])
+        for sign in (1, -1):
+            expected = sign * biorthogonal_codeword(best, width)
+            for dtype in (np.float64, np.int8):
+                for order in ("C", "F"):
+                    cw = np.full((len(best), width), 7, dtype, order=order)
+                    decoder._winner_codewords(best, np.full((len(best), 1), sign, dtype), cw)
+                    assert np.array_equal(cw, expected)
+            for j, pattern in enumerate(best):
+                cw = np.full(width, 7.0)
+                decoder._winner_codeword(int(pattern), float(sign), cw)
+                assert np.array_equal(cw, expected[j])
+        x = rng.normal(size=width)
+        alone = hadamard_transform(x)
+        assert alone.shape == x.shape
+        assert np.array_equal(alone.view(np.uint64), hadamard_transform(x[None])[0].view(np.uint64))
+    for width in (1 << g for g in range(1, 10)):  # the int8 tables, up to 512 symbols wide
+        assert not decoder._hadamard_matrix(width, np.int8).flags.writeable
+
+
 def test_hadamard_transform_rows_independent_of_batch():
     # a row's result must not depend on the batch around it: decode_batch
     # and run_wer promise the same output under any batching
@@ -1037,6 +1066,29 @@ def test_integer_decodes_match_float64(m):
                     info_only, _, _ = decode_batch(batch, params, algorithm, options, trials,
                                                    _work=work, _info_only=True)
                     assert np.array_equal(info_only, info)
+
+
+def test_integer_phi_decodes_match_float64_at_wide_first_order_nodes():
+    # phi {10,2} and {12,2} have first-order nodes 512 to 2048 symbols wide:
+    # the int8 Hadamard table's widest rows (w = 512) and the product of
+    # factor rows above it (w = 1024, 2048) build their integer winners
+    rng = np.random.default_rng(90)
+    for params, rows in ((CodeParams(10, 2), 6), (CodeParams(12, 2), 3)):
+        y = _channel_words(rng, params, rows)
+        trials = np.arange(rows, dtype=np.uint64) + 700
+        for options in (_DTYPE_RULES[0], _DTYPE_RULES[-1]):  # the rules differ throughout
+            work = _pm1_work(params, "phi", options.v_rule, rows)
+            assert work.dtype == np.uint8
+            for batch in (np.ascontiguousarray(y), np.asfortranarray(y)):
+                info, cw, ops = decode_batch(batch, params, "phi", options, trials)
+                info_int, cw_int, ops_int = decode_batch(batch, params, "phi", options,
+                                                         trials, _work=work)
+                assert cw_int.dtype == np.int8
+                assert ops_int == ops and np.array_equal(info_int, info)
+                assert np.array_equal(cw_int, cw)
+                info_only, _, _ = decode_batch(batch, params, "phi", options, trials,
+                                               _work=work, _info_only=True)
+                assert np.array_equal(info_only, info)
 
 
 def test_integer_genie_matches_float64():
