@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 from .core import FIRST_ORDER, LEFT_END, CodeParams, Path, PlotkinNode, plotkin_tree
-from .decoder import ALG_PHI, ALG_PSI
+from .decoder import ALG_PSI, _is_phi
 
 LN4 = math.log(4.0)
 
@@ -395,10 +395,7 @@ def predict_errors(params: CodeParams, epsilon: float, algorithm: str = ALG_PSI,
     from below, the per-path sum (clipped at one) from above.
     """
     _check_epsilon(epsilon)
-    if algorithm not in (ALG_PSI, ALG_PHI):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    phi = algorithm == ALG_PHI
-    _check_phi_order(params, 1 if phi else 0)
+    phi = _is_phi(params, algorithm)
     gate = gaussian_gate(params.m)
     tree = plotkin_tree(params.m, params.r, phi)
     predictions: dict[Path, PathPrediction] = {}

@@ -23,9 +23,10 @@ values and makes no decision.
 
 Single blocks: :func:`decode_psi` and :func:`decode_phi` take one 1-D
 block and walk the tree on their own (:func:`_decode_single`), on 1-D
-float64 views with fresh temporaries, with no plan and no workspace.  They
-run the batched walk's kernels in its order, on operands of the same
-shapes: the v step (under the product rule the one product y' * y''),
+float64 views with fresh temporaries, with no workspace; only their op
+count comes from the cached compile of the float64 decode.  They run the
+batched walk's kernels in its order, on operands of the same shapes: the
+v step (under the product rule the one product y' * y''),
 :func:`_u_step`, and :func:`hadamard_transform` on the 1-D block, one
 stacked (1, a, b) block as a batch's row is; a repetition block is summed
 with numpy's pairwise sum of its contiguous row, as the batched walk sums
@@ -65,7 +66,8 @@ would a contiguous row.  The output is therefore bit-identical for any
 memory order of the input, and comes back in the input's order.
 
 Workspace: a batched decode's temporaries live in one flat workspace,
-which the walk carves by byte offset (see :func:`_plan`).  A split node of
+which the walk carves by byte offset; its bytes per row are the `need`
+of the decode's compile (see :func:`_plan`).  A split node of
 width w keeps its v estimate, and once the v child is decoded its u
 estimate, in one (w/2, B) slot after its ancestors' slots, laid out like
 the batch; the min-sum v step's scratch, as large, comes after the slot,
@@ -101,7 +103,7 @@ are +/-1 words by construction, and the run says so by passing a byte
 (uint8) workspace; no data is scanned.  Such a decode runs on integers:
 its input is cast to int8, and it runs the unscaled u step, whatever the
 options' u rule, so that every value of a node with e bits (see
-:func:`_bit_budget`) is an integer k with |k| <= 2^e.  The scaled rule's
+:func:`_plan`) is an integer k with |k| <= 2^e.  The scaled rule's
 value is k/2^e, one power-of-two scale per node, so every sign, tie,
 minimum, FHT argmax, info bit and codeword equals the scaled decode's;
 the op count is still the options' rule's.  Each node's values live in
@@ -153,9 +155,14 @@ sign evaluation costs one unit.  A Hadamard butterfly stage costs two per
 element pair.  Re-assembly of +/-1 code symbols (u*v products, info-bit
 bookkeeping) is symbol manipulation, not channel arithmetic, and is not
 counted.  The tree and the two rules fix every counted operation, so the
-count is a static sum over the tree's nodes, the same for every block.
-Under this convention the counts never exceed the closed-form bounds in
-:func:`decode_op_bound`.  A first-order node of width w counts the
+count is a static sum over the tree's nodes, the same for every block:
+the compile (:func:`_plan`) sums the split nodes' symbol pairs, each
+costing one v and one u step, and the end nodes' operations in the one
+recursion that also fixes the decode's types, bits and workspace, and
+:func:`_op_count` prices the pairs by the two rules.  Under this
+convention and the product v rule, the counts never exceed the
+closed-form bounds in :func:`decode_op_bound`; min-sum's three operations
+per pair can.  A first-order node of width w counts the
 paper's butterfly, w*log2(w) operations for its FHT, whatever kernel runs
 it: :func:`hadamard_transform` does w*(a+b) multiply-adds (w = a*b) in two
 BLAS calls, so a time per counted operation compares the paper's count
@@ -415,21 +422,29 @@ def _power_of_two(width: int) -> int:
     return width
 
 
-def biorthogonal_codeword(pattern: np.ndarray | int, width: int) -> np.ndarray:
-    """+/-1 rows of the width x width Hadamard matrix, one per pattern index;
-    a width that is not a power of two raises ValueError, and a pattern
-    index below 0 or past the matrix's end raises IndexError.
+def _hadamard_rows(pattern: np.ndarray, width: int, dtype: type) -> np.ndarray:
+    """Rows `pattern` of the width x width Hadamard matrix, width a power
+    of two, in `dtype`; a pattern index past the matrix's end raises
+    IndexError.
 
     Entry (j, i) of the matrix is (-1)^popcount(i & j): the sign rule of
     :func:`hadamard_transform`, and the only place the matrix is written.
     """
-    width = _power_of_two(width)
     index = np.arange(width, dtype=np.min_scalar_type(width - 1))  # the narrowest that fits
+    odd = np.bitwise_count(index[pattern][:, None] & index) & 1
+    return np.subtract(1, odd << 1, dtype=dtype)  # 1 - 2*odd, computed in dtype
+
+
+def biorthogonal_codeword(pattern: np.ndarray | int, width: int) -> np.ndarray:
+    """+/-1 float64 rows of the width x width Hadamard matrix, one per
+    pattern index; a width that is not a power of two raises ValueError,
+    and a pattern index below 0 or past the matrix's end raises IndexError.
+    """
+    width = _power_of_two(width)
     pattern = np.atleast_1d(pattern)
     if np.any(pattern < 0):  # numpy would count these from the end
         raise IndexError(f"pattern index {pattern.min()} is out of bounds for width {width}")
-    odd = np.bitwise_count(index[pattern][:, None] & index) & 1
-    return np.where(odd.astype(bool), -1.0, 1.0)
+    return _hadamard_rows(pattern, width, np.float64)
 
 
 # H_w is gathered from while it takes at most this many bytes in the
@@ -440,8 +455,8 @@ _WINNER_TABLE_BYTES = 1 << 18
 @cache
 def _hadamard_matrix(width: int, dtype: type = np.float64) -> np.ndarray:
     """The read-only width x width Hadamard matrix, width a power of two,
-    in `dtype` (float64, float32 or int8)."""
-    matrix = biorthogonal_codeword(np.arange(width), width).astype(dtype, copy=False)
+    in `dtype` (float64, float32 or int8), built in that type."""
+    matrix = _hadamard_rows(np.arange(width), width, dtype)
     matrix.flags.writeable = False
     return matrix
 
@@ -616,23 +631,6 @@ def _trial_index(trial) -> np.ndarray:
     return _trial_indices([trial], 1)  # raises for anything else
 
 
-@cache
-def _op_count(m: int, r: int, first_order_ends: bool, u_rule: str, v_rule: str) -> int:
-    """Counted operations of one decoded block: a static sum over the tree."""
-
-    def node_ops(node) -> int:
-        width = 1 << node.length_log
-        if node.kind == SPLIT:
-            return (_V_OPS[v_rule] + _U_OPS[u_rule]) * (width // 2)
-        if node.kind == FIRST_ORDER:
-            # two ops per butterfly pair, width/2 pairs a stage; then width
-            # magnitudes, width-1 comparisons and one sign
-            return width * node.length_log + 2 * width
-        return width  # width signs, or width-1 additions plus the sign
-
-    return sum(node_ops(node) for node in plotkin_tree(m, r, first_order_ends).nodes)
-
-
 # signed integer types by the bits e they hold: every k with |k| <= 2^e
 # fits the first whose limit is at least e
 _INT_TYPES = ((6, np.int8), (14, np.int16), (30, np.int32), (62, np.int64))
@@ -642,38 +640,20 @@ _INT_TYPES = ((6, np.int8), (14, np.int16), (30, np.int32), (62, np.int64))
 _FLOAT_TYPES = ((24, np.float32), (53, np.float64))
 
 
-@cache
-def _bit_budget(m: int, r: int, first_order_ends: bool, v_rule: str) -> int:
-    """Bits that one block's decode of a +/-1 word needs: a static maximum
-    over the tree's end nodes, the same under either u rule.
-
-    A value at a node with e bits is k/2^e (scaled u rule) or k (unscaled)
-    with |k| <= 2^e.  The root has e = 0; a product v step maps e to 2e, a
-    min-sum v step keeps it, and a u step maps it to e + 1.  A full-space
-    node needs e bits, and a repetition sum or an FHT of width 2^L needs
-    e + L, as every partial sum, in any order, is bounded by the sum of the
-    magnitudes.  The genie's support sum at an order-1 split node {L, 1}
-    with e bits adds 2^(L-1) values: e + L - 1 bits, within the 2e + L - 1
-    that its v child, the repetition node {L-1, 0}, needs under the product
-    rule the genie runs.
-    """
-
-    def budget(step: _Step) -> int:
-        if step.children:
-            return max(map(budget, step.children))
-        return step.bits + (0 if step.node.kind == RIGHT_END else step.node.length_log)
-
-    return budget(_plan(m, r, first_order_ends, v_rule, False).root)
-
-
 class _Step(NamedTuple):
-    """One node of a decode's plan.  The node's values hold `bits` bits
-    (see :func:`_bit_budget`) and have type `value`; `reduce` is the type of
-    its reduction: a repetition node's block sums, a first-order node's
-    transform, an order-1 split node's genie support sums (`value`
-    elsewhere).  A split node keeps its v and then its u estimate, in its
-    children's value types, in one slot of `slot` bytes per row; `children`
-    are its children's steps, (v, u)."""
+    """One node of a decode's compile, with the static facts of its subtree.
+
+    The node's values hold `bits` bits and have type `value`; `reduce` is
+    the type of its reduction: a repetition node's block sums, a
+    first-order node's transform, an order-1 split node's genie support
+    sums (`value` elsewhere).  A split node keeps its v and then its u
+    estimate, in its children's value types, in one slot of `slot` bytes
+    per row; `children` are its children's steps, (v, u).  Over the
+    subtree: `need` is the workspace bytes per row that its decode needs,
+    `budget` the bits that its decode of a +/-1 word needs, `pairs` the
+    split nodes' symbol pairs, each counting one v and one u step's
+    operations, and `ends` the end nodes' counted operations (see
+    :func:`_op_count`)."""
 
     node: PlotkinNode
     bits: int
@@ -681,14 +661,10 @@ class _Step(NamedTuple):
     reduce: np.dtype
     slot: int
     children: tuple[_Step, ...]
-
-
-class _Plan(NamedTuple):
-    """The steps of one decode, from the root's, and the workspace bytes per
-    row that the decode needs."""
-
-    root: _Step
-    width: int
+    need: int
+    budget: int
+    pairs: int
+    ends: int
 
 
 def _round8(size: int) -> int:
@@ -697,14 +673,29 @@ def _round8(size: int) -> int:
 
 @cache
 def _plan(m: int, r: int, first_order_ends: bool, v_rule: str, integer: bool,
-          forced: bool = False) -> _Plan | None:
-    """The plan of a float64 decode or, with `integer`, of an integer
-    decode of +/-1 words: each node's values in the narrowest signed
-    integer type that holds their bits, each repetition and support sum in
-    the one that holds the sum's, and each first-order block cast into
-    float32 or float64 for its transform.  None when some node's values or
-    sums need more than 62 bits, or a first-order transform more than 53:
-    the bit budget does not certify the tree for an integer decode.
+          forced: bool = False) -> _Step | None:
+    """The compile of a float64 decode or, with `integer`, of an integer
+    decode of +/-1 words: the root's step, whose fields give every static
+    fact of the decode, computed in one recursion over the tree.
+
+    Bits: a value at a node with e bits is k/2^e (scaled u rule) or k
+    (unscaled) with |k| <= 2^e.  The root has e = 0; a product v step maps
+    e to 2e, a min-sum v step keeps it, and a u step maps it to e + 1.  A
+    full-space node needs e bits, and a repetition sum or an FHT of width
+    2^L needs e + L, as every partial sum, in any order, is bounded by the
+    sum of the magnitudes; the root's `budget` is their maximum, the same
+    under either u rule.  The genie's support sum at an order-1 split node
+    {L, 1} with e bits adds 2^(L-1) values: e + L - 1 bits, within the
+    2e + L - 1 that its v child, the repetition node {L-1, 0}, needs under
+    the product rule the genie runs.
+
+    Types: in a float64 decode every type is float64.  An integer decode
+    holds each node's values in the narrowest signed integer type that
+    holds their bits, each repetition and support sum in the one that
+    holds the sum's, and casts each first-order block into float32 or
+    float64 for its transform.  Its compile is None when some node's values
+    or sums need more than 62 bits, or a first-order transform more than
+    53: the bit budget does not certify the tree for an integer decode.
 
     A `forced` integer decode, the genie's, keeps the -0.0 that float64
     may carry into a full-space end value: a u step can sum a value and its
@@ -712,13 +703,13 @@ def _plan(m: int, r: int, first_order_ends: bool, v_rule: str, integer: bool,
     when the other factor is negative.  From each node below such a v step
     that still has a full space under it, values and sums are float32 (up
     to 24 bits) or float64 (up to 53), exact and signed at zero as float64's;
-    the plan is None where one of them needs more.
+    the compile is None where one of them needs more.
 
-    The workspace of a split node holds its slot, rounded up to 8 bytes
-    per row so that every slot after it stays aligned, then min-sum's
-    scratch for its v step, in its own type, or its children's
-    temporaries, whichever is larger; a first-order node's holds its
-    transform's two products.
+    Workspace: a split node's holds its slot, rounded up to 8 bytes per row
+    so that every slot after it stays aligned, then min-sum's scratch for
+    its v step, in its own type, or its children's temporaries, whichever
+    is larger; a first-order node's holds its transform's two products.
+    The root's `need` is the decode's workspace bytes per row.
     """
 
     def narrowest(bits: int, types=_INT_TYPES) -> np.dtype | None:
@@ -732,34 +723,39 @@ def _plan(m: int, r: int, first_order_ends: bool, v_rule: str, integer: bool,
         # step below that one may have made -0.0
         floating = floating or forced and signed and node.order >= 1
         types = _FLOAT_TYPES if floating else _INT_TYPES
-        value, length_log, children, slot = narrowest(e, types), node.length_log, (), 0
+        value, length_log, width = narrowest(e, types), node.length_log, 1 << node.length_log
         if node.kind == SPLIT:
             v, u = node.children
-            children = (step(v, 2 * e if v_rule == PRODUCT else e, zeros, zeros, floating),
-                        step(u, e + 1, True, signed, floating))
-            if any(child is None for child in children):
-                return None
+            v, u = (step(v, 2 * e if v_rule == PRODUCT else e, zeros, zeros, floating),
+                    step(u, e + 1, True, signed, floating))
             reduce = narrowest(e + length_log - 1, types) if node.order == 1 else value
-            slot = _round8((1 << length_log - 1) * max(child.value.itemsize
-                                                       for child in children))
-        elif node.kind == RIGHT_END:
-            reduce = value
-        else:
-            reduce = narrowest(e + length_log,
-                               _FLOAT_TYPES if node.kind == FIRST_ORDER else types)
+            # u holds one bit more: where this node's values fit no type, u is None
+            if v is None or u is None or reduce is None:
+                return None
+            slot = _round8(width // 2 * max(v.value.itemsize, u.value.itemsize))
+            spare = _round8(width // 2 * value.itemsize) if v_rule == MIN_SUM else 0
+            return _Step(node, e, value, reduce, slot, (v, u), slot + max(spare, v.need, u.need),
+                         max(v.budget, u.budget), width // 2 + v.pairs + u.pairs,
+                         v.ends + u.ends)
+        budget = e if node.kind == RIGHT_END else e + length_log
+        reduce = narrowest(budget, _FLOAT_TYPES if node.kind == FIRST_ORDER else types)
         if value is None or reduce is None:
             return None
-        return _Step(node, e, value, reduce, slot, children)
+        if node.kind == FIRST_ORDER:
+            # w log2(w) for the transform, then w magnitudes, w - 1
+            # comparisons and one sign
+            return _Step(node, e, value, reduce, 0, (), 2 * width * reduce.itemsize, budget, 0,
+                         width * (length_log + 2))
+        # w signs, or w - 1 additions and the sign
+        return _Step(node, e, value, reduce, 0, (), 0, budget, 0, width)
 
-    def need(step: _Step) -> int:
-        width = 1 << step.node.length_log
-        if step.children:
-            spare = _round8(width // 2 * step.value.itemsize) if v_rule == MIN_SUM else 0
-            return step.slot + max(spare, *map(need, step.children))
-        return 2 * width * step.reduce.itemsize if step.node.kind == FIRST_ORDER else 0
+    return step(plotkin_tree(m, r, first_order_ends).root, 0)
 
-    root = step(plotkin_tree(m, r, first_order_ends).root, 0)
-    return None if root is None else _Plan(root, need(root))
+
+def _op_count(plan: _Step, options: DecoderOptions) -> int:
+    """Counted operations of one decoded block under the options' rules, v
+    the plan's: a static sum over the tree, the same for every block."""
+    return (_V_OPS[options.v_rule] + _U_OPS[options.u_rule]) * plan.pairs + plan.ends
 
 
 def _pm1_workspace(params: CodeParams, algorithm: str, v_rule: str,
@@ -771,8 +767,8 @@ def _pm1_workspace(params: CodeParams, algorithm: str, v_rule: str,
     phi = algorithm == ALG_PHI
     plan = _plan(params.m, params.r, phi, v_rule, True, forced)
     if plan is None:
-        return np.float64, np.float64, _plan(params.m, params.r, phi, v_rule, False).width // 8
-    return np.int8, np.uint8, plan.width
+        return np.float64, np.float64, _plan(params.m, params.r, phi, v_rule, False).need // 8
+    return np.int8, np.uint8, plan.need
 
 
 def _is_phi(params: CodeParams, algorithm: str) -> bool:
@@ -804,8 +800,9 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
     None), and builds the codeword of no node on the root's u chain, whose
     descent prefix is all ones: a later step reads a node's codeword only
     when the node lies in some ancestor's v subtree.  `work` is the
-    decode's workspace, a flat array of at least B times its plan's row
-    width (see :func:`_pm1_workspace`), allocated for the call when None.
+    decode's workspace, a flat array of at least B times its compile's
+    `need` bytes (see :func:`_pm1_workspace`), allocated for the call when
+    None.
     A byte (uint8) workspace is the caller's promise that every entry of y
     is +/-1, which nothing checks, and runs an integer decode, refused
     unless the bit budget certifies the tree: its codewords are int8, and
@@ -832,7 +829,7 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
         values = np.empty((y.shape[0], params.k))
     else:
         info = np.empty((y.shape[0], params.k), dtype=np.uint8, order=order)
-    size = len(y) * plan.width
+    size = len(y) * plan.need
     work = np.empty(size // 8) if work is None else work[:size // work.itemsize]
     min_sum = options.v_rule == MIN_SUM
 
@@ -898,14 +895,13 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
     # unscaled intermediates may reach inf, and inf - inf is NaN; the
     # callers that must refuse NaN check the decoded symbols
     with np.errstate(over="ignore", invalid="ignore"):
-        walk(plan.root, y.T, None if forced else cw.T, not (forced or info_only), 0)
+        walk(plan, y.T, None if forced else cw.T, not (forced or info_only), 0)
     # the walk refers to itself; deleted, it frees what it holds now, not
     # at the next garbage collection
     del walk
-    ops = _op_count(params.m, params.r, phi, options.u_rule, options.v_rule)
     if forced:
-        return None, None, ops, values
-    return info, None if info_only else cw, ops, None
+        return None, None, _op_count(plan, options), values
+    return info, None if info_only else cw, _op_count(plan, options), None
 
 
 def decode_batch(y: np.ndarray, params: CodeParams, algorithm: str = ALG_PSI,
@@ -944,8 +940,9 @@ def _decode_single(y: np.ndarray, params: CodeParams, algorithm: str,
         _rows(y, params.n, "a received block", single=True)  # raises
     y = np.ascontiguousarray(y)  # as the repetition sum of a row-major batch reads its row
     trials = _trial_index(trial)
-    root = plotkin_tree(params.m, params.r, phi).root
-    info = np.empty(root.info.stop, dtype=np.uint8)  # the k info bits
+    # the compile's root step: the tree's root node and the op count
+    plan = _plan(params.m, params.r, phi, options.v_rule, False)
+    info = np.empty(plan.node.info.stop, dtype=np.uint8)  # the k info bits
     values = np.empty(len(info)) if options.trace else None
     min_sum = options.v_rule == MIN_SUM
 
@@ -983,14 +980,12 @@ def _decode_single(y: np.ndarray, params: CodeParams, algorithm: str,
     # unscaled intermediates may reach inf, and inf - inf is NaN, which an
     # end node refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        walk(root, y, cw)
+        walk(plan.node, y, cw)
     del walk  # it refers to itself: deleted, it frees what it holds now
     trace = None
     if values is not None:  # decode order is the lexicographic path order
         trace = dict(zip(enumerate_paths(params), values.tolist()))
-    return DecodeResult(info, cw.astype(np.int8),
-                        _op_count(params.m, params.r, phi, options.u_rule, options.v_rule),
-                        trace)
+    return DecodeResult(info, cw.astype(np.int8), _op_count(plan, options), trace)
 
 
 def decode_psi(y: np.ndarray, params: CodeParams,
@@ -1028,8 +1023,9 @@ def codeword_to_info(codeword: np.ndarray, params: CodeParams) -> np.ndarray:
 
 def decode_op_bound(params: CodeParams, algorithm: str = ALG_PSI,
                     u_rule: str = SCALED) -> int:
-    """Closed-form ceiling on the decoder's operation count; raises
-    ValueError where the decode would (see :func:`_is_phi`)."""
+    """Closed-form ceiling on the decoder's operation count under the
+    product v rule; raises ValueError where the decode would (see
+    :func:`_is_phi`)."""
     n, m, r = params.n, params.m, params.r
     lo = min(r, m - r)
     if _is_phi(params, algorithm):

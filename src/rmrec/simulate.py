@@ -68,10 +68,10 @@ import numpy as np
 from . import analysis
 from .core import CodeParams, Path, encode_batch, enumerate_paths
 from .decoder import (
-    ALG_PHI,
     ALG_PSI,
     PRODUCT,
     DecoderOptions,
+    _is_phi,
     _pm1_workspace,
     _support_nodes,
     decode_batch,
@@ -177,8 +177,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.trials < 1 or self.batch_size < 0:
             raise ValueError("trials must be >= 1 and batch_size >= 0 (0: automatic)")
-        if self.algorithm not in (ALG_PSI, ALG_PHI):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        _is_phi(self.params, self.algorithm)  # raises for an unknown algorithm, or phi on {m,0}
         if self.transmitted not in (ALL_ONES, RANDOM_CODEWORDS):
             raise ValueError(f"unknown transmitted mode {self.transmitted!r}")
 

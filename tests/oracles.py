@@ -100,3 +100,24 @@ def butterfly_fht(x: np.ndarray) -> np.ndarray:
 def md_oracle(z: np.ndarray, codebook: np.ndarray) -> np.ndarray:
     """Brute-force MD decoding: first codeword maximizing the inner product."""
     return codebook[int(np.argmax(codebook @ z))]
+
+
+# counted operations per symbol pair: y'y'' is one product;
+# sign(y'y'') min(|y'|, |y''|) a product, a comparison and a sign;
+# (y' + y''v)/2 a product, a sum and a halving, and unscaled no halving
+_PAIR_OPS = {"product": 1, "min-sum": 3, "scaled": 3, "unscaled": 2}
+
+
+def op_count_oracle(m: int, r: int, phi: bool, u_rule: str, v_rule: str) -> int:
+    """Counted operations of one recursive decode of {m, r}, by the per-node
+    rule: (v + u) w/2 at a split node of width w, w log2(w) + 2w at a
+    first-order node {L, 1}, L >= 2 (phi only: its FHT, w magnitudes, w - 1
+    comparisons and one sign), and w at a repetition or full-space node."""
+    width = 1 << m
+    if r in (0, m):
+        return width
+    if phi and r == 1:
+        return width * m + 2 * width
+    return ((_PAIR_OPS[v_rule] + _PAIR_OPS[u_rule]) * width // 2
+            + op_count_oracle(m - 1, r - 1, phi, u_rule, v_rule)
+            + op_count_oracle(m - 1, r, phi, u_rule, v_rule))

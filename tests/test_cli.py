@@ -114,6 +114,12 @@ def test_decode_rejects_phi_on_repetition(capsys):
     assert code == 2 and "phi" in err
 
 
+def test_simulate_rejects_phi_on_repetition(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--m", "3", "--r", "0", "--algo", "phi",
+                             "--channel", "bsc:0.1", "--trials", "10")
+    assert code == 2 and out == "" and "phi requires r >= 1" in err
+
+
 def test_decode_bad_word(capsys):
     code, _, err = run_cli(capsys, "decode", "--m", "3", "--r", "1", "++")
     assert code == 2

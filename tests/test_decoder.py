@@ -43,7 +43,7 @@ from rmrec.decoder import (
     genie_batch,
 )
 
-from oracles import brute_codebook, butterfly_fht, md_oracle, popcount
+from oracles import brute_codebook, butterfly_fht, md_oracle, op_count_oracle, popcount
 
 DET = DecoderOptions(tie_rule=TIE_POSITIVE)
 
@@ -465,6 +465,18 @@ def test_winner_codewords_and_one_block_transform():
         assert not decoder._hadamard_matrix(width, np.int8).flags.writeable
 
 
+def test_hadamard_tables_are_built_in_their_own_type():
+    # each cached table, from width 1 to 512, holds the Hadamard matrix in
+    # exactly its type, read-only
+    for width in (1 << g for g in range(10)):
+        matrix = biorthogonal_codeword(np.arange(width), width)
+        assert matrix.dtype == np.float64
+        for dtype in (np.float64, np.float32, np.int8):
+            table = decoder._hadamard_matrix(width, dtype)
+            assert table.dtype == dtype and not table.flags.writeable
+            assert np.array_equal(table, matrix)
+
+
 def test_hadamard_transform_rows_independent_of_batch():
     # a row's result must not depend on the batch around it: decode_batch
     # and run_wer promise the same output under any batching
@@ -570,6 +582,30 @@ def test_op_count_data_independent():
     rng = np.random.default_rng(6)
     counts = {decode_psi(rng.uniform(-1, 1, 64), params).op_count for _ in range(5)}
     assert len(counts) == 1
+
+
+def test_compiled_op_counts_match_the_per_node_rule():
+    # on every tree with m <= 8, under both algorithms and all four rule
+    # pairs, the compile's count is the per-node rule's, and both walks
+    # report it, within the closed-form bound under the product rule
+    rng = np.random.default_rng(12)
+    for m in range(1, 9):
+        for r in range(m + 1):
+            params = CodeParams(m, r)
+            y = rng.uniform(-1, 1, params.n)
+            for algorithm in ("psi", "phi") if r >= 1 else ("psi",):
+                decode = decode_phi if algorithm == "phi" else decode_psi
+                for u_rule in (SCALED, UNSCALED):
+                    for v_rule in (PRODUCT, MIN_SUM):
+                        options = DecoderOptions(u_rule, v_rule)
+                        compiled = decoder._op_count(
+                            decoder._plan(m, r, algorithm == "phi", v_rule, False), options)
+                        assert compiled == op_count_oracle(m, r, algorithm == "phi", u_rule,
+                                                           v_rule)
+                        assert decode_batch(y[None], params, algorithm, options)[2] == compiled
+                        assert decode(y, params, options).op_count == compiled
+                        if v_rule == PRODUCT:  # the bound's v rule
+                            assert compiled <= decode_op_bound(params, algorithm, u_rule)
 
 
 def test_min_sum_decodes_noiseless():
@@ -783,7 +819,7 @@ def test_decode_independent_of_earlier_decodes():
         v_rule = options.v_rule if options else PRODUCT
         if dtype == np.uint8:
             return decoder._pm1_workspace(params, psi, v_rule, algorithm == "genie")[2]
-        return decoder._plan(params.m, params.r, psi == "phi", v_rule, False).width // 8
+        return decoder._plan(params.m, params.r, psi == "phi", v_rule, False).need // 8
 
     def decode(case, shared=None):
         batch, params, algorithm, options, _, dtype = case
@@ -920,7 +956,7 @@ def test_pm1_decodes_match_exact_arithmetic(m):
         for algorithm in ("psi", "phi") if r >= 1 else ("psi",):
             root = plotkin_tree(m, r, algorithm == "phi").root
             for options in _EXACT_RULES:
-                budget = decoder._bit_budget(m, r, algorithm == "phi", options.v_rule)
+                budget = decoder._plan(m, r, algorithm == "phi", options.v_rule, False).budget
                 work = _pm1_work(params, algorithm, options.v_rule, len(words))
                 assert work.dtype == np.uint8
                 _, cw, _ = decode_batch(words, params, algorithm, options)
@@ -951,7 +987,7 @@ def test_integer_decode_past_float64_matches_exact_arithmetic():
         exact = _exact_decode(word.tolist(), plotkin_tree(11, 3).root, options, bits)
         assert exact == decoded.tolist()
         budget.append(max(bits))
-    assert budget[0] == max(budget) == decoder._bit_budget(11, 3, False, PRODUCT) == 57
+    assert budget[0] == max(budget) == decoder._plan(11, 3, False, PRODUCT, False).budget == 57
 
 
 def test_bit_budget_reference_values():
@@ -961,8 +997,8 @@ def test_bit_budget_reference_values():
               (12, 1, False): (21, 11), (9, 2, False): (25, 7), (10, 2, False): (29, 8),
               (11, 3, False): (57, 8), (12, 3, False): (65, 9), (12, 4, True): (58, 9)}
     for (m, r, phi), (product, min_sum) in expect.items():
-        assert decoder._bit_budget(m, r, phi, PRODUCT) == product
-        assert decoder._bit_budget(m, r, phi, MIN_SUM) == min_sum
+        assert decoder._plan(m, r, phi, PRODUCT, False).budget == product
+        assert decoder._plan(m, r, phi, MIN_SUM, False).budget == min_sum
         algorithm = "phi" if phi else "psi"
         words, dtype, _ = decoder._pm1_workspace(CodeParams(m, r), algorithm, PRODUCT)
         assert (words, dtype) == ((np.int8, np.uint8) if product <= (53 if phi else 62) else
@@ -981,7 +1017,7 @@ def test_bit_budget_reference_values():
                                     (11, 3, False, PRODUCT, {np.int8, np.int16, np.int32,
                                                              np.int64}),
                                     (9, 1, False, MIN_SUM, {np.int8, np.int16})):
-        steps, values = [decoder._plan(m, r, phi, v_rule, True).root], set()
+        steps, values = [decoder._plan(m, r, phi, v_rule, True)], set()
         while steps:
             step = steps.pop()
             node, e = step.node, step.bits
@@ -1006,7 +1042,7 @@ def test_bit_budget_reference_values():
     # and 53 in float64; psi {11,3} needs more there, and {12,1} none
     for m, r, floats in ((8, 2, {np.float32}), (10, 2, {np.float32, np.float64}),
                          (9, 3, {np.float32, np.float64}), (12, 1, set())):
-        steps, values = [(decoder._plan(m, r, False, PRODUCT, True, True).root, False)], set()
+        steps, values = [(decoder._plan(m, r, False, PRODUCT, True, True), False)], set()
         while steps:
             step, floating = steps.pop()
             node, e = step.node, step.bits
@@ -1053,8 +1089,8 @@ def test_integer_decodes_match_float64(m):
             for options in _DTYPE_RULES:
                 work = _pm1_work(params, algorithm, options.v_rule, rows)
                 assert (work.dtype == np.uint8) == (
-                    decoder._bit_budget(params.m, params.r, algorithm == "phi",
-                                        options.v_rule) <= (53 if algorithm == "phi" else 62))
+                    decoder._plan(params.m, params.r, algorithm == "phi", options.v_rule,
+                                  False).budget <= (53 if algorithm == "phi" else 62))
                 for batch in (np.ascontiguousarray(y), np.asfortranarray(y)):
                     info, cw, ops = decode_batch(batch, params, algorithm, options, trials)
                     info_int, cw_int, ops_int = decode_batch(batch, params, algorithm, options,
@@ -1186,7 +1222,7 @@ def test_info_only_decodes_return_the_full_decodes_info_bits(m, r, algorithm):
     trials = np.arange(rows, dtype=np.uint64) + 300
     for options in MEMORY_ORDER_RULES:
         float64 = np.empty(rows * decoder._plan(m, r, algorithm == "phi", options.v_rule,
-                                                False).width // 8)
+                                                False).need // 8)
         for y, works in ((pm1, (float64, _pm1_work(params, algorithm, options.v_rule, rows))),
                          (real, (float64,))):
             for batch in (np.ascontiguousarray(y), np.asfortranarray(y)):
@@ -1223,7 +1259,7 @@ def test_certified_monte_carlo_decodes_run_unscaled(monkeypatch):
     for algorithm in ("psi", "phi"):
         integer = _pm1_work(params, algorithm, PRODUCT, len(y))
         double = np.empty(len(y) * decoder._plan(8, 2, algorithm == "phi", PRODUCT,
-                                                 False).width // 8)
+                                                 False).need // 8)
         decode = decode_psi if algorithm == "psi" else decode_phi
         for u_rule in (SCALED, UNSCALED):
             options = DecoderOptions(u_rule=u_rule)

@@ -24,7 +24,13 @@ from rmrec import (
     run_wer,
     sweep,
 )
-from rmrec.analysis import moments_for_path, phi_weakest_variance, q_function, weakest_path
+from rmrec.analysis import (
+    moments_for_path,
+    phi_weakest_variance,
+    predict_errors,
+    q_function,
+    weakest_path,
+)
 from rmrec.core import RIGHT_END, plotkin_tree
 from rmrec.decoder import (
     ALG_PSI,
@@ -149,7 +155,7 @@ def test_genie_reports_match_float64(monkeypatch):
     # float64 one.  {6,4} at crossover 0.3 has -0.0 end values
     config = _config(m=6, r=4, p=0.3, trials=2000)
     report = path_statistics(config)
-    width = rmrec.decoder._plan(6, 4, False, PRODUCT, False).width // 8
+    width = rmrec.decoder._plan(6, 4, False, PRODUCT, False).need // 8
     monkeypatch.setattr(rmrec.simulate, "_pm1_workspace",
                         lambda *_, **__: (np.float64, np.float64, width))
     float64 = path_statistics(config)
@@ -415,6 +421,20 @@ def test_config_validation():
                   transmitted="codebook")
     with pytest.raises(ValueError):
         _config(batch_size=-7)
+
+
+def test_config_and_predictions_check_the_algorithm_as_the_decoder_does():
+    # phi on a repetition code is refused where the config is made, with
+    # the decoder's message, not by a pool thread's first decode; the
+    # predictions of phi on it are refused with the same message
+    with pytest.raises(ValueError, match="phi requires r >= 1"):
+        SimConfig(CodeParams(4, 0), Channel.bsc(0.1), algorithm="phi")
+    with pytest.raises(ValueError, match="unknown algorithm 'chase'"):
+        SimConfig(CodeParams(4, 1), Channel.bsc(0.1), algorithm="chase")
+    with pytest.raises(ValueError, match="phi requires r >= 1"):
+        predict_errors(CodeParams(4, 0), 0.1, "phi")
+    with pytest.raises(ValueError, match="unknown algorithm 'chase'"):
+        predict_errors(CodeParams(4, 1), 0.1, "chase")
 
 
 def test_min_sum_simulation_runs():
