@@ -22,30 +22,32 @@ through the same walk, kernels and workspace, which records the end
 values and makes no decision.
 
 Single blocks: :func:`decode_psi` and :func:`decode_phi` take one 1-D
-block and walk the tree on their own (:func:`_decode_single`), on 1-D
-float64 views with fresh temporaries, with no workspace; only their op
-count comes from the cached compile of the float64 decode.  They run the
-batched walk's kernels in its order, on operands of the same shapes: the
-v step (under the product rule the one product y' * y''),
-:func:`_u_step`, and :func:`hadamard_transform` on the 1-D block, one
-stacked (1, a, b) block as a batch's row is; a repetition block is summed
-with numpy's pairwise sum of its contiguous row, as the batched walk sums
-a row.  Only the decisions differ in form: a repetition or first-order
-node decides on one float, its sum or its winning correlation, with a
-scalar sign (:func:`_sign`), and writes its codeword in at most two calls
-(:func:`_winner_codeword`), where the batched walk evaluates (B,)-array
-signs, tie checks and gathers; a full space takes the batched walk's
-row-wise signs on its (1, w) row.  So a single decode's info bits,
-codeword and op count equal its row of :func:`decode_batch` with the same
-trial index, to the bit.  The input's shape alone selects the walk: a
-(B, n) batch stays batched, B = 1 included.  The two walks are kept apart
-because at B = 1 numpy's per-call dispatch, not arithmetic, fills a
-decode: slab views of a workspace and per-row arrays for one row cost
-more than the scalar decisions, and the batched walk keeps its slabs for
-the Monte Carlo blocks.  For the same reason the single walk allocates
-what numpy's calls return rather than passing `out=` buffers it would
-first have to allocate.  An end node of the single walk that would decide
-on NaN raises ValueError.
+block and walk the cached compile of the float64 decode on their own
+(:func:`_decode_single`), the tree of steps that gives the batched walk
+its first-order tables and op count, on 1-D float64 views with fresh
+temporaries, with no workspace.  They run the batched walk's kernels in
+its order, on operands of the same shapes: the v step (under the product
+rule the one product y' * y''), :func:`_u_step`, and
+:func:`hadamard_transform` on the 1-D block, whose two products are one
+2-D BLAS gemm each, the call that each stacked block of a batch gets; a
+repetition block is summed with numpy's pairwise sum of its contiguous
+row, as the batched walk sums a row.  Only the decisions differ in form:
+a repetition or first-order node decides on one float, its sum or its
+winning correlation, with a scalar sign (:func:`_sign`), and writes its
+codeword in at most two calls (:func:`_winner_codeword`), where the
+batched walk evaluates (B,)-array signs, tie checks and gathers; a full
+space takes the batched walk's row-wise signs on its (1, w) row.  So a
+single decode's info bits, codeword and op count equal its row of
+:func:`decode_batch` with the same trial index, to the bit.  The input's
+shape alone selects the walk: a (B, n) batch stays batched, B = 1
+included.  The two walks are kept apart because at B = 1 numpy's
+per-call dispatch, not arithmetic, fills a decode: slab views of a
+workspace and per-row arrays for one row cost more than the scalar
+decisions, and the batched walk keeps its slabs for the Monte Carlo
+blocks.  For the same reason the single walk allocates what numpy's
+calls return rather than passing `out=` buffers it would first have to
+allocate.  An end node of the single walk that would decide on NaN
+raises ValueError.
 
 Memory order: the batched walk slices the symbol axis of a symbol-first
 (n, B) view, the transpose of the (B, n) batch a caller passes.  For a
@@ -144,11 +146,13 @@ codeword's own type (float64, or int8 in an integer decode): a row of the
 cached read-only H_w in that type while the table takes at most 256 KiB
 (up to w = 128 in float64, w = 512 in int8), and above that the product
 of the two factor rows.  No codeword is built in a float type and cast.
-End
-values, the winning correlation over w here and the block mean at a
-repetition node, are a scalar each in the single-block walk, which
-records them when traced; the batched walk computes them only in a
-forced decode, which has no first-order node.
+The compile resolves these tables once per tree, in the codewords' type,
+into each first-order step (`tables` of :class:`_Step`), and both walks
+and :func:`md_biorthogonal` read them from there or from the same cache
+(:func:`_first_order_tables`).  End values, the winning correlation over
+w here and the block mean at a repetition node, are a scalar each in the
+single-block walk, which records them when traced; the batched walk
+computes them only in a forced decode, which has no first-order node.
 
 Operation counting: every real addition, multiplication, comparison and
 sign evaluation costs one unit.  A Hadamard butterfly stage costs two per
@@ -165,8 +169,9 @@ closed-form bounds in :func:`decode_op_bound`; min-sum's three operations
 per pair can.  A first-order node of width w counts the
 paper's butterfly, w*log2(w) operations for its FHT, whatever kernel runs
 it: :func:`hadamard_transform` does w*(a+b) multiply-adds (w = a*b) in two
-BLAS calls, so a time per counted operation compares the paper's count
-with that kernel, not with a butterfly.
+matrix products, each one BLAS gemm per block, so a time per counted
+operation compares the paper's count with that kernel, not with a
+butterfly.
 
 Ties: sign(0) is resolved either by a seeded +/-1 coin or deterministically
 as +1.  Every potential sign evaluation has a fixed site: each end node of
@@ -386,32 +391,41 @@ def hadamard_transform(x: np.ndarray, *, out: np.ndarray | None = None,
     The width w = a*b splits as a = 2^floor(log2(w)/2), and Sylvester's
     H_w = H_a (x) H_b turns the transform into two small matrix products,
     H_a @ X @ H_b over each row X viewed as a (a, b) block.  Both products
-    run stacked, one block per row, so a row's result does not depend on
-    the rows beside it, the batch size or the BLAS thread count.  On dyadic
-    input small enough that every partial sum is exact (+/-1 symbols, say)
-    the result is exact, whatever the summation order; on other real input
-    it can differ from a butterfly's in the last bits.
+    of a batch run stacked, one BLAS gemm per row's block, so a row's
+    result does not depend on the rows beside it, the batch size or the
+    BLAS thread count.  A 1-D x runs each product as one 2-D gemm
+    (np.dot), the same call that each stacked block gets at a lower
+    dispatch cost, so it transforms to the bits of that row in any batch.
+    On dyadic input small enough that every partial sum is exact (+/-1
+    symbols, say) the result is exact, whatever the summation order; on
+    other real input it can differ from a butterfly's in the last bits.
 
     As in numpy, `out` receives the result and is returned, and `scratch`
-    receives the first product; each is a C-contiguous array of x's shape
-    in the transform's dtype.  With both left None, the products are the
-    arrays that matmul allocates; with one given, the other is allocated.
-    The transform runs in out's dtype (float32 or float64 in an integer
-    decode of +/-1 words, see the module docstring), and in float64 when
-    `out` is None.  A 1-D x is one stacked block, as each row of a batch
-    is, so it transforms to that row's bits.
+    receives the first product; each must be a C-contiguous array of x's
+    shape in the transform's dtype, or ValueError is raised.  With both
+    left None, the products are the arrays that BLAS's calls allocate;
+    with one given, the other is allocated.  The transform runs in out's
+    dtype (float32 or float64 in an integer decode of +/-1 words, see the
+    module docstring), and in float64 when `out` is None.
     """
     dtype = np.float64 if out is None else out.dtype.type
     x = np.asarray(x, dtype=dtype)
     a, b, h_a, h_b = _hadamard_factors(x.shape[-1] if x.ndim else 0, dtype)
-    blocks = x.reshape(-1, a, b)
-    if out is None and scratch is None:  # the arrays that matmul allocates
-        return np.matmul(h_a, np.matmul(blocks, h_b)).reshape(x.shape)
+    # np.ndarray.dot is np.dot without its dispatch: one 2-D gemm per product
+    product, shape = (np.ndarray.dot, (a, b)) if x.ndim == 1 else (np.matmul, (-1, a, b))
+    blocks = x.reshape(shape)
+    if out is None and scratch is None:  # the arrays that BLAS's calls allocate
+        return product(h_a, product(blocks, h_b)).reshape(x.shape)
+    for given in (out, scratch):
+        # else a product would land in a reshaped copy, or cast to another type
+        if given is not None and (given.shape != x.shape or given.dtype != dtype
+                                  or not given.flags.c_contiguous):
+            raise ValueError(f"out and scratch must be C-contiguous {np.dtype(dtype)} "
+                             f"arrays of shape {x.shape}")
     out = np.empty(x.shape, dtype) if out is None else out
     scratch = np.empty(x.shape, dtype) if scratch is None else scratch
     # splitting the last axis of a C-contiguous array is always a view
-    np.matmul(h_a, np.matmul(blocks, h_b, out=scratch.reshape(-1, a, b)),
-              out=out.reshape(-1, a, b))
+    product(h_a, product(blocks, h_b, out=scratch.reshape(shape)), out=out.reshape(shape))
     return out
 
 
@@ -497,6 +511,28 @@ def _first_order_bits(width: int) -> np.ndarray:
     return bits
 
 
+class _FirstOrder(NamedTuple):
+    """The read-only tables of a first-order node of width w, codewords in
+    one type: its info-bit table (:func:`_first_order_bits`), the split
+    and factors (a, b, H_a, H_b) of w (:func:`_hadamard_factors`), and H_w
+    (:func:`_hadamard_matrix`) while it takes at most _WINNER_TABLE_BYTES,
+    else None: the winner's source, a row of H_w or the product of two
+    factor rows."""
+
+    bits: np.ndarray
+    factors: tuple[int, int, np.ndarray, np.ndarray]
+    hadamard: np.ndarray | None
+
+
+@cache
+def _first_order_tables(width: int, dtype: type) -> _FirstOrder:
+    """The :class:`_FirstOrder` tables of width `width`, a power of two,
+    with codewords in `dtype` (float64, or int8 in an integer decode)."""
+    fits = width * width * np.dtype(dtype).itemsize <= _WINNER_TABLE_BYTES
+    return _FirstOrder(_first_order_bits(width), _hadamard_factors(width, dtype),
+                       _hadamard_matrix(width, dtype) if fits else None)
+
+
 # --- end-node decisions -----------------------------------------------------
 
 def _block_sums(y: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
@@ -516,47 +552,48 @@ def _block_sums(y: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
     return y.sum(axis=0)
 
 
-def _winner_codewords(best: np.ndarray, sign: np.ndarray, cw: np.ndarray) -> None:
+def _winner_codewords(tables: _FirstOrder, best: np.ndarray, sign: np.ndarray,
+                      cw: np.ndarray) -> None:
     """Writes sign times row `best` of the Hadamard matrix into each row of
     cw, (B, w) in any memory order, for (B,) winners and (B, 1) signs in
-    cw's type, in cw's own loop: a gathered row of H_w while that table
-    takes at most _WINNER_TABLE_BYTES, else the product of the two factor
-    rows (w = a*b as in :func:`hadamard_transform`)."""
-    width = cw.shape[1]
-    if width * width * cw.itemsize <= _WINNER_TABLE_BYTES:
-        np.multiply(_hadamard_matrix(width, cw.dtype.type).take(best, 0), sign, out=cw)
+    cw's type, the type of `tables`, in cw's own loop: a gathered row of
+    H_w where the tables hold it, else the product of the two factor rows
+    (w = a*b as in :func:`hadamard_transform`)."""
+    if tables.hadamard is not None:
+        np.multiply(tables.hadamard.take(best, 0), sign, out=cw)
     else:
-        a, b, h_a, h_b = _hadamard_factors(width, cw.dtype.type)
+        a, b, h_a, h_b = tables.factors
         np.multiply((sign * h_a.take(best >> (b.bit_length() - 1), 0))[:, :, None],
                     h_b.take(best & (b - 1), 0)[:, None, :],
                     out=cw.reshape(-1, a, b))  # splitting an axis is a view
 
 
-def _winner_codeword(best: int, sign: float, cw: np.ndarray) -> None:
+def _winner_codeword(tables: _FirstOrder, best: int, sign: float, cw: np.ndarray) -> None:
     """:func:`_winner_codewords` for one winner and its +/-1 float sign into
-    the float64 (w,) cw, from row views of the same tables."""
-    width = len(cw)
-    if width * width * cw.itemsize <= _WINNER_TABLE_BYTES:
-        cw[:] = _hadamard_matrix(width)[best]
+    the float64 (w,) cw, from row views of the same float64 tables."""
+    if tables.hadamard is not None:
+        cw[:] = tables.hadamard[best]
     else:
-        a, b, h_a, h_b = _hadamard_factors(width)
+        a, b, h_a, h_b = tables.factors
         np.multiply(h_a[best // b, :, None], h_b[best % b], out=cw.reshape(a, b))
     if sign < 0:
         np.negative(cw, out=cw)
 
 
-def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, site: int,
-                 cw: np.ndarray | None, work: np.ndarray) -> np.ndarray:
+def _first_order(y: np.ndarray, tables: _FirstOrder, options: DecoderOptions,
+                 trials: np.ndarray, site: int, cw: np.ndarray | None,
+                 work: np.ndarray) -> np.ndarray:
     """MD decisions of first-order blocks via the FHT.
 
     y holds one block per row, (B, w); writes the +/-1 codewords into cw,
-    (B, w) in any memory order, unless cw is None, and returns the info
-    bits.  Both are read off the winner (see the module docstring).  The
-    transform and its magnitudes run in `work`, a free (2, B, w) C array of
-    the transform's float type: y's, or for an integer y one that holds its
-    sums exactly, into which y is cast first.
+    (B, w) in any memory order and in the type of `tables`, unless cw is
+    None, and returns the info bits.  Both are read off the winner (see
+    the module docstring).  The transform and its magnitudes run in
+    `work`, a free (2, B, w) C array of the transform's float type: y's,
+    or for an integer y one that holds its sums exactly, into which y is
+    cast first.
     """
-    rows, width = y.shape
+    rows = len(y)
     corr, scratch = work[0], work[1]  # indexed: unpacking is slower
     if y.dtype is not corr.dtype:  # an integer block, cast into the transform's buffer
         np.copyto(corr, y)
@@ -567,25 +604,25 @@ def _first_order(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, sit
     sign = _signs(corr[np.arange(rows), best][:, None], options, trials, site)
     if cw is not None:  # else no later step reads this node's codeword
         # int8 signs in an integer decode, whose codewords are int8
-        _winner_codewords(best, sign.astype(cw.dtype, copy=False), cw)
+        _winner_codewords(tables, best, sign.astype(cw.dtype, copy=False), cw)
     # .take gathers rows several times faster than fancy indexing
-    return _first_order_bits(width).take(2 * best + np.signbit(sign[:, 0]), axis=0)
+    return tables.bits.take(2 * best + np.signbit(sign[:, 0]), axis=0)
 
 
-def _first_order_block(y: np.ndarray, options: DecoderOptions, trials: np.ndarray, site: int,
+def _first_order_block(y: np.ndarray, tables: _FirstOrder, options: DecoderOptions,
+                       trials: np.ndarray, site: int,
                        cw: np.ndarray) -> tuple[np.ndarray, float]:
-    """:func:`_first_order` on one float64 block y, (w,), with scalar
-    decisions: writes its codeword into cw, (w,), and returns (info bits,
-    end value), the bits a read-only row of the bit table, the end value
-    the winning correlation over the block length.  Raises ValueError when
-    the winning correlation is NaN."""
-    width = len(y)
-    corr = hadamard_transform(y)  # the module binding, on one stacked block
+    """:func:`_first_order` on one float64 block y, (w,), with float64
+    `tables` and scalar decisions: writes its codeword into cw, (w,), and
+    returns (info bits, end value), the bits a read-only row of the bit
+    table, the end value the winning correlation over the block length.
+    Raises ValueError when the winning correlation is NaN."""
+    corr = hadamard_transform(y)  # the module binding, one 2-D gemm per product
     best = int(np.abs(corr).argmax())  # first (lowest-index) maximum wins
     winning = corr.item(best)
     sign = _sign(winning, options, trials, site)
-    _winner_codeword(best, sign, cw)
-    return _first_order_bits(width)[2 * best + (sign < 0)], winning * sign / width
+    _winner_codeword(tables, best, sign, cw)
+    return tables.bits[2 * best + (sign < 0)], winning * sign / len(y)
 
 
 def md_biorthogonal(z: np.ndarray, g: int, options: DecoderOptions | None = None,
@@ -603,8 +640,11 @@ def md_biorthogonal(z: np.ndarray, g: int, options: DecoderOptions | None = None
     z = _rows(z, 1 << (g + 1), "a first-order block", np.float64, single=True)[0]
     trials = _trial_index(trial)
     cw = np.empty(len(z))
+    # the tables of the root step of phi's {g+1, 1} compile, from the one
+    # cache; for g = 0 that compile's root is a full space, not this node
+    tables = _first_order_tables(len(z), np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        info, _ = _first_order_block(z, options or DecoderOptions(), trials, 0, cw)
+        info, _ = _first_order_block(z, tables, options or DecoderOptions(), trials, 0, cw)
     return cw.astype(np.int8), info.copy()
 
 
@@ -653,7 +693,10 @@ class _Step(NamedTuple):
     `budget` the bits that its decode of a +/-1 word needs, `pairs` the
     split nodes' symbol pairs, each counting one v and one u step's
     operations, and `ends` the end nodes' counted operations (see
-    :func:`_op_count`)."""
+    :func:`_op_count`).  A first-order node's `tables`, None elsewhere,
+    are its bit table, the split and factors of its width and its winner
+    source, in the codewords' type (:func:`_first_order_tables`): resolved
+    once per tree, read by both walks."""
 
     node: PlotkinNode
     bits: int
@@ -665,6 +708,7 @@ class _Step(NamedTuple):
     budget: int
     pairs: int
     ends: int
+    tables: _FirstOrder | None = None
 
 
 def _round8(size: int) -> int:
@@ -712,6 +756,8 @@ def _plan(m: int, r: int, first_order_ends: bool, v_rule: str, integer: bool,
     The root's `need` is the decode's workspace bytes per row.
     """
 
+    codeword = np.int8 if integer else np.float64
+
     def narrowest(bits: int, types=_INT_TYPES) -> np.dtype | None:
         if not integer:
             return np.dtype(np.float64)
@@ -745,7 +791,7 @@ def _plan(m: int, r: int, first_order_ends: bool, v_rule: str, integer: bool,
             # w log2(w) for the transform, then w magnitudes, w - 1
             # comparisons and one sign
             return _Step(node, e, value, reduce, 0, (), 2 * width * reduce.itemsize, budget, 0,
-                         width * (length_log + 2))
+                         width * (length_log + 2), _first_order_tables(width, codeword))
         # w signs, or w - 1 additions and the sign
         return _Step(node, e, value, reduce, 0, (), 0, budget, 0, width)
 
@@ -872,7 +918,7 @@ def _decode(y: np.ndarray, params: CodeParams, algorithm: str,
             return
         if node.kind == FIRST_ORDER:  # its transform's (2, B, w) buffers from byte `at` on
             buffers = np.ndarray((2, y.shape[1], y.shape[0]), step.reduce, work, at)
-            info[:, node.info] = _first_order(y.T, options, trials, node.site,
+            info[:, node.info] = _first_order(y.T, step.tables, options, trials, node.site,
                                               cw.T if keep else None, buffers)
             return
         # a full space decides on its symbols, a repetition node on its
@@ -940,17 +986,18 @@ def _decode_single(y: np.ndarray, params: CodeParams, algorithm: str,
         _rows(y, params.n, "a received block", single=True)  # raises
     y = np.ascontiguousarray(y)  # as the repetition sum of a row-major batch reads its row
     trials = _trial_index(trial)
-    # the compile's root step: the tree's root node and the op count
+    # the compile's root step, walked: the tree, first-order tables, op count
     plan = _plan(params.m, params.r, phi, options.v_rule, False)
     info = np.empty(plan.node.info.stop, dtype=np.uint8)  # the k info bits
     values = np.empty(len(info)) if options.trace else None
     min_sum = options.v_rule == MIN_SUM
 
-    def walk(node: PlotkinNode, y: np.ndarray, cw: np.ndarray) -> None:
-        # decodes y, (2^length_log,), into the node's info bits and its
-        # codeword cw, a view of the same length
+    def walk(step: _Step, y: np.ndarray, cw: np.ndarray) -> None:
+        # decodes y, (2^length_log,), into the step's node's info bits and
+        # its codeword cw, a view of the same length
+        node = step.node
         if node.kind == SPLIT:
-            v, u = node.children
+            v, u = step.children
             half = len(y) // 2
             y1, y2, cw1, cw2 = y[:half], y[half:], cw[:half], cw[half:]
             # the v estimate, then the u estimate, which the v child no longer reads
@@ -961,7 +1008,7 @@ def _decode_single(y: np.ndarray, params: CodeParams, algorithm: str,
             cw2 *= cw1  # symbol re-assembly (u, u*v), uncounted
             return
         if node.kind == FIRST_ORDER:
-            bits, value = _first_order_block(y, options, trials, node.site, cw)
+            bits, value = _first_order_block(y, step.tables, options, trials, node.site, cw)
         elif node.kind == RIGHT_END:
             cw[:] = signs = _signs(y[None], options, trials, node.site)[0]
             if signs @ signs != len(y):  # ties resolved, only NaN is not +/-1
@@ -980,7 +1027,7 @@ def _decode_single(y: np.ndarray, params: CodeParams, algorithm: str,
     # unscaled intermediates may reach inf, and inf - inf is NaN, which an
     # end node refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        walk(plan.node, y, cw)
+        walk(plan, y, cw)
     del walk  # it refers to itself: deleted, it frees what it holds now
     trace = None
     if values is not None:  # decode order is the lexicographic path order

@@ -216,6 +216,26 @@ def test_md_end_nodes_reject_batches():
             decide(np.ones((2, 4)))
 
 
+@pytest.mark.parametrize("g", range(1, 9))
+def test_md_biorthogonal_decides_as_phi_on_its_code(g):
+    # md_biorthogonal is the decision of phi's root step on {g+1, 1}: the
+    # same codeword and info bits, on Gaussian blocks and on a block whose
+    # correlations are all zero, a tie that the coin resolves at site 0
+    params = CodeParams(g + 1, 1)
+    rng = np.random.default_rng(720 + g)
+    blocks = np.vstack([rng.normal(size=(4, params.n)), np.zeros((1, params.n))])
+    for options in (DET, DecoderOptions(tie_seed=13)):
+        ties = set()
+        for z in blocks:
+            for trial in range(6):
+                cw, info = md_biorthogonal(z, g, options, trial=trial)
+                single = decode_phi(z, params, options, trial=trial)
+                assert np.array_equal(cw, single.codeword) and np.array_equal(info, single.info)
+                if not z.any():
+                    ties.add(int(cw[0]))
+        assert ties == ({1} if options is DET else {-1, 1})
+
+
 def test_md_biorthogonal_examples():
     cw, info = md_biorthogonal(np.ones(4), 1)
     assert np.all(cw == 1) and np.all(info == 0)
@@ -449,13 +469,16 @@ def test_winner_codewords_and_one_block_transform():
         for sign in (1, -1):
             expected = sign * biorthogonal_codeword(best, width)
             for dtype in (np.float64, np.int8):
+                tables = decoder._first_order_tables(width, dtype)
                 for order in ("C", "F"):
                     cw = np.full((len(best), width), 7, dtype, order=order)
-                    decoder._winner_codewords(best, np.full((len(best), 1), sign, dtype), cw)
+                    decoder._winner_codewords(tables, best, np.full((len(best), 1), sign, dtype),
+                                              cw)
                     assert np.array_equal(cw, expected)
+            tables = decoder._first_order_tables(width, np.float64)
             for j, pattern in enumerate(best):
                 cw = np.full(width, 7.0)
-                decoder._winner_codeword(int(pattern), float(sign), cw)
+                decoder._winner_codeword(tables, int(pattern), float(sign), cw)
                 assert np.array_equal(cw, expected[j])
         x = rng.normal(size=width)
         alone = hadamard_transform(x)
@@ -463,6 +486,40 @@ def test_winner_codewords_and_one_block_transform():
         assert np.array_equal(alone.view(np.uint64), hadamard_transform(x[None])[0].view(np.uint64))
     for width in (1 << g for g in range(1, 10)):  # the int8 tables, up to 512 symbols wide
         assert not decoder._hadamard_matrix(width, np.int8).flags.writeable
+
+
+def test_first_order_steps_carry_their_read_only_tables():
+    # each first-order step of a phi compile, float64 or integer, holds its
+    # width's cached bit table, split and factors, and H_w while that fits
+    # the winner table's bytes, in the codewords' type; no other step
+    # holds tables
+    for m, r in ((3, 1), (8, 3), (10, 2), (12, 2)):
+        for integer, dtype in ((False, np.float64), (True, np.int8)):
+            steps, widths = [decoder._plan(m, r, True, PRODUCT, integer)], set()
+            while steps:
+                step = steps.pop()
+                steps.extend(step.children)
+                if step.node.kind != FIRST_ORDER:
+                    assert step.tables is None
+                    continue
+                width = 1 << step.node.length_log
+                widths.add(width)
+                bits, (a, b, h_a, h_b), hadamard = step.tables
+                expected_a, expected_b, expected_h_a, expected_h_b = _hadamard_factors(width, dtype)
+                assert (a, b) == (expected_a, expected_b)
+                assert np.array_equal(bits, _first_order_bits(width))
+                for table, expected in ((h_a, expected_h_a), (h_b, expected_h_b)):
+                    assert table.dtype == dtype and np.array_equal(table, expected)
+                if width * width * np.dtype(dtype).itemsize <= decoder._WINNER_TABLE_BYTES:
+                    assert hadamard.dtype == dtype
+                    assert np.array_equal(hadamard, decoder._hadamard_matrix(width, dtype))
+                else:
+                    assert hadamard is None
+                for table in (bits, h_a, h_b, hadamard):
+                    assert table is None or not table.flags.writeable
+            # {m, 1} is one first-order node; deeper trees hold all of
+            # {2, 1} .. {m - r + 1, 1}
+            assert widths == ({1 << m} if r == 1 else {1 << g for g in range(2, m - r + 2)})
 
 
 def test_hadamard_tables_are_built_in_their_own_type():
@@ -479,17 +536,58 @@ def test_hadamard_tables_are_built_in_their_own_type():
 
 def test_hadamard_transform_rows_independent_of_batch():
     # a row's result must not depend on the batch around it: decode_batch
-    # and run_wer promise the same output under any batching
+    # and run_wer promise the same output under any batching, and a single
+    # block's 1-D transform, one 2-D gemm per product, gives the bits of
+    # its row in every stacked batch; at every width up to 2^12, on
+    # Gaussian rows at three scales, +/-1 rows and ternary rows
     rng = np.random.default_rng(6)
-    for logw in range(12):
-        x = rng.normal(size=(80, 1 << logw))
-        alone = np.array([hadamard_transform(row) for row in x])
-        for size in (1, 3, 7, 64):
-            for start in (0, 1, 5, 16):
-                rows = slice(start, start + size)
-                assert np.array_equal(hadamard_transform(x[rows]), alone[rows])
-        stacked = x[:64].reshape(4, 16, -1)
-        assert np.array_equal(hadamard_transform(stacked), alone[:64].reshape(stacked.shape))
+    for logw in range(13):
+        shape = (80, 1 << logw)
+        normal = rng.normal(size=shape)
+        for x in (normal, normal * 2.0 ** -30, normal * 2.0 ** 30,
+                  rng.choice([-1.0, 1.0], size=shape),
+                  rng.integers(-1, 2, size=shape).astype(np.float64)):
+            alone = np.array([hadamard_transform(row) for row in x]).view(np.uint64)
+            for size in (1, 3, 7, 64):
+                for start in (0, 1, 5, 16):
+                    rows = slice(start, start + size)
+                    assert np.array_equal(hadamard_transform(x[rows]).view(np.uint64),
+                                          alone[rows])
+            stacked = x[:64].reshape(4, 16, -1)
+            assert np.array_equal(hadamard_transform(stacked).view(np.uint64),
+                                  alone[:64].reshape(stacked.shape))
+
+
+def test_hadamard_transform_refuses_buffers_it_cannot_write():
+    # a product written into a buffer that is not C-contiguous would land
+    # in a reshaped copy, and one of another shape or type would be
+    # returned as it is or cast: each raises, and a fit buffer is returned
+    # holding the transform
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2, 3, 16))
+    misfits = (np.zeros((3, 2, 16)).transpose(1, 0, 2), np.zeros((3, 2, 16)),
+               np.zeros((6, 16)), np.zeros((2, 3, 16), order="F"))
+    for name in ("out", "scratch"):
+        for buffer in misfits:
+            with pytest.raises(ValueError, match="C-contiguous"):
+                hadamard_transform(x, **{name: buffer})
+    with pytest.raises(ValueError, match="C-contiguous"):  # a (4, 2) out for a (2, 4) x
+        hadamard_transform(x[0, :2, :4], out=np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="C-contiguous"):  # a 1-D x is not a (1, w) batch
+        hadamard_transform(x[0, 0], out=np.zeros((1, 16)))
+    with pytest.raises(ValueError, match="C-contiguous"):  # float64 products into float32
+        hadamard_transform(x, scratch=np.zeros(x.shape, np.float32))
+    for z in (x, x[0, 0]):
+        expected = hadamard_transform(z)
+        for dtype in (np.float64, np.float32):
+            out, scratch = np.empty(z.shape, dtype), np.empty(z.shape, dtype)
+            assert hadamard_transform(z, out=out, scratch=scratch) is out
+            assert np.array_equal(out, hadamard_transform(z.astype(dtype), out=np.empty_like(out)))
+            assert np.allclose(out, expected, rtol=1e-5, atol=1e-4)
+        out = np.empty(z.shape)
+        assert hadamard_transform(z, out=out) is out and np.array_equal(out, expected)
+        scratch = np.empty(z.shape)
+        assert np.array_equal(hadamard_transform(z, scratch=scratch), expected)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
