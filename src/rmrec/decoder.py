@@ -393,9 +393,10 @@ def hadamard_transform(x: np.ndarray, *, out: np.ndarray | None = None,
     H_a @ X @ H_b over each row X viewed as a (a, b) block.  Both products
     of a batch run stacked, one BLAS gemm per row's block, so a row's
     result does not depend on the rows beside it, the batch size or the
-    BLAS thread count.  A 1-D x runs each product as one 2-D gemm
-    (np.dot), the same call that each stacked block gets at a lower
-    dispatch cost, so it transforms to the bits of that row in any batch.
+    BLAS thread count.  A 1-D x with neither buffer given runs each
+    product as one 2-D gemm (np.dot), the same call that each stacked
+    block gets at a lower dispatch cost, so it transforms to the bits of
+    that row in any batch.
     On dyadic input small enough that every partial sum is exact (+/-1
     symbols, say) the result is exact, whatever the summation order; on
     other real input it can differ from a butterfly's in the last bits.
@@ -403,7 +404,7 @@ def hadamard_transform(x: np.ndarray, *, out: np.ndarray | None = None,
     As in numpy, `out` receives the result and is returned, and `scratch`
     receives the first product; each must be a C-contiguous array of x's
     shape in the transform's dtype, or ValueError is raised.  With both
-    left None, the products are the arrays that BLAS's calls allocate;
+    left None, the products are the arrays that numpy's calls allocate;
     with one given, the other is allocated.  The transform runs in out's
     dtype (float32 or float64 in an integer decode of +/-1 words, see the
     module docstring), and in float64 when `out` is None.
@@ -411,11 +412,12 @@ def hadamard_transform(x: np.ndarray, *, out: np.ndarray | None = None,
     dtype = np.float64 if out is None else out.dtype.type
     x = np.asarray(x, dtype=dtype)
     a, b, h_a, h_b = _hadamard_factors(x.shape[-1] if x.ndim else 0, dtype)
-    # np.ndarray.dot is np.dot without its dispatch: one 2-D gemm per product
-    product, shape = (np.ndarray.dot, (a, b)) if x.ndim == 1 else (np.matmul, (-1, a, b))
-    blocks = x.reshape(shape)
-    if out is None and scratch is None:  # the arrays that BLAS's calls allocate
-        return product(h_a, product(blocks, h_b)).reshape(x.shape)
+    unbuffered = out is None and scratch is None
+    if unbuffered and x.ndim == 1:  # ndarray.dot: np.dot without its dispatch
+        return h_a.dot(x.reshape(a, b).dot(h_b)).reshape(-1)
+    blocks = x.reshape(-1, a, b)
+    if unbuffered:  # the arrays that matmul allocates
+        return np.matmul(h_a, np.matmul(blocks, h_b)).reshape(x.shape)
     for given in (out, scratch):
         # else a product would land in a reshaped copy, or cast to another type
         if given is not None and (given.shape != x.shape or given.dtype != dtype
@@ -425,7 +427,8 @@ def hadamard_transform(x: np.ndarray, *, out: np.ndarray | None = None,
     out = np.empty(x.shape, dtype) if out is None else out
     scratch = np.empty(x.shape, dtype) if scratch is None else scratch
     # splitting the last axis of a C-contiguous array is always a view
-    product(h_a, product(blocks, h_b, out=scratch.reshape(shape)), out=out.reshape(shape))
+    np.matmul(h_a, np.matmul(blocks, h_b, out=scratch.reshape(-1, a, b)),
+              out=out.reshape(-1, a, b))
     return out
 
 
@@ -571,13 +574,15 @@ def _winner_codewords(tables: _FirstOrder, best: np.ndarray, sign: np.ndarray,
 def _winner_codeword(tables: _FirstOrder, best: int, sign: float, cw: np.ndarray) -> None:
     """:func:`_winner_codewords` for one winner and its +/-1 float sign into
     the float64 (w,) cw, from row views of the same float64 tables."""
-    if tables.hadamard is not None:
-        cw[:] = tables.hadamard[best]
-    else:
+    if tables.hadamard is None:
         a, b, h_a, h_b = tables.factors
         np.multiply(h_a[best // b, :, None], h_b[best % b], out=cw.reshape(a, b))
-    if sign < 0:
-        np.negative(cw, out=cw)
+        if sign < 0:
+            np.negative(cw, out=cw)
+    elif sign < 0:
+        np.negative(tables.hadamard[best], out=cw)
+    else:
+        cw[:] = tables.hadamard[best]
 
 
 def _first_order(y: np.ndarray, tables: _FirstOrder, options: DecoderOptions,
