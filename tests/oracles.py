@@ -1,11 +1,15 @@
 """Independent oracles used by the tests.
 
 Everything here works from first principles (pointwise Boolean
-evaluation, exhaustive enumeration, brute-force correlation) so it shares
-no code path with the recursive implementations it checks.
+evaluation, exhaustive enumeration, brute-force correlation, the closed
+forms in exact rational arithmetic) so it shares no code path with the
+recursive implementations it checks.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -121,3 +125,118 @@ def op_count_oracle(m: int, r: int, phi: bool, u_rule: str, v_rule: str) -> int:
     return ((_PAIR_OPS[v_rule] + _PAIR_OPS[u_rule]) * width // 2
             + op_count_oracle(m - 1, r - 1, phi, u_rule, v_rule)
             + op_count_oracle(m - 1, r, phi, u_rule, v_rule))
+
+
+def op_bound_oracle(m: int, r: int, phi: bool, u_rule: str) -> int:
+    """The closed-form ceiling on a decode's counted operations under the
+    product v rule, from the per-pair costs above: with c = 1 + the u rule's
+    pair cost, c n min(r, m-r) + n for psi and (c - 1) n min(r, m-r) +
+    n (m - r + 1) for phi."""
+    n, low = 1 << m, min(r, m - r)
+    c = _PAIR_OPS["product"] + _PAIR_OPS[u_rule]
+    return (c - 1) * n * low + n * (m - r + 1) if phi else c * n * low + n
+
+
+# --- closed forms of the moment analysis -------------------------------------
+# Exact where the formula is rational in epsilon (Fraction), otherwise in
+# math.log/math.exp, which the tests compare with a stated tolerance.
+
+def heavy_count(m: int, r: int) -> int:
+    """k: the m-bit strings of weight >= m-r, counted one by one."""
+    return sum(1 for v in range(1 << m) if bin(v).count("1") >= m - r)
+
+
+def variance_along(bits: tuple[int, ...], epsilon: Fraction) -> Fraction:
+    """Normalized variance after the steps `bits`, exactly: from
+    epsilon^-2 - 1, a 0 step maps mu to (mu + 1)^2 - 1 and a 1 step to mu/2."""
+    mu = epsilon ** -2 - 1
+    for bit in bits:
+        mu = (mu + 1) ** 2 - 1 if bit == 0 else mu / 2
+    return mu
+
+
+def weakest_bits(m: int, r: int) -> tuple[int, ...]:
+    """The first path: r v steps, then m-r forced ones."""
+    return (0,) * r + (1,) * (m - r)
+
+
+def node_bits(m: int, r: int, g: int) -> tuple[int, ...]:
+    """The first path through a repetition node {g, 0}: its last v step
+    comes just before the g forced ones, the others as early as they can."""
+    return (0,) * (r - 1) + (1,) * (m - r - g) + (0,) + (1,) * g
+
+
+def phi_weakest_bits(m: int, r: int) -> tuple[int, ...]:
+    """r-1 v steps to the first first-order node {m-r+1, 1}, then m-r ones
+    for its half-block support sum."""
+    return (0,) * (r - 1) + (1,) * (m - r)
+
+
+def phi_node_bits(m: int, r: int, g: int) -> tuple[int, ...]:
+    """The descent to the first first-order node {g+1, 1}, then g ones."""
+    return (0,) * (r - 2) + (1,) * (m - r - g) + (0,) + (1,) * g
+
+
+def _node_variance(m: int, r: int, epsilon: Fraction, level: int, g: int) -> Fraction:
+    x = (epsilon ** -(2 ** level) - 1) * Fraction(2) ** (r + g - m)
+    return ((x + 1) ** 2 - 1) / 2 ** g
+
+
+def weakest_variance_oracle(m: int, r: int, epsilon: Fraction) -> Fraction:
+    """2^-(m-r) (eps^-2^(r+1) - 1)."""
+    return (epsilon ** -(2 ** (r + 1)) - 1) / 2 ** (m - r)
+
+
+def node_variance_oracle(m: int, r: int, epsilon: Fraction, g: int) -> Fraction:
+    """2^-g (((eps^-2^r - 1) 2^(r+g-m) + 1)^2 - 1)."""
+    return _node_variance(m, r, epsilon, r, g)
+
+
+def phi_weakest_variance_oracle(m: int, r: int, epsilon: Fraction) -> Fraction:
+    """2^-(m-r) (eps^-2^r - 1)."""
+    return (epsilon ** -(2 ** r) - 1) / 2 ** (m - r)
+
+
+def phi_node_variance_oracle(m: int, r: int, epsilon: Fraction, g: int) -> Fraction:
+    """The node form one level up: 2^-g (((eps^-2^(r-1) - 1) 2^(r+g-m) + 1)^2 - 1)."""
+    return _node_variance(m, r, epsilon, r - 1, g)
+
+
+def residual_psi_oracle(m: int, r: int) -> float:
+    """((2 r ln m) / 2^(m-r))^(1/2^(r+1)), through logarithms."""
+    return math.exp((math.log(2 * r) + math.log(math.log(m)) - (m - r) * math.log(2))
+                    / 2 ** (r + 1))
+
+
+def residual_phi_oracle(m: int, r: int, c: float) -> float:
+    """(c m / 2^(m-r))^(1/2^r), through logarithms."""
+    return math.exp((math.log(c * m) - (m - r) * math.log(2)) / 2 ** r)
+
+
+def residual_optimal_oracle(m: int, r: int, c: float) -> float:
+    """sqrt(c k / n), k counted by :func:`heavy_count`."""
+    return math.sqrt(float(Fraction(c) * heavy_count(m, r) / 2 ** m))
+
+
+def residual_majority_oracle(m: int, r: int, c: float) -> float:
+    """(c m / 2^(m-r))^(1/2^(r+1)): phi's residual under one more square root."""
+    return math.sqrt(residual_phi_oracle(m, r, c))
+
+
+def residual_ml_oracle(m: int, r: int, c: float) -> float:
+    """sqrt(c m^r (2^r - 1) / (r! 2^m)), its square exact."""
+    return math.sqrt(float(Fraction(c) * m ** r * (2 ** r - 1)
+                           / (math.factorial(r) * 2 ** m)))
+
+
+def node_variance_asymptote_oracle(m: int, r: int, g: int) -> float | None:
+    """Large-m asymptote of the node variance at the threshold residual
+    residual_psi: 2^(r+g-m) / (2 r ln m) deep in the tree (g above
+    (m-r)/2 + ln m), 2^-(m-r-2)/2 (2 r ln m)^-1/2 near the root (g below
+    (m-r)/2 - ln m), and None between the two regimes."""
+    mid, span = (m - r) / 2.0, math.log(m)
+    if g > mid + span:
+        return 2.0 ** (r + g - m) / (2.0 * r * math.log(m))
+    if g < mid - span:
+        return 2.0 ** (-(m - r - 2) / 2.0) / math.sqrt(2.0 * r * math.log(m))
+    return None

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,29 @@ from rmrec.analysis import (
     weakest_path_at_node,
     weakest_variance,
 )
+
+from oracles import (
+    node_bits,
+    node_variance_asymptote_oracle,
+    node_variance_oracle,
+    phi_node_bits,
+    phi_node_variance_oracle,
+    phi_weakest_bits,
+    phi_weakest_variance_oracle,
+    residual_majority_oracle,
+    residual_ml_oracle,
+    residual_optimal_oracle,
+    residual_phi_oracle,
+    residual_psi_oracle,
+    variance_along,
+    weakest_bits,
+    weakest_variance_oracle,
+)
+
+# codes for the value tests: the smallest with a threshold (m = 2), r = 1
+# and r = m - 1 edges, and the paper's reference codes
+VALUE_CODES = ((2, 1), (3, 1), (3, 2), (5, 2), (6, 1), (7, 2), (8, 2), (8, 3), (9, 8),
+               (10, 2), (12, 3), (13, 4), (16, 2))
 
 
 def test_variance_step_examples():
@@ -319,3 +343,68 @@ def test_threshold_report_fields():
         threshold_report(params, c=1.0)
     with pytest.raises(ValueError):
         threshold_report(params, epsilon=1.5)
+
+
+@pytest.mark.parametrize("m,r", VALUE_CODES)
+def test_weakest_variances_equal_their_closed_forms(m, r):
+    # each closed form against its formula in exact arithmetic, and that
+    # formula against the variance recursion along its path, at every g,
+    # the edges g = 1 and g = m - r included; rel 1e-12 covers expm1 and
+    # the log domain of the package's evaluation
+    params = CodeParams(m, r)
+    threshold = residual_psi(params)  # above one on the shortest codes
+    for eps in (0.3, 0.7, 0.95) + ((threshold,) if threshold < 1 else ()):
+        exact = Fraction(eps)
+        want = weakest_variance_oracle(m, r, exact)
+        assert want == variance_along(weakest_bits(m, r), exact)
+        assert weakest_variance(params, eps) == pytest.approx(float(want), rel=1e-12)
+        want = phi_weakest_variance_oracle(m, r, exact)
+        assert want == variance_along(phi_weakest_bits(m, r), exact)
+        assert phi_weakest_variance(params, eps) == pytest.approx(float(want), rel=1e-12)
+        for g in range(1, m - r + 1):
+            want = node_variance_oracle(m, r, exact, g)
+            assert want == variance_along(node_bits(m, r, g), exact)
+            assert node_weakest_variance(params, eps, g) == pytest.approx(float(want),
+                                                                          rel=1e-12)
+            if r >= 2:
+                want = phi_node_variance_oracle(m, r, exact, g)
+                assert want == variance_along(phi_node_bits(m, r, g), exact)
+                assert phi_node_weakest_variance(params, eps, g) == pytest.approx(
+                    float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("m,r", VALUE_CODES)
+def test_residuals_equal_their_formulas(m, r):
+    # math.log/exp oracles, so rel 1e-12
+    params = CodeParams(m, r)
+    assert residual_psi(params) == pytest.approx(residual_psi_oracle(m, r), rel=1e-12)
+    for c in (1.4, 1.5, 2.0, 7.25):
+        assert residual_phi(params, c) == pytest.approx(residual_phi_oracle(m, r, c),
+                                                        rel=1e-12)
+        assert residual_optimal(params, c) == pytest.approx(
+            residual_optimal_oracle(m, r, c), rel=1e-12)
+        assert residual_majority(params, c) == pytest.approx(
+            residual_majority_oracle(m, r, c), rel=1e-12)
+        assert residual_ml(params, c) == pytest.approx(residual_ml_oracle(m, r, c),
+                                                       rel=1e-12)
+
+
+def test_residual_phi_scales_as_the_paper_states():
+    # the paper's threshold: epsilon of order n^(-1/2^r); the log ratio
+    # differs from -1/2^r by log(c m 2^r) / (2^r log n), under 0.006 at m = 1000
+    for r in (1, 2, 3):
+        params = CodeParams(1000, r)
+        ratio = math.log(residual_phi(params)) / math.log(params.n)
+        assert abs(ratio + 2.0 ** -r) < 0.01
+
+
+def test_node_variance_asymptote_by_value():
+    # both regimes of the large-m form, and None between them
+    for m, r in ((24, 2), (30, 3), (40, 1)):
+        params = CodeParams(m, r)
+        for g in range(1, m - r + 1):
+            want = node_variance_asymptote_oracle(m, r, g)
+            got = node_variance_asymptote(params, g)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got == pytest.approx(want, rel=1e-12)

@@ -43,7 +43,14 @@ from rmrec.decoder import (
     genie_batch,
 )
 
-from oracles import brute_codebook, butterfly_fht, md_oracle, op_count_oracle, popcount
+from oracles import (
+    brute_codebook,
+    butterfly_fht,
+    md_oracle,
+    op_bound_oracle,
+    op_count_oracle,
+    popcount,
+)
 
 DET = DecoderOptions(tie_rule=TIE_POSITIVE)
 
@@ -704,6 +711,23 @@ def test_compiled_op_counts_match_the_per_node_rule():
                         assert decode(y, params, options).op_count == compiled
                         if v_rule == PRODUCT:  # the bound's v rule
                             assert compiled <= decode_op_bound(params, algorithm, u_rule)
+
+
+def test_decode_op_bound_equals_its_closed_form():
+    # every code up to m = 12, both algorithms, both u rules; the compiled
+    # count reaches the bound on repetition codes and full spaces, and under
+    # phi's unscaled rule at r = 1 and r = m - 1, and falls short elsewhere
+    for m in range(1, 13):
+        for r in range(m + 1):
+            params = CodeParams(m, r)
+            for phi in (False, True) if r >= 1 else (False,):
+                plan = decoder._plan(m, r, phi, PRODUCT, False)
+                for u_rule in (SCALED, UNSCALED):
+                    bound = decode_op_bound(params, "phi" if phi else "psi", u_rule)
+                    assert bound == op_bound_oracle(m, r, phi, u_rule)
+                    compiled = decoder._op_count(plan, DecoderOptions(u_rule))
+                    tight = r in (0, m) or (phi and u_rule == UNSCALED and r in (1, m - 1))
+                    assert compiled <= bound and (compiled == bound) == tight, (m, r, phi)
 
 
 def test_min_sum_decodes_noiseless():
