@@ -5,7 +5,6 @@ from .core import (
     RIGHT_END,
     CodeParams,
     Path,
-    classify_path,
     dimension,
     encode,
     encode_batch,
@@ -46,10 +45,10 @@ from .simulate import (
     sweep,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
-    "LEFT_END", "RIGHT_END", "CodeParams", "Path", "classify_path",
+    "LEFT_END", "RIGHT_END", "CodeParams", "Path",
     "codeword_to_info", "dimension", "encode", "encode_batch",
     "encode_op_count", "enumerate_paths",
     "ALG_PHI", "ALG_PSI", "MIN_SUM", "PRODUCT", "SCALED", "TIE_POSITIVE",

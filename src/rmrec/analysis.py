@@ -10,12 +10,16 @@ gives the variance of the normalized end value z(path) = y(path)/E y(path)
 for every path, and with it Chebyshev or Gaussian estimates of the
 conditional bit error rates.
 
-The variance is maximized by the leftmost path of each node family, which
-yields closed forms, the decoding-threshold residuals of both algorithms,
-and the channel points where the weakest path starts to fail.  The weakest
-paths are read off the code's :func:`~rmrec.core.plotkin_tree` as the
-paths of its leftmost leaves of each kind and size, and the error
-predictions walk its leaves once, one prediction per end node.
+The variance is maximized by the leftmost path of each node family (the
+first path of the code's :func:`~rmrec.core.plotkin_tree`, and the first
+path through each of its repetition nodes), which yields closed forms, the
+decoding-threshold residuals of both algorithms, and the channel points
+where the weakest path starts to fail.  :func:`threshold_report` puts
+these residuals beside the paper's comparison points: majority decoding
+and maximum-likelihood decoding at the same constant c, and optimal codes
+of the same rate.  The weakest prefixes of the phi decoder are read off
+the tree's first first-order leaves, and the error predictions walk its
+leaves once, one prediction per end node.
 """
 
 from __future__ import annotations
@@ -40,21 +44,15 @@ __all__ = [
     "PathMoments",
     "path_moments",
     "moments_for_path",
-    "weakest_path",
-    "weakest_path_at_node",
     "phi_weakest_prefix",
     "phi_node_prefix",
     "weakest_variance",
     "node_weakest_variance",
     "phi_weakest_variance",
     "phi_node_weakest_variance",
-    "node_variance_asymptote",
     "residual_psi",
     "residual_phi",
     "residual_optimal",
-    "residual_majority",
-    "residual_ml",
-    "epsilon_from_sigma",
     "sigma_from_epsilon",
     "crossover_from_sigma",
     "snr_from_sigma",
@@ -85,13 +83,6 @@ def q_inverse(p: float) -> float:
             break
         x += (q_function(x) - p) / density
     return x
-
-
-def epsilon_from_sigma(sigma: float) -> float:
-    """Residual of the hard-decision image of an AWGN channel: 1 - 2Q(1/sigma)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return 1.0 - 2.0 * q_function(1.0 / sigma)
 
 
 def crossover_from_sigma(sigma: float) -> float:
@@ -190,25 +181,14 @@ def moments_for_path(params: CodeParams, path: Path, epsilon: float) -> PathMome
 
 # --- weakest paths -----------------------------------------------------------
 
-def _leftmost(params: CodeParams, kind: str, length_log: int | None = None) -> PlotkinNode:
-    """The first end node of `kind`, of 2^length_log symbols if given, in
-    the tree that stops at such nodes (phi's for FIRST_ORDER)."""
-    for leaf in plotkin_tree(params.m, params.r, kind == FIRST_ORDER).leaves:
-        if leaf.kind == kind and length_log in (None, leaf.length_log):
+def _first_order_node(params: CodeParams, length_log: int | None = None) -> PlotkinNode:
+    """The first first-order node of phi's tree, of 2^length_log symbols if
+    given."""
+    for leaf in plotkin_tree(params.m, params.r, True).leaves:
+        if leaf.kind == FIRST_ORDER and length_log in (None, leaf.length_log):
             return leaf
     size = "" if length_log is None else f" of length 2^{length_log}"
-    raise ValueError(f"the tree of {params} has no {kind} node{size}")
-
-
-def weakest_path(params: CodeParams) -> Path:
-    """The variance-maximizing path, the tree's first: r zeros, then m-r ones."""
-    return plotkin_tree(params.m, params.r).paths[0]
-
-
-def weakest_path_at_node(params: CodeParams, g: int) -> Path:
-    """Leftmost (variance-maximizing) path through a repetition node {g,0}:
-    that of the first such node of the tree."""
-    return _leftmost(params, LEFT_END, g).paths[0]
+    raise ValueError(f"the tree of {params} has no {FIRST_ORDER} node{size}")
 
 
 def phi_weakest_prefix(params: CodeParams) -> tuple[int, ...]:
@@ -218,7 +198,7 @@ def phi_weakest_prefix(params: CodeParams) -> tuple[int, ...]:
     ones stand for the averaging implied by its half-block support sum.  A
     code without first-order nodes, r = 0 or r = m, raises ValueError.
     """
-    node = _leftmost(params, FIRST_ORDER)
+    node = _first_order_node(params)
     return node.prefix + (1,) * (node.length_log - 1)
 
 
@@ -226,7 +206,7 @@ def phi_node_prefix(params: CodeParams, g: int) -> tuple[int, ...]:
     """Weakest analysis prefix through the first-order node {g+1, 1}: the
     descent to the first such node, then g ones for its support sum."""
     _check_phi_order(params, 2)
-    return _leftmost(params, FIRST_ORDER, g + 1).prefix + (1,) * g
+    return _first_order_node(params, g + 1).prefix + (1,) * g
 
 
 def _check_phi_order(params: CodeParams, least: int) -> None:
@@ -295,25 +275,6 @@ def phi_node_weakest_variance(params: CodeParams, epsilon: float, g: int) -> flo
     return _node_form(params, epsilon, params.r - 1, g)
 
 
-def node_variance_asymptote(params: CodeParams, g: int) -> float | None:
-    """Large-m asymptote of the node variance at the threshold residual.
-
-    Derived from the closed form at epsilon = residual_psi: the dominant
-    term is 2^(r+g-m)/(2 r ln m) deep in the tree (large g) and
-    2^-(m-r-2)/2 (2 r ln m)^-1/2 near the root (small g); between the two
-    regimes None is returned.
-    """
-    _check_node(params, g)
-    m, r = params.m, params.r
-    mid = (m - r) / 2.0
-    span = math.log(m)
-    if g > mid + span:
-        return 2.0 ** (r + g - m) / (2.0 * r * math.log(m))
-    if g < mid - span:
-        return 2.0 ** (-(m - r - 2) / 2.0) / math.sqrt(2.0 * r * math.log(m))
-    return None
-
-
 # --- decoding-threshold residuals ---------------------------------------------
 
 def _check_threshold_params(params: CodeParams) -> None:
@@ -339,18 +300,6 @@ def residual_optimal(params: CodeParams, c: float = 1.4) -> float:
     """Residual sqrt(c R) sustained by optimal codes of the same (low) rate."""
     _check_constant(c)
     return math.sqrt(c * params.k / params.n)
-
-
-def residual_majority(params: CodeParams, c: float) -> float:
-    """Majority-decoding residual (c m / d)^(1/2^(r+1)); c is not pinned down."""
-    return (c * params.m / params.d) ** (1.0 / 2 ** (params.r + 1))
-
-
-def residual_ml(params: CodeParams, c: float) -> float:
-    """Maximum-likelihood residual m^(r/2) n^-1/2 sqrt(c (2^r - 1)/r!)."""
-    m, r = params.m, params.r
-    return (m ** (r / 2.0) / math.sqrt(params.n)
-            * math.sqrt(c * (2 ** r - 1) / math.factorial(r)))
 
 
 def _check_constant(c: float) -> None:
@@ -425,7 +374,14 @@ def predict_errors(params: CodeParams, epsilon: float, algorithm: str = ALG_PSI,
 
 @dataclass
 class ThresholdReport:
-    """Residuals, weakest-path variances, and error predictions of a code."""
+    """Residuals, weakest-path variances, and error predictions of a code.
+
+    Beside the two algorithms' threshold residuals it carries the paper's
+    comparison points at the same constant c: `epsilon_opt`, sqrt(c R),
+    sustained by optimal codes of the same rate R; `epsilon_majority`,
+    (c m / d)^(1/2^(r+1)), of majority decoding; and `epsilon_ml`,
+    m^(r/2) n^-1/2 sqrt(c (2^r - 1) / r!), of maximum-likelihood decoding.
+    """
 
     params: CodeParams
     algorithm: str
@@ -434,6 +390,8 @@ class ThresholdReport:
     epsilon_psi: float
     epsilon_phi: float
     epsilon_opt: float
+    epsilon_majority: float
+    epsilon_ml: float
     weakest_variance: float
     node_variances: dict[int, float]
     predictions: dict[Path, PathPrediction]
@@ -453,10 +411,13 @@ def threshold_report(params: CodeParams, epsilon: float | None = None,
     eps_psi = residual_psi(params)
     eps_phi = residual_phi(params, c)
     eps_opt = residual_optimal(params, c)
+    m, r = params.m, params.r
+    eps_majority = (c * m / params.d) ** (1.0 / 2 ** (r + 1))
+    eps_ml = (m ** (r / 2.0) / math.sqrt(params.n)
+              * math.sqrt(c * (2 ** r - 1) / math.factorial(r)))
     if epsilon is None:
         epsilon = eps_psi if algorithm == ALG_PSI else eps_phi
     _check_epsilon(epsilon)
-    m, r = params.m, params.r
     if algorithm == ALG_PSI:
         star = weakest_variance(params, epsilon)
         nodes = {g: node_weakest_variance(params, epsilon, g)
@@ -469,5 +430,5 @@ def threshold_report(params: CodeParams, epsilon: float | None = None,
         else:
             nodes = {m - 1: star}
     predictions, lower, upper = predict_errors(params, epsilon, algorithm)
-    return ThresholdReport(params, algorithm, c, epsilon, eps_psi, eps_phi,
-                           eps_opt, star, nodes, predictions, lower, upper)
+    return ThresholdReport(params, algorithm, c, epsilon, eps_psi, eps_phi, eps_opt,
+                           eps_majority, eps_ml, star, nodes, predictions, lower, upper)

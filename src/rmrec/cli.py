@@ -250,6 +250,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"epsilon_psi={report.epsilon_psi:.6g} "
               f"epsilon_phi={report.epsilon_phi:.6g} "
               f"epsilon_opt={report.epsilon_opt:.6g} (c={report.c:g})")
+        print(f"epsilon_majority={report.epsilon_majority:.6g} "
+              f"epsilon_ml={report.epsilon_ml:.6g}")
         print(f"weakest variance={report.weakest_variance:.6g}")
         for g in sorted(report.node_variances):
             print(f"  node g={g}: variance={report.node_variances[g]:.6g}")
@@ -264,6 +266,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "m": params.m, "r": params.r, "algorithm": report.algorithm,
         "epsilon": report.epsilon, "epsilon_psi": report.epsilon_psi,
         "epsilon_phi": report.epsilon_phi, "epsilon_opt": report.epsilon_opt,
+        "epsilon_majority": report.epsilon_majority, "epsilon_ml": report.epsilon_ml,
         "mu_star": report.weakest_variance, "block_lower": report.block_lower,
         "block_upper": report.block_upper, "path": str(path),
         "kind": path.kind, "node": path.node_label(),

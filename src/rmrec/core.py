@@ -19,8 +19,9 @@ position p has coordinates x_1..x_m with x_1 the most significant bit.
 The tree is built once per code by :func:`plotkin_tree` and shared by
 every walk in the package: the encoder here, the decoders' walk in
 :mod:`rmrec.decoder`, the two Plotkin descents, and :mod:`rmrec.analysis`,
-which reads its weakest paths from the tree's leftmost leaves and predicts
-errors in one pass over its leaves.  The decoders' walk runs psi and phi,
+which reads phi's weakest prefixes from the tree's first first-order
+leaves and predicts errors in one pass over its leaves.  The tree's
+`paths` are the code's paths; its first is the weakest one.  The decoders' walk runs psi and phi,
 reads a clean codeword's info bits and, forced to decide +1, runs the
 genie-aided recursion.
 It fixes the shape of the descent, the info columns each node owns and
@@ -30,12 +31,10 @@ through :func:`_rows`: a 1-D block is one row, a 2-D one a batch of rows.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 from math import comb
-from types import MappingProxyType
 
 import numpy as np
 
@@ -54,7 +53,6 @@ __all__ = [
     "PlotkinNode",
     "PlotkinTree",
     "plotkin_tree",
-    "classify_path",
     "dimension",
     "enumerate_paths",
     "encode",
@@ -154,14 +152,13 @@ class PlotkinTree:
     `nodes` lists every node before its children and each v child before
     its u sibling, which is both the lexicographic path order and the order
     in which the recursive decoders reach the nodes; `leaves` holds its end
-    nodes, whose info slices tile [0, k).  `by_bits` maps the bits of each
-    path to the path, read-only.
+    nodes, whose info slices tile [0, k).  Its `paths` are exactly the
+    m-bit strings of weight >= m-r, each once, in lexicographic order.
     """
 
     root: PlotkinNode
     nodes: tuple[PlotkinNode, ...]
     leaves: tuple[PlotkinNode, ...]
-    by_bits: Mapping[tuple[int, ...], Path]
 
     @property
     def paths(self) -> tuple[Path, ...]:
@@ -188,8 +185,7 @@ def _plotkin_tree(m: int, r: int, first_order_ends: bool) -> PlotkinTree:
     CodeParams(m, r)  # validates the order
     root, _ = _build((), m, r, first_order_ends, 0, 0)
     nodes = tuple(_preorder(root))
-    return PlotkinTree(root, nodes, tuple(node for node in nodes if node.kind != SPLIT),
-                       MappingProxyType({path.bits: path for path in root.paths}))
+    return PlotkinTree(root, nodes, tuple(node for node in nodes if node.kind != SPLIT))
 
 
 def _build(prefix: tuple[int, ...], length_log: int, order: int, first_order_ends: bool,
@@ -220,19 +216,6 @@ def _preorder(node: PlotkinNode):
     yield node
     for child in node.children:
         yield from _preorder(child)
-
-
-def classify_path(params: CodeParams, bits: tuple[int, ...]) -> Path:
-    """The path of the code with the given m bits.
-
-    Raises ValueError for any other input: the paths are exactly the
-    m-bit strings of weight >= m-r.
-    """
-    try:
-        return plotkin_tree(params.m, params.r).by_bits[tuple(bits)]
-    except (KeyError, TypeError):
-        raise ValueError(f"{bits!r} is not a path of {params}: paths are the "
-                         f"{params.m}-bit strings of weight >= {params.m - params.r}") from None
 
 
 def enumerate_paths(params: CodeParams) -> tuple[Path, ...]:

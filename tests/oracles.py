@@ -3,7 +3,10 @@
 Everything here works from first principles (pointwise Boolean
 evaluation, exhaustive enumeration, brute-force correlation, the closed
 forms in exact rational arithmetic) so it shares no code path with the
-recursive implementations it checks.
+recursive implementations it checks.  The one exception,
+:func:`first_left_path`, looks a path up in the package's Plotkin tree;
+the tests check the paths it returns against :func:`node_bits` and
+against the variance recursion.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rmrec.core import RIGHT_END, CodeParams, enumerate_paths
+from rmrec.core import LEFT_END, RIGHT_END, CodeParams, Path, enumerate_paths, plotkin_tree
 
 
 def popcount(arr: np.ndarray) -> np.ndarray:
@@ -175,6 +178,16 @@ def phi_weakest_bits(m: int, r: int) -> tuple[int, ...]:
 def phi_node_bits(m: int, r: int, g: int) -> tuple[int, ...]:
     """The descent to the first first-order node {g+1, 1}, then g ones."""
     return (0,) * (r - 2) + (1,) * (m - r - g) + (0,) + (1,) * g
+
+
+def first_left_path(params: CodeParams, g: int) -> Path:
+    """The path of the first repetition node {g, 0} among the leaves of the
+    code's Plotkin tree: the weakest path through such a node.  Raises
+    ValueError where the tree has none."""
+    for leaf in plotkin_tree(params.m, params.r).leaves:
+        if leaf.kind == LEFT_END and leaf.length_log == g:
+            return leaf.paths[0]
+    raise ValueError(f"the tree of {params} has no {{{g},0}} node")
 
 
 def _node_variance(m: int, r: int, epsilon: Fraction, level: int, g: int) -> Fraction:

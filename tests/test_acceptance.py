@@ -32,7 +32,6 @@ from rmrec.analysis import (
     q_function,
     residual_phi,
     residual_psi,
-    weakest_path,
     weakest_variance,
 )
 from rmrec.core import encode
@@ -228,7 +227,7 @@ def test_criterion_07_gaussian_prediction():
     config = SimConfig(params=params, channel=Channel.bsc((1 - epsilon) / 2),
                        trials=1_000_000, master_seed=707)
     report = path_statistics(config)
-    observed = report.path_stats[weakest_path(params)].error_rate
+    observed = report.path_stats[enumerate_paths(params)[0]].error_rate
     ratio = observed / predicted
     _verdict(7, "Gaussian tail prediction", 1 / 1.5 <= ratio <= 1.5,
              f"(12,1) eps={epsilon}, mu={mu:.4f}: observed {observed:.3e} vs "
@@ -238,7 +237,7 @@ def test_criterion_07_gaussian_prediction():
 def test_criterion_08_weakest_path_dominance():
     params = CodeParams(10, 2)
     epsilon = residual_psi(params)
-    star = weakest_path(params)
+    star = enumerate_paths(params)[0]
     variances = {p: moments_for_path(params, p, epsilon).variance
                  for p in enumerate_paths(params)}
     assert len(variances) == 56

@@ -4,16 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rmrec import CodeParams, enumerate_paths
+from rmrec import Channel, CodeParams, enumerate_paths
 from rmrec.analysis import (
     LN4,
     PathPrediction,
     crossover_from_sigma,
-    epsilon_from_sigma,
     gaussian_gate,
     initial_variance,
     moments_for_path,
-    node_variance_asymptote,
     node_weakest_variance,
     path_mean,
     path_moments,
@@ -25,20 +23,17 @@ from rmrec.analysis import (
     predict_errors,
     q_function,
     q_inverse,
-    residual_majority,
-    residual_ml,
     residual_optimal,
     residual_phi,
     residual_psi,
     sigma_from_epsilon,
     threshold_report,
     variance_step,
-    weakest_path,
-    weakest_path_at_node,
     weakest_variance,
 )
 
 from oracles import (
+    first_left_path,
     node_bits,
     node_variance_asymptote_oracle,
     node_variance_oracle,
@@ -117,12 +112,14 @@ def test_initial_variance():
 
 
 def test_weakest_path_forms():
-    assert weakest_path(CodeParams(4, 1)).bits == (0, 1, 1, 1)
-    assert weakest_path_at_node(CodeParams(5, 2), 2).bits == (0, 1, 0, 1, 1)
+    # the weakest path is the tree's first, and the weakest through a
+    # repetition node {g,0} the first through such a node
+    assert enumerate_paths(CodeParams(4, 1))[0].bits == (0, 1, 1, 1)
+    assert first_left_path(CodeParams(5, 2), 2).bits == (0, 1, 0, 1, 1)
     # g = m - r degenerates to the global weakest path
-    assert weakest_path_at_node(CodeParams(7, 2), 5) == weakest_path(CodeParams(7, 2))
+    assert first_left_path(CodeParams(7, 2), 5) == enumerate_paths(CodeParams(7, 2))[0]
     with pytest.raises(ValueError):
-        weakest_path_at_node(CodeParams(5, 2), 4)
+        first_left_path(CodeParams(5, 2), 4)
     assert phi_weakest_prefix(CodeParams(6, 2)) == (0, 1, 1, 1, 1)
     assert phi_node_prefix(CodeParams(6, 3), 2) == (0, 1, 0, 1, 1)
 
@@ -158,13 +155,13 @@ def test_weakest_path_maximizes_variance(m):
         eps = float(rng.uniform(0.2, 0.95))
         variances = {p: moments_for_path(params, p, eps).variance
                      for p in enumerate_paths(params)}
-        star = weakest_path(params)
+        star = enumerate_paths(params)[0]
         assert variances[star] == max(variances.values())
         for g in range(1, m - r + 1):
             family = {p: v for p, v in variances.items()
                       if p.kind == "left" and p.end_size == g}
             if family:
-                node_star = weakest_path_at_node(params, g)
+                node_star = first_left_path(params, g)
                 assert family[node_star] == max(family.values())
 
 
@@ -175,11 +172,11 @@ def test_closed_forms_match_recursion():
         r = int(rng.integers(1, m))
         eps = float(rng.uniform(0.2, 0.999))
         params = CodeParams(m, r)
-        star = weakest_path(params)
+        star = enumerate_paths(params)[0]
         assert weakest_variance(params, eps) == pytest.approx(
             path_variance(star.bits, eps), rel=1e-12)
         g = int(rng.integers(1, m - r + 1))
-        node_star = weakest_path_at_node(params, g)
+        node_star = first_left_path(params, g)
         assert node_weakest_variance(params, eps, g) == pytest.approx(
             path_variance(node_star.bits, eps), rel=1e-12)
         assert phi_weakest_variance(params, eps) == pytest.approx(
@@ -221,9 +218,10 @@ def test_residual_optimal_monotone_in_rate():
 
 def test_residual_comparison_curves():
     params = CodeParams(10, 2)
+    report = threshold_report(params, c=1.5)
     # same exponent 1/2^(r+1): majority is weaker whenever c m > 2 r ln m
-    assert residual_psi(params) < residual_majority(params, 1.5)
-    assert 0 < residual_ml(params, 1.5) < residual_psi(params)
+    assert residual_psi(params) < report.epsilon_majority
+    assert 0 < report.epsilon_ml < residual_psi(params)
 
 
 def test_weakest_variance_at_threshold_identity():
@@ -245,14 +243,16 @@ def test_weakest_tail_matches_asymptotic_form():
 
 
 def test_node_variance_asymptote_regimes():
+    # the package's node variance at the threshold residual against the
+    # large-m asymptote of each regime
     params = CodeParams(24, 2)
     eps = residual_psi(params)
     for g in list(range(1, 8)) + list(range(16, 23)):
-        asym = node_variance_asymptote(params, g)
+        asym = node_variance_asymptote_oracle(24, 2, g)
         assert asym is not None
         exact = node_weakest_variance(params, eps, g)
         assert 0.5 < exact / asym < 2.0
-    assert node_variance_asymptote(params, 11) is None  # between the regimes
+    assert node_variance_asymptote_oracle(24, 2, 11) is None  # between the regimes
 
 
 def test_q_function_values():
@@ -269,14 +269,17 @@ def test_q_function_values():
 def test_sigma_epsilon_mapping():
     assert crossover_from_sigma(1.0) == pytest.approx(0.15866, abs=1e-5)
     for eps in (0.1, 0.5, 0.9):
-        assert epsilon_from_sigma(sigma_from_epsilon(eps)) == pytest.approx(eps, rel=1e-10)
+        residual = Channel.awgn_hard(sigma_from_epsilon(eps)).residual
+        assert residual == pytest.approx(eps, rel=1e-10)
     with pytest.raises(ValueError):
         sigma_from_epsilon(1.0)
     with pytest.raises(ValueError):
         crossover_from_sigma(0.0)
     for sigma in (0.0, -1.0):
         with pytest.raises(ValueError):
-            epsilon_from_sigma(sigma)
+            Channel.awgn_hard(sigma)
+    for sigma in (0.3, 1.0, 2.5):  # the hard-decision image's residual 1 - 2Q(1/sigma)
+        assert Channel.awgn_hard(sigma).residual == 1.0 - 2.0 * q_function(1.0 / sigma)
 
 
 def test_gaussian_gate():
@@ -295,7 +298,7 @@ def test_predict_errors_psi():
     for path, pred in predictions.items():
         assert 0.0 <= pred.p_low <= pred.p_high <= 1.0
         assert pred.gaussian == (path.kind == "left" and path.end_size >= gate)
-    star = weakest_path(params)
+    star = enumerate_paths(params)[0]
     assert predictions[star].p_low == lower
     assert lower == pytest.approx(q_function(
         1.0 / math.sqrt(weakest_variance(params, eps))))
@@ -306,7 +309,7 @@ def test_predict_errors_phi():
     eps = residual_phi(params)
     predictions, lower, upper = predict_errors(params, eps, "phi")
     assert 0.0 <= lower <= upper <= 1.0
-    star = weakest_path(params)
+    star = enumerate_paths(params)[0]
     mu = phi_weakest_variance(params, eps)
     assert predictions[star].variance == pytest.approx(mu, rel=1e-12)
     assert predictions[star].p_low == pytest.approx(q_function(1 / math.sqrt(mu)))
@@ -352,6 +355,13 @@ def test_weakest_variances_equal_their_closed_forms(m, r):
     # the edges g = 1 and g = m - r included; rel 1e-12 covers expm1 and
     # the log domain of the package's evaluation
     params = CodeParams(m, r)
+    # the oracles' paths are the tree's
+    assert enumerate_paths(params)[0].bits == weakest_bits(m, r)
+    assert phi_weakest_prefix(params) == phi_weakest_bits(m, r)
+    for g in range(1, m - r + 1):
+        assert first_left_path(params, g).bits == node_bits(m, r, g)
+        if r >= 2:
+            assert phi_node_prefix(params, g) == phi_node_bits(m, r, g)
     threshold = residual_psi(params)  # above one on the shortest codes
     for eps in (0.3, 0.7, 0.95) + ((threshold,) if threshold < 1 else ()):
         exact = Fraction(eps)
@@ -383,10 +393,11 @@ def test_residuals_equal_their_formulas(m, r):
                                                         rel=1e-12)
         assert residual_optimal(params, c) == pytest.approx(
             residual_optimal_oracle(m, r, c), rel=1e-12)
-        assert residual_majority(params, c) == pytest.approx(
-            residual_majority_oracle(m, r, c), rel=1e-12)
-        assert residual_ml(params, c) == pytest.approx(residual_ml_oracle(m, r, c),
-                                                       rel=1e-12)
+        report = threshold_report(params, 1.0, c)  # the paper's comparison points
+        assert report.c == c
+        assert report.epsilon_majority == pytest.approx(residual_majority_oracle(m, r, c),
+                                                        rel=1e-12)
+        assert report.epsilon_ml == pytest.approx(residual_ml_oracle(m, r, c), rel=1e-12)
 
 
 def test_residual_phi_scales_as_the_paper_states():
@@ -396,15 +407,3 @@ def test_residual_phi_scales_as_the_paper_states():
         params = CodeParams(1000, r)
         ratio = math.log(residual_phi(params)) / math.log(params.n)
         assert abs(ratio + 2.0 ** -r) < 0.01
-
-
-def test_node_variance_asymptote_by_value():
-    # both regimes of the large-m form, and None between them
-    for m, r in ((24, 2), (30, 3), (40, 1)):
-        params = CodeParams(m, r)
-        for g in range(1, m - r + 1):
-            want = node_variance_asymptote_oracle(m, r, g)
-            got = node_variance_asymptote(params, g)
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert got == pytest.approx(want, rel=1e-12)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from rmrec import CodeParams, encode
-from rmrec.analysis import q_function
+from rmrec.analysis import q_function, threshold_report
 from rmrec.cli import (
+    ANALYZE_KEYS,
     OUTPUT_KEYS,
     codeword_to_hex,
     codeword_to_text,
@@ -272,6 +273,30 @@ def test_analyze_csv_roundtrip(capsys):
     assert len(rows) == params.k
     for row in rows:
         assert float(row["p_low"]) <= float(row["p_high"])
+
+
+def test_analyze_prints_the_comparison_residuals(capsys):
+    # the text gains one line after the residual line, the json rows two
+    # keys; the CSV header stays ANALYZE_KEYS
+    argv = ("analyze", "--m", "10", "--r", "2", "--epsilon", "0.6", "--c", "1.5")
+    report = threshold_report(CodeParams(10, 2), 0.6, 1.5)
+    code, out, _ = run_cli(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 0 and lines[1].startswith("epsilon_psi=")
+    assert lines[2] == (f"epsilon_majority={report.epsilon_majority:.6g} "
+                        f"epsilon_ml={report.epsilon_ml:.6g}")
+    assert lines[3].startswith("weakest variance=")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    rows = json.loads(out)
+    assert code == 0 and len(rows) == 56
+    for row in rows:
+        assert row["epsilon_majority"] == report.epsilon_majority
+        assert row["epsilon_ml"] == report.epsilon_ml
+        assert list(row) == (ANALYZE_KEYS[:7] + ["epsilon_majority", "epsilon_ml"]
+                             + ANALYZE_KEYS[7:])
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and out.splitlines()[0] == ",".join(ANALYZE_KEYS)
+    assert "epsilon_majority" not in out
 
 
 def test_analyze_rejects_small_constant(capsys):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,6 @@ from rmrec import (
     LEFT_END,
     RIGHT_END,
     CodeParams,
-    classify_path,
     codeword_to_info,
     dimension,
     encode,
@@ -99,30 +99,27 @@ def test_path_count_and_order(m):
             assert leaves[-1].info.stop == params.k
             sites = [1 << leaf.length_log if leaf.kind == RIGHT_END else 1 for leaf in leaves]
             assert [leaf.site for leaf in leaves] == [sum(sites[:i]) for i in range(len(leaves))]
-        with pytest.raises(TypeError):
-            tree.by_bits[paths[0].bits] = paths[0]  # cached trees are read-only
-        if m <= 6:
-            for bits in set(strings) - set(heavy):
-                with pytest.raises(ValueError):
-                    classify_path(params, bits)
+        with pytest.raises(FrozenInstanceError):
+            tree.leaves = ()  # cached trees are read-only
+        if m <= 6:  # no light string is a path of the tree
+            assert not {p.bits for p in plotkin_tree(m, r).paths} & (set(strings) - set(heavy))
 
 
-def test_classify_path_rejects_invalid():
-    params = CodeParams(3, 1)
-    with pytest.raises(ValueError):
-        classify_path(params, (0, 1, 0))  # weight too low
-    with pytest.raises(ValueError):
-        classify_path(params, (0, 1))  # wrong length
-    with pytest.raises(ValueError):
-        classify_path(params, (0, 2, 1))
+def test_tree_paths_are_only_the_heavy_strings():
+    bits = {path.bits for path in plotkin_tree(3, 1).paths}
+    assert bits == {(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)}
+    assert (0, 1, 0) not in bits  # weight too low
+    assert (0, 1) not in bits  # wrong length
+    assert (0, 2, 1) not in bits
 
 
 def test_path_accessors():
     params = CodeParams(5, 2)
-    left = classify_path(params, (0, 1, 0, 1, 1))
+    by_bits = {path.bits: path for path in plotkin_tree(5, 2).paths}
+    left = by_bits[(0, 1, 0, 1, 1)]
     assert left.kind == LEFT_END and left.end_size == 2
     assert left.descent == (0, 1, 0) and left.bits[len(left.bits) - left.end_size:] == (1, 1)
-    right = classify_path(params, (1, 1, 1, 0, 1))
+    right = by_bits[(1, 1, 1, 0, 1)]
     assert right.kind == RIGHT_END and right.end_size == 2
     assert right.descent == (1, 1, 1) and right.bits[len(right.bits) - right.end_size:] == (0, 1)
     # the free suffix 01 selects column 1 of its full-space leaf

@@ -29,6 +29,7 @@ from rmrec import (
     SimConfig,
     decode_phi,
     decode_psi,
+    enumerate_paths,
     path_statistics,
     run_wer,
 )
@@ -39,8 +40,6 @@ from rmrec.analysis import (
     residual_phi,
     residual_psi,
     threshold_report,
-    weakest_path,
-    weakest_path_at_node,
 )
 from rmrec.decoder import (
     MIN_SUM,
@@ -51,6 +50,8 @@ from rmrec.decoder import (
     UNSCALED,
 )
 from rmrec.simulate import ALL_ONES, RANDOM_CODEWORDS
+
+from oracles import first_left_path
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -206,8 +207,8 @@ def analysis_entry(case: dict) -> dict:
         return {"paths": digest, "block_lower": lower.hex(), "block_upper": upper.hex()}
 
     if algorithm == "psi":
-        weakest, at_node = (lambda: weakest_path(params).bits,
-                            lambda g: weakest_path_at_node(params, g).bits)
+        weakest, at_node = (lambda: enumerate_paths(params)[0].bits,
+                            lambda g: first_left_path(params, g).bits)
     else:
         weakest, at_node = (lambda: phi_weakest_prefix(params),
                             lambda g: phi_node_prefix(params, g))

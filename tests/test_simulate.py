@@ -20,6 +20,7 @@ from rmrec import (
     decode_batch,
     decode_psi,
     encode,
+    enumerate_paths,
     path_statistics,
     run_wer,
     sweep,
@@ -29,7 +30,6 @@ from rmrec.analysis import (
     phi_weakest_variance,
     predict_errors,
     q_function,
-    weakest_path,
 )
 from rmrec.core import RIGHT_END, plotkin_tree
 from rmrec.decoder import (
@@ -346,7 +346,7 @@ def test_genie_weakest_path_dominates():
     eps = 0.62
     config = _config(m=8, r=2, p=(1 - eps) / 2, trials=30_000, master_seed=7)
     report = path_statistics(config)
-    star = weakest_path(config.params)
+    star = enumerate_paths(config.params)[0]
     best = report.path_stats[star]
     for stats in report.path_stats.values():
         assert stats.error_rate - stats.error_half_width <= best.error_rate + best.error_half_width

@@ -45,25 +45,27 @@ MUTANTS = (
            "return (3 if u_rule == SCALED else 2) * n * lo",
            "return (4 if u_rule == SCALED else 2) * n * lo"),
     Mutant("residual-psi", "analysis.py",
-           "params.d) ** (1.0 / 2 ** (r + 1))", "params.d) ** (1.0 / 2 ** (r + 2))"),
+           "math.log(m) / params.d) ** (1.0 / 2 ** (r + 1))",
+           "math.log(m) / params.d) ** (1.0 / 2 ** (r + 2))"),
     Mutant("residual-phi", "analysis.py",
            "params.d) ** (1.0 / 2 ** params.r)", "params.d) ** (1.0 / 2 ** (params.r + 1))"),
     Mutant("residual-optimal", "analysis.py",
            "return math.sqrt(c * params.k / params.n)",
            "return math.sqrt(c * params.k / params.n) / math.sqrt(2.0)"),
     Mutant("residual-majority", "analysis.py",
-           "return (c * params.m / params.d) ** (1.0 / 2 ** (params.r + 1))",
-           "return (c * params.m / params.d) ** (1.0 / 2 ** (params.r + 2))"),
+           "eps_majority = (c * m / params.d) ** (1.0 / 2 ** (r + 1))",
+           "eps_majority = (c * m / params.d) ** (1.0 / 2 ** (r + 2))"),
     Mutant("residual-ml", "analysis.py",
            "* math.sqrt(c * (2 ** r - 1) / math.factorial(r)))",
            "* math.sqrt(c * (2 ** r - 1) / math.factorial(r)) * 1.01)"),
-    Mutant("node-asymptote-low", "analysis.py",
-           "/ math.sqrt(2.0 * r * math.log(m))", "/ math.sqrt(3.0 * r * math.log(m))"),
     Mutant("weakest-variance", "analysis.py",
            "_scaled_power(epsilon, params.r + 1, params.r - params.m)",
            "_scaled_power(epsilon, params.r + 1, params.r - params.m + 1)"),
     Mutant("node-variance", "analysis.py",
            "return (x * x + 2.0 * x) * 2.0 ** -g", "return (x * x + x) * 2.0 ** -g"),
+    Mutant("phi-node-variance", "analysis.py",
+           "return _node_form(params, epsilon, params.r - 1, g)",
+           "return _node_form(params, epsilon, params.r, g)"),
     # kernels of the two walks
     Mutant("batched-u-step", "decoder.py",
            "np.add(np.multiply(y2, v_hat, out=out), y1, out=out)",
