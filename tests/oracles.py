@@ -144,11 +144,6 @@ def op_bound_oracle(m: int, r: int, phi: bool, u_rule: str) -> int:
 # Exact where the formula is rational in epsilon (Fraction), otherwise in
 # math.log/math.exp, which the tests compare with a stated tolerance.
 
-def heavy_count(m: int, r: int) -> int:
-    """k: the m-bit strings of weight >= m-r, counted one by one."""
-    return sum(1 for v in range(1 << m) if bin(v).count("1") >= m - r)
-
-
 def variance_along(bits: tuple[int, ...], epsilon: Fraction) -> Fraction:
     """Normalized variance after the steps `bits`, exactly: from
     epsilon^-2 - 1, a 0 step maps mu to (mu + 1)^2 - 1 and a 1 step to mu/2."""
@@ -227,8 +222,9 @@ def residual_phi_oracle(m: int, r: int, c: float) -> float:
 
 
 def residual_optimal_oracle(m: int, r: int, c: float) -> float:
-    """sqrt(c k / n), k counted by :func:`heavy_count`."""
-    return math.sqrt(float(Fraction(c) * heavy_count(m, r) / 2 ** m))
+    """sqrt(c k / n), k the m-bit strings of weight >= m-r, counted one by one."""
+    k = sum(1 for v in range(1 << m) if bin(v).count("1") >= m - r)
+    return math.sqrt(float(Fraction(c) * k / 2 ** m))
 
 
 def residual_majority_oracle(m: int, r: int, c: float) -> float:

@@ -71,6 +71,18 @@ MUTANTS = (
            "np.add(np.multiply(y2, v_hat, out=out), y1, out=out)",
            "np.subtract(np.multiply(y2, v_hat, out=out), y1, out=out)"),
     Mutant("single-v-step", "decoder.py", "else y1 * y2)", "else y1 * y1)"),
+    Mutant("min-sum-v-step", "decoder.py",
+           "np.minimum(np.abs(y1, out=out), np.abs(y2, out=spare), out=out)",
+           "np.maximum(np.abs(y1, out=out), np.abs(y2, out=spare), out=out)"),
+    Mutant("batched-winner-rebuild", "decoder.py",
+           "np.multiply(tables.hadamard.take(best, 0), sign, out=cw)",
+           "np.multiply(tables.hadamard.take(best ^ 1, 0), sign, out=cw)"),
+    Mutant("single-wide-winner-rebuild", "decoder.py",
+           "np.multiply(h_a[best // b, :, None], h_b[best % b], out=cw.reshape(a, b))",
+           "np.multiply(h_a[best // b, :, None], h_b[(best + 1) % b], out=cw.reshape(a, b))"),
+    Mutant("genie-support-scale", "decoder.py",
+           "supports.append(_block_sums(y2, step.reduce) * 2.0 ** -step.bits if integer",
+           "supports.append(_block_sums(y2, step.reduce) * 2.0 ** -(step.bits + 1) if integer"),
     # tie sites
     Mutant("full-space-tie-sites", "decoder.py",
            "np.uint64(site) + cols.astype(np.uint64))", "np.uint64(site) + 0 * cols)"),
