@@ -21,9 +21,9 @@ every walk in the package: the encoder here, the decoders' walk in
 :mod:`rmrec.decoder`, the two Plotkin descents, and :mod:`rmrec.analysis`,
 which reads phi's weakest prefixes from the tree's first first-order
 leaves and predicts errors in one pass over its leaves.  The tree's
-`paths` are the code's paths; its first is the weakest one.  The decoders' walk runs psi and phi,
-reads a clean codeword's info bits and, forced to decide +1, runs the
-genie-aided recursion.
+`paths` are the code's paths; its first is the weakest one.  The
+decoders' walk runs psi and phi, reads a clean codeword's info bits and,
+forced to decide +1, runs the genie-aided recursion.
 It fixes the shape of the descent, the info columns each node owns and
 the decoder's tie sites.  Every entry point that takes blocks reads them
 through :func:`_rows`: a 1-D block is one row, a 2-D one a batch of rows.
